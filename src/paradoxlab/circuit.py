@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -19,6 +20,7 @@ from .errors import (
     BadProbability,
     BadTargets,
     InvalidCircuit,
+    NonUnitary,
     NonUnitaryInstruction,
     TooManyQubits,
     UnknownKind,
@@ -101,6 +103,8 @@ class Instruction:
         targets = _distinct(targets)
         if len(targets) != gate.arity:
             raise BadTargets(f"{gate.kind} expects {gate.arity} targets, got {len(targets)}")
+        if not qmath.is_unitary(gate.matrix):
+            raise NonUnitary(f"{gate.kind} matrix fails the unitarity check")
         return cls("unitary", targets, gate=gate)
 
     @classmethod
@@ -291,36 +295,27 @@ def validate(c: Circuit) -> list:
 def run_statevector(c: Circuit) -> StateVector:
     """Evolve |0...0> through a unitary-only circuit."""
     _require_valid(c)
-    amps = np.zeros(2 ** c.n_qubits, dtype=complex)
-    amps[0] = 1
-    for instr in c.instructions:
-        if instr.op != "unitary":
-            raise NonUnitaryInstruction(f"statevector backend cannot run {instr.op!r}")
-        amps = qmath.embed_operator(instr.gate.matrix, instr.targets, c.n_qubits) @ amps
-    return StateVector(c.n_qubits, amps)
+    return StateVector(c.n_qubits, circuit_unitary(c)[:, 0])
 
-
-_RESET_KRAUS = (
-    np.array([[1, 0], [0, 0]], dtype=complex),
-    np.array([[0, 1], [0, 0]], dtype=complex),
-)
 
 _PROJ = (
     np.array([[1, 0], [0, 0]], dtype=complex),
     np.array([[0, 0], [0, 1]], dtype=complex),
 )
 
+_RESET_KRAUS = (_PROJ[0], np.array([[0, 1], [0, 0]], dtype=complex))
+
 _BRANCH_FLOOR = 1e-15
 
 
-def apply_instruction(rho: DensityMatrix, instr: Instruction) -> DensityMatrix:
-    """Apply a non-measuring instruction to a density matrix."""
+def apply_instruction(mat: np.ndarray, instr: Instruction) -> np.ndarray:
+    """Apply a non-measuring instruction to an unvalidated density-matrix array."""
     if instr.op == "unitary":
-        return qmath.evolve_density(rho, instr.gate.matrix, instr.targets)
+        return qmath._conjugate(instr.gate.matrix, mat, instr.targets)
     if instr.op == "channel":
-        return qmath.apply_kraus(rho, instr.kraus, instr.targets)
+        return qmath._kraus_map(instr.kraus.operators, mat, instr.targets)
     if instr.op == "reset":
-        return qmath.apply_kraus(rho, KrausSet(_RESET_KRAUS), instr.targets)
+        return qmath._kraus_map(_RESET_KRAUS, mat, instr.targets)
     raise NonUnitaryInstruction("measurement must be handled by the branch runner")
 
 
@@ -330,7 +325,11 @@ class RunResult:
 
     distribution: dict
     final_state: DensityMatrix
-    reduced_states: list
+
+    @cached_property
+    def reduced_states(self) -> list:
+        """Single-qubit marginals of the final state, computed on first access."""
+        return [qmath.partial_trace(self.final_state, [q]) for q in range(self.final_state.n)]
 
 
 def run_density(c: Circuit, initial: Optional[DensityMatrix] = None) -> RunResult:
@@ -341,33 +340,30 @@ def run_density(c: Circuit, initial: Optional[DensityMatrix] = None) -> RunResul
         initial = qmath.basis_state(n, 0).density()
     elif initial.n != n:
         raise BadTargets(f"initial state has {initial.n} qubits, circuit has {n}")
-    branches = [(1.0, initial, (0,) * c.n_clbits)]
+    # Branch states are plain arrays; only the returned state is validated.
+    branches = [(1.0, initial.mat, (0,) * c.n_clbits)]
     for instr in c.instructions:
         if instr.op != "measure":
-            branches = [(w, apply_instruction(rho, instr), bits) for w, rho, bits in branches]
+            branches = [(w, apply_instruction(mat, instr), bits) for w, mat, bits in branches]
             continue
-        q = instr.targets[0]
         new_branches = []
-        for w, rho, bits in branches:
+        for w, mat, bits in branches:
             for outcome in (0, 1):
-                proj = qmath.embed_operator(_PROJ[outcome], [q], n)
-                unnorm = proj @ rho.mat @ proj
+                unnorm = qmath._conjugate(_PROJ[outcome], mat, instr.targets)
                 p = float(np.trace(unnorm).real)
                 if w * p <= _BRANCH_FLOOR:
                     continue
                 new_bits = list(bits)
                 new_bits[instr.clbit] = outcome
-                new_branches.append((w * p, DensityMatrix(n, unnorm / p), tuple(new_bits)))
+                new_branches.append((w * p, unnorm / p, tuple(new_bits)))
         branches = new_branches
     distribution = {}
     for w, _, bits in branches:
         key = "".join(str(b) for b in bits)
         distribution[key] = distribution.get(key, 0.0) + w
     total = sum(w for w, _, _ in branches)
-    mixed = sum(w * rho.mat for w, rho, _ in branches) / total
-    final = DensityMatrix(n, mixed)
-    reduced = [qmath.partial_trace(final, [q]) for q in range(n)]
-    return RunResult(distribution, final, reduced)
+    mixed = sum(w * mat for w, mat, _ in branches) / total
+    return RunResult(distribution, DensityMatrix(n, mixed))
 
 
 def _require_valid(c: Circuit):
@@ -382,7 +378,7 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     for instr in c.instructions:
         if instr.op != "unitary":
             raise NonUnitaryInstruction(f"circuit contains {instr.op!r}")
-        u = qmath.embed_operator(instr.gate.matrix, instr.targets, c.n_qubits) @ u
+        u = qmath._apply_op(instr.gate.matrix, u, instr.targets)
     return u
 
 

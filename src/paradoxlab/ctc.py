@@ -320,10 +320,25 @@ def run_ctc_circuit(
     return CtcRunResult(distribution=distribution, solution=solution)
 
 
+def _distinguisher_gates(c: Circuit) -> Circuit:
+    return c.swap(0, 1).ch(1, 0)
+
+
 def distinguisher_unitary() -> np.ndarray:
     """Swap the unknown input into the loop, then rotate the loop by H when
     the (swapped-out) loop bit reads 1."""
-    return circuit_unitary(Circuit(2).swap(0, 1).ch(1, 0))
+    return circuit_unitary(_distinguisher_gates(Circuit(2)))
+
+
+def _bb84_gates(c: Circuit) -> Circuit:
+    return (
+        c.ch(0, 2)  # rotate a conjugate-basis claim into the computational basis
+        .cx(1, 2)  # subtract the claimed value: s = 0 iff the claim checks out
+        .ccx(2, 0, 1)  # failed conjugate claim: bump the value bit
+        .cx(2, 0)  # failed claim: toggle the basis bit
+        .cx(1, 2)  # re-arm s so the output reports the claimed value
+        .cx(0, 3)  # publish the basis on the ancilla
+    )
 
 
 def bb84_unitary() -> np.ndarray:
@@ -335,16 +350,7 @@ def bb84_unitary() -> np.ndarray:
     states, so only the true claim survives as a fixed point; the answer is
     published on (s, a) as (value, basis).
     """
-    c = (
-        Circuit(4)
-        .ch(0, 2)  # rotate a conjugate-basis claim into the computational basis
-        .cx(1, 2)  # subtract the claimed value: s = 0 iff the claim checks out
-        .ccx(2, 0, 1)  # failed conjugate claim: bump the value bit
-        .cx(2, 0)  # failed claim: toggle the basis bit
-        .cx(1, 2)  # re-arm s so the output reports the claimed value
-        .cx(0, 3)  # publish the basis on the ancilla
-    )
-    return circuit_unitary(c)
+    return circuit_unitary(_bb84_gates(Circuit(4)))
 
 
 def distinguisher_problem(label: str) -> CtcProblem:
@@ -380,7 +386,7 @@ def classical_control_demo(input_label: str, protocol: str) -> Circuit:
             raise BadLabel(
                 f"single-state demo takes labels 0 or -, got {input_label!r}"
             )
-        return c.swap(0, 1).ch(1, 0).measure(1, 0)
+        return _distinguisher_gates(c).measure(1, 0)
     if protocol == "bb84":
         if input_label not in STATE_LABELS:
             raise BadLabel(f"unknown state label {input_label!r}")
@@ -396,8 +402,7 @@ def classical_control_demo(input_label: str, protocol: str) -> Circuit:
             c.x(0)
         if input_label in ("1", "-"):
             c.x(1)
-        c.ch(0, 2).cx(1, 2).ccx(2, 0, 1).cx(2, 0).cx(1, 2).cx(0, 3)
-        return c.measure(2, 0).measure(3, 1)
+        return _bb84_gates(c).measure(2, 0).measure(3, 1)
     raise BadLabel(f"unknown protocol {protocol!r}, expected single or bb84")
 
 

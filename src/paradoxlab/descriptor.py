@@ -51,9 +51,11 @@ class DescriptorFrame:
     triples: tuple  # per qubit: (x image, y image, z image) as full matrices
 
 
-def _bare_triples(n: int) -> tuple:
+def _images(prefix: np.ndarray, n: int) -> tuple:
+    pdag = prefix.conj().T
     return tuple(
-        tuple(qmath.embed_operator(_PAULIS[ax], [q], n) for ax in AXES) for q in range(n)
+        tuple(pdag @ qmath._apply_op(_PAULIS[ax], prefix, [q]) for ax in AXES)
+        for q in range(n)
     )
 
 
@@ -62,19 +64,16 @@ def init_frame(n: int) -> DescriptorFrame:
         raise BadParams("frame needs at least one qubit")
     if n > MAX_QUBITS:
         raise TooManyQubits(f"{n} qubits exceeds the limit of {MAX_QUBITS}")
-    return DescriptorFrame(n, 0, np.eye(2 ** n, dtype=complex), _bare_triples(n))
+    prefix = np.eye(2 ** n, dtype=complex)
+    return DescriptorFrame(n, 0, prefix, _images(prefix, n))
 
 
 def advance(frame: DescriptorFrame, instr: Instruction) -> DescriptorFrame:
     """Extend the tracked prefix by one unitary step and refresh all images."""
     if instr.op != "unitary":
         raise NonUnitaryInstruction(f"descriptors are defined for unitary steps, not {instr.op!r}")
-    prefix = qmath.embed_operator(instr.gate.matrix, instr.targets, frame.n) @ frame.prefix
-    pdag = prefix.conj().T
-    triples = tuple(
-        tuple(pdag @ m @ prefix for m in triple) for triple in _bare_triples(frame.n)
-    )
-    return DescriptorFrame(frame.n, frame.t + 1, prefix, triples)
+    prefix = qmath._apply_op(instr.gate.matrix, frame.prefix, instr.targets)
+    return DescriptorFrame(frame.n, frame.t + 1, prefix, _images(prefix, frame.n))
 
 
 @dataclass(frozen=True)

@@ -111,19 +111,6 @@ class DensityMatrix:
     def from_statevector(cls, sv: StateVector) -> "DensityMatrix":
         return cls(sv.n, np.outer(sv.amplitudes, sv.amplitudes.conj()))
 
-    @classmethod
-    def sanitized(cls, mat: np.ndarray) -> "DensityMatrix":
-        """Hermitize, clip eigenvalues within the PSD floor, renormalize."""
-        mat = np.asarray(mat, dtype=complex)
-        mat = (mat + mat.conj().T) / 2
-        vals, vecs = np.linalg.eigh(mat)
-        if np.min(vals) < PSD_FLOOR:
-            raise InvalidState("matrix is negative beyond the PSD floor")
-        vals = np.clip(vals, 0.0, None)
-        mat = (vecs * vals) @ vecs.conj().T
-        mat = mat / np.trace(mat).real
-        return cls.from_matrix(mat)
-
 
 @dataclass(frozen=True, eq=False)
 class KrausSet:
@@ -163,6 +150,41 @@ def _check_targets(targets: Sequence[int], n: int, op_dim: int) -> list:
     return targets
 
 
+def _axes(qubits: Sequence[int], n: int) -> list:
+    """Axes of ``qubits`` in a 2^n index reshaped to (2,) * n; qubit 0 is the last."""
+    return [n - 1 - q for q in qubits]
+
+
+def _apply_op(op: np.ndarray, state: np.ndarray, targets: Sequence[int]) -> np.ndarray:
+    """Apply ``op`` to qubits ``targets`` of the 2^n register indexing ``state``'s first axis.
+
+    Further axes ride along, so a matrix is left-multiplied by the lift of
+    ``op``. targets[p] carries bit p of ``op``'s index; callers check targets.
+    """
+    n = state.shape[0].bit_length() - 1
+    k = len(targets)
+    axes = _axes(targets, n)
+    # Reshaped to (2,) * 2k, op's row bits are its first k axes and its column
+    # bits the last k; contract columns with targets, then put the rows back.
+    out = np.tensordot(
+        op.reshape((2,) * (2 * k)),
+        state.reshape((2,) * n + state.shape[1:]),
+        axes=(_axes(range(k), 2 * k), axes),
+    )
+    return np.moveaxis(out, _axes(range(k), k), axes).reshape(state.shape)
+
+
+def _conjugate(u: np.ndarray, mat: np.ndarray, targets: Sequence[int]) -> np.ndarray:
+    """``lift(u) @ mat @ lift(u)^dagger`` for a square ``mat``."""
+    return _apply_op(u.conj(), _apply_op(u, mat, targets).T, targets).T
+
+
+def _kraus_map(ops: Sequence[np.ndarray], mat: np.ndarray, targets: Sequence[int]) -> np.ndarray:
+    """``sum_k lift(K) @ mat @ lift(K)^dagger``, hermitized."""
+    out = sum(_conjugate(k, mat, targets) for k in ops)
+    return (out + out.conj().T) / 2
+
+
 def embed_operator(op: np.ndarray, targets: Sequence[int], n: int) -> np.ndarray:
     """Lift ``op`` acting on ``targets`` to the full 2^n-dimensional space.
 
@@ -170,20 +192,7 @@ def embed_operator(op: np.ndarray, targets: Sequence[int], n: int) -> np.ndarray
     """
     op = np.asarray(op, dtype=complex)
     targets = _check_targets(targets, n, op.shape[0])
-    k = len(targets)
-    dim = 2 ** n
-    mask = 0
-    for t in targets:
-        mask |= 1 << t
-    rest = np.array([i for i in range(dim) if i & mask == 0], dtype=int)
-    place = [
-        sum(((j >> p) & 1) << targets[p] for p in range(k)) for j in range(2 ** k)
-    ]
-    full = np.zeros((dim, dim), dtype=complex)
-    for jr in range(2 ** k):
-        for jc in range(2 ** k):
-            full[rest + place[jr], rest + place[jc]] = op[jr, jc]
-    return full
+    return _apply_op(op, np.eye(2 ** n, dtype=complex), targets)
 
 
 def evolve_density(rho: DensityMatrix, u: np.ndarray, targets: Sequence[int]) -> DensityMatrix:
@@ -191,18 +200,14 @@ def evolve_density(rho: DensityMatrix, u: np.ndarray, targets: Sequence[int]) ->
     u = np.asarray(u, dtype=complex)
     if not is_unitary(u):
         raise NonUnitary("operator fails the unitarity check")
-    full = embed_operator(u, targets, rho.n)
-    return DensityMatrix(rho.n, full @ rho.mat @ full.conj().T)
+    targets = _check_targets(targets, rho.n, u.shape[0])
+    return DensityMatrix(rho.n, _conjugate(u, rho.mat, targets))
 
 
 def apply_kraus(rho: DensityMatrix, kraus: KrausSet, targets: Sequence[int]) -> DensityMatrix:
     """Apply a trace-preserving channel given by Kraus operators on ``targets``."""
-    _check_targets(targets, rho.n, kraus.dim)
-    out = np.zeros_like(rho.mat)
-    for k in kraus.operators:
-        full = embed_operator(k, targets, rho.n)
-        out += full @ rho.mat @ full.conj().T
-    return DensityMatrix(rho.n, (out + out.conj().T) / 2)
+    targets = _check_targets(targets, rho.n, kraus.dim)
+    return DensityMatrix(rho.n, _kraus_map(kraus.operators, rho.mat, targets))
 
 
 def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
@@ -213,20 +218,15 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     for q in keep:
         if not 0 <= q < rho.n:
             raise BadTargets(f"kept qubit {q} outside register of {rho.n} qubits")
-    traced = [q for q in range(rho.n) if q not in keep]
-    dk = 2 ** len(keep)
-    # index map from the kept sub-basis into the full basis, per traced assignment
-    base = np.zeros(dk, dtype=int)
-    for p, q in enumerate(keep):
-        base |= ((np.arange(dk) >> p) & 1) << q
-    out = np.zeros((dk, dk), dtype=complex)
-    for t in range(2 ** len(traced)):
-        offset = 0
-        for p, q in enumerate(traced):
-            offset |= ((t >> p) & 1) << q
-        idx = base + offset
-        out += rho.mat[np.ix_(idx, idx)]
-    return DensityMatrix(len(keep), out)
+    n = rho.n
+    # Label each axis of the (2,) * 2n reshape by its position; a traced
+    # qubit's column axis reuses its row label, so einsum sums that diagonal.
+    kept = sorted(_axes(keep, n))
+    cols = [n + a if a in kept else a for a in range(n)]
+    out = np.einsum(
+        rho.mat.reshape((2,) * (2 * n)), list(range(n)) + cols, kept + [n + a for a in kept]
+    )
+    return DensityMatrix(len(keep), out.reshape(2 ** len(keep), -1))
 
 
 def vn_entropy_bits(rho: DensityMatrix) -> float:

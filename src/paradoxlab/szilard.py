@@ -181,8 +181,6 @@ def build_cycle(
 ) -> Circuit:
     """One engine cycle as a plain circuit on (particle, memory, w1, w0)."""
     _check_memory(memory_in)
-    if not 0.0 <= depolarize_p <= 1.0:
-        raise BadProbability(f"depolarize_p must lie in [0, 1], got {depolarize_p!r}")
     circuit, _, _ = _assemble(skip_reset, depolarize_p)
     return circuit
 
@@ -198,21 +196,21 @@ def run_single_cycle(
     and the memory state handed to the next cycle.
     """
     _check_memory(memory_in)
-    if not 0.0 <= depolarize_p <= 1.0:
-        raise BadProbability(f"depolarize_p must lie in [0, 1], got {depolarize_p!r}")
     circuit, measured_at, stroke_done_at = _assemble(skip_reset, depolarize_p)
 
-    rho = DensityMatrix(4, kron_all([_GROUND, memory_in.mat, _GROUND, _GROUND]))
+    # A plain array between steps, validated only where it is read.
+    mat = kron_all([_GROUND, memory_in.mat, _GROUND, _GROUND])
     mutual = expected = pre_entropy = 0.0
     for k, instr in enumerate(circuit.instructions):
-        rho = apply_instruction(rho, instr)
+        mat = apply_instruction(mat, instr)
         if k == measured_at:
-            pair = partial_trace(rho, [PARTICLE, MEMORY])
+            pair = partial_trace(DensityMatrix(4, mat), [PARTICLE, MEMORY])
             mutual = mutual_information(pair, [0], [1])
         if k == stroke_done_at:
+            rho = DensityMatrix(4, mat)
             expected = work_expectation(partial_trace(rho, [W1, W0]))
             pre_entropy = vn_entropy_bits(partial_trace(rho, [MEMORY]))
-    memory_out = partial_trace(rho, [MEMORY])
+    memory_out = partial_trace(DensityMatrix(4, mat), [MEMORY])
     post_entropy = pre_entropy if skip_reset else vn_entropy_bits(memory_out)
 
     record = CycleRecord(

@@ -21,6 +21,7 @@ from paradoxlab.errors import (
     BadProbability,
     BadTargets,
     InvalidCircuit,
+    NonUnitary,
     NonUnitaryInstruction,
     TooManyQubits,
     UnknownKind,
@@ -87,6 +88,10 @@ class TestGates:
             make_gate("H", 0.3)
         with pytest.raises(BadParams):
             make_gate("RX")
+
+    def test_non_unitary_gate_rejected_when_appended(self):
+        with pytest.raises(NonUnitary):
+            Circuit(1).rx(float("nan"), 0)
 
 
 class TestValidate:

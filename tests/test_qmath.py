@@ -114,7 +114,7 @@ class TestEvolveDensity:
     def test_matches_oracle_on_random_circuits(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
-            n = int(rng.integers(1, 4))
+            n = int(rng.integers(1, 7))
             raw = oracle.random_density(2 ** n, rng)
             rho = dm(raw)
             k = int(rng.integers(1, n + 1))
@@ -123,6 +123,18 @@ class TestEvolveDensity:
             got = evolve_density(rho, u, targets)
             full = oracle.lift(u, targets, n)
             np.testing.assert_allclose(got.mat, full @ raw @ full.conj().T, atol=1e-10)
+
+
+class TestEmbedOperator:
+    def test_matches_oracle_lift_on_unsorted_targets(self):
+        rng = np.random.default_rng(29)
+        for n in range(1, 7):
+            for _ in range(3):
+                k = int(rng.integers(1, min(n, 3) + 1))
+                targets = [int(t) for t in rng.permutation(n)[:k]]
+                op = rng.normal(size=(2 ** k, 2 ** k)) + 1j * rng.normal(size=(2 ** k, 2 ** k))
+                got = qmath.embed_operator(op, targets, n)
+                np.testing.assert_allclose(got, oracle.lift(op, targets, n), atol=1e-12)
 
 
 class TestApplyKraus:
@@ -157,9 +169,12 @@ class TestApplyKraus:
             k = int(rng.integers(1, n + 1))
             targets = list(rng.choice(n, size=k, replace=False))
             ops = oracle.random_kraus_set(2 ** k, int(rng.integers(1, 4)), rng)
-            rho = dm(oracle.random_density(2 ** n, rng))
-            got = apply_kraus(rho, KrausSet(tuple(ops)), targets)
+            raw = oracle.random_density(2 ** n, rng)
+            got = apply_kraus(dm(raw), KrausSet(tuple(ops)), targets)
             assert np.trace(got.mat) == pytest.approx(1.0, abs=1e-9)
+            lifted = [oracle.lift(k_op, targets, n) for k_op in ops]
+            want = sum(full @ raw @ full.conj().T for full in lifted)
+            np.testing.assert_allclose(got.mat, want, atol=1e-10)
 
     def test_dimension_mismatch(self):
         ks = KrausSet((np.eye(2, dtype=complex),))
@@ -190,7 +205,7 @@ class TestPartialTrace:
     def test_matches_oracle_on_random_states(self):
         rng = np.random.default_rng(23)
         for _ in range(10):
-            n = int(rng.integers(2, 5))
+            n = int(rng.integers(2, 7))
             raw = oracle.random_density(2 ** n, rng)
             k = int(rng.integers(1, n))
             keep = sorted(rng.choice(n, size=k, replace=False))
