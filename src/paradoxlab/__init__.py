@@ -6,7 +6,7 @@ engine with an erasure ledger, and Deutsch-style closed-loop circuits
 solved by a consistency fixed point.
 """
 
-from . import circuit, cli, ctc, descriptor, epr, errors, qmath, szilard
+from . import circuit, ctc, descriptor, epr, errors, qmath, szilard
 
 __all__ = [
     "circuit",

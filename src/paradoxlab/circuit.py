@@ -98,36 +98,38 @@ class Instruction:
     kraus: Optional[KrausSet] = None
     clbit: Optional[int] = None
 
+    def __post_init__(self):
+        # Checks that need no circuit; target and clbit ranges depend on the
+        # register and are checked by _register_problems.
+        targets = tuple(int(t) for t in self.targets)
+        object.__setattr__(self, "targets", targets)
+        if len(set(targets)) != len(targets):
+            raise BadTargets(f"repeated target in {targets}")
+        if self.op == "unitary":
+            if len(targets) != self.gate.arity:
+                raise BadTargets(
+                    f"{self.gate.kind} expects {self.gate.arity} targets, got {len(targets)}"
+                )
+            if not qmath.is_unitary(self.gate.matrix):
+                raise NonUnitary(f"{self.gate.kind} matrix fails the unitarity check")
+        elif self.op == "channel" and self.kraus.dim != 2 ** len(targets):
+            raise BadTargets("Kraus dimension does not match the target count")
+
     @classmethod
     def unitary(cls, gate: Gate, targets: Sequence[int]) -> "Instruction":
-        targets = _distinct(targets)
-        if len(targets) != gate.arity:
-            raise BadTargets(f"{gate.kind} expects {gate.arity} targets, got {len(targets)}")
-        if not qmath.is_unitary(gate.matrix):
-            raise NonUnitary(f"{gate.kind} matrix fails the unitarity check")
         return cls("unitary", targets, gate=gate)
 
     @classmethod
     def channel(cls, kraus: KrausSet, targets: Sequence[int]) -> "Instruction":
-        targets = _distinct(targets)
-        if kraus.dim != 2 ** len(targets):
-            raise BadTargets("Kraus dimension does not match the target count")
         return cls("channel", targets, kraus=kraus)
 
     @classmethod
     def reset(cls, target: int) -> "Instruction":
-        return cls("reset", (int(target),))
+        return cls("reset", (target,))
 
     @classmethod
     def measure(cls, target: int, clbit: int) -> "Instruction":
-        return cls("measure", (int(target),), clbit=int(clbit))
-
-
-def _distinct(targets) -> tuple:
-    targets = tuple(int(t) for t in targets)
-    if len(set(targets)) != len(targets):
-        raise BadTargets(f"repeated target in {targets}")
-    return targets
+        return cls("measure", (target,), clbit=int(clbit))
 
 
 @dataclass
@@ -146,11 +148,15 @@ class Circuit:
 
     # -- builder helpers ----------------------------------------------------
 
-    def append_gate(self, gate: Gate, targets: Sequence[int]) -> "Circuit":
-        instr = Instruction.unitary(gate, targets)
-        self._check_range(instr)
+    def _append(self, instr: Instruction) -> "Circuit":
+        problems = _register_problems(self, instr)
+        if problems:
+            raise BadTargets(problems[0])
         self.instructions.append(instr)
         return self
+
+    def append_gate(self, gate: Gate, targets: Sequence[int]) -> "Circuit":
+        return self._append(Instruction.unitary(gate, targets))
 
     def h(self, q):
         return self.append_gate(make_gate("H"), [q])
@@ -183,29 +189,13 @@ class Circuit:
         return self.append_gate(make_gate("CCX"), [c1, c2, target])
 
     def channel(self, kraus: KrausSet, targets: Sequence[int]) -> "Circuit":
-        instr = Instruction.channel(kraus, targets)
-        self._check_range(instr)
-        self.instructions.append(instr)
-        return self
+        return self._append(Instruction.channel(kraus, targets))
 
     def reset(self, q) -> "Circuit":
-        instr = Instruction.reset(q)
-        self._check_range(instr)
-        self.instructions.append(instr)
-        return self
+        return self._append(Instruction.reset(q))
 
     def measure(self, q, clbit) -> "Circuit":
-        instr = Instruction.measure(q, clbit)
-        self._check_range(instr)
-        self.instructions.append(instr)
-        return self
-
-    def _check_range(self, instr: Instruction):
-        for t in instr.targets:
-            if not 0 <= t < self.n_qubits:
-                raise BadTargets(f"target {t} outside register of {self.n_qubits} qubits")
-        if instr.clbit is not None and not 0 <= instr.clbit < self.n_clbits:
-            raise BadTargets(f"clbit {instr.clbit} outside register of {self.n_clbits} bits")
+        return self._append(Instruction.measure(q, clbit))
 
     # -- serialization -------------------------------------------------------
 
@@ -265,27 +255,28 @@ class Circuit:
         return c
 
 
+def _register_problems(c: Circuit, instr: Instruction) -> list:
+    """Targets or clbit of ``instr`` that fall outside ``c``'s registers."""
+    problems = [
+        f"target {t} outside register of {c.n_qubits} qubits"
+        for t in instr.targets
+        if not 0 <= t < c.n_qubits
+    ]
+    if instr.clbit is not None and not 0 <= instr.clbit < c.n_clbits:
+        problems.append(f"clbit {instr.clbit} outside register of {c.n_clbits} bits")
+    return problems
+
+
 def validate(c: Circuit) -> list:
     """Return a list of problems; empty means the circuit is runnable."""
     problems = []
     used_clbits = set()
     for i, instr in enumerate(c.instructions):
-        if len(set(instr.targets)) != len(instr.targets):
-            problems.append(f"instruction {i}: repeated targets {instr.targets}")
-        for t in instr.targets:
-            if not 0 <= t < c.n_qubits:
-                problems.append(f"instruction {i}: target {t} out of range")
-        if instr.op == "unitary" and len(instr.targets) != instr.gate.arity:
-            problems.append(f"instruction {i}: arity mismatch for {instr.gate.kind}")
-        if instr.op == "channel" and instr.kraus.dim != 2 ** len(instr.targets):
-            problems.append(f"instruction {i}: channel dimension mismatch")
-        if instr.op == "measure":
-            if not 0 <= instr.clbit < c.n_clbits:
-                problems.append(f"instruction {i}: clbit {instr.clbit} out of range")
-            elif instr.clbit in used_clbits:
-                problems.append(f"instruction {i}: clbit {instr.clbit} written twice")
-            else:
-                used_clbits.add(instr.clbit)
+        problems.extend(f"instruction {i}: {p}" for p in _register_problems(c, instr))
+        if instr.clbit in used_clbits:
+            problems.append(f"instruction {i}: clbit {instr.clbit} written twice")
+        elif instr.clbit is not None:
+            used_clbits.add(instr.clbit)
     return problems
 
 

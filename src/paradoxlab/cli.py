@@ -43,34 +43,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+def _above(convert, floor):
+    """argparse type: ``convert(text)``, finite and strictly above ``floor``."""
+    noun = "an integer" if convert is int else "a number"
 
+    def parse_value(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}")
+        if not floor < value < math.inf:
+            raise argparse.ArgumentTypeError(f"expected {noun} above {floor}, got {text!r}")
+        return value
 
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {value}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if not math.isfinite(value) or value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
-    return value
+    return parse_value
 
 
 def _add_output_flags(parser: argparse.ArgumentParser, sampling: bool = False) -> None:
@@ -78,8 +64,8 @@ def _add_output_flags(parser: argparse.ArgumentParser, sampling: bool = False) -
         "--format", choices=("table", "json", "csv"), default="table"
     )
     if sampling:
-        parser.add_argument("--shots", type=_nonneg_int, default=0)
-        parser.add_argument("--seed", type=_nonneg_int, default=0)
+        parser.add_argument("--shots", type=_above(int, -1), default=0)
+        parser.add_argument("--seed", type=_above(int, -1), default=0)
 
 
 def _add_label_source(parser: argparse.ArgumentParser, labels: Sequence[str]) -> None:
@@ -99,12 +85,12 @@ def build_parser() -> _Parser:
     p_sweep = commands.add_parser(
         "epr-sweep", help="parity probability over an angle grid (spelled: epr sweep)"
     )
-    p_sweep.add_argument("--theta-steps", type=_positive_int, default=17)
-    p_sweep.add_argument("--phi-steps", type=_positive_int, default=17)
+    p_sweep.add_argument("--theta-steps", type=_above(int, 0), default=17)
+    p_sweep.add_argument("--phi-steps", type=_above(int, 0), default=17)
     _add_output_flags(p_sweep)
 
     p_szi = commands.add_parser("szilard", help="single-particle engine ledger")
-    p_szi.add_argument("--cycles", type=_positive_int, default=1)
+    p_szi.add_argument("--cycles", type=_above(int, 0), default=1)
     p_szi.add_argument("--skip-reset", action="store_true")
     _add_output_flags(p_szi, sampling=True)
 
@@ -119,7 +105,7 @@ def build_parser() -> _Parser:
     p_solve = ctc_sub.add_parser("solve", help="fixed point of a saved interaction")
     p_solve.add_argument("--unitary", required=True, metavar="FILE")
     p_solve.add_argument("--system-state", choices=ctc.STATE_LABELS)
-    p_solve.add_argument("--tol", type=_positive_float, default=1e-12)
+    p_solve.add_argument("--tol", type=_above(float, 0), default=1e-12)
     _add_output_flags(p_solve)
     p_grand = ctc_sub.add_parser("grandfather", help="bit flip fed back on itself")
     _add_output_flags(p_grand)
@@ -361,7 +347,7 @@ def _cmd_ctc_solve(inv: CliInvocation):
     path = str(inv.flags["unitary"])
     try:
         u = load_unitary(path)
-    except (OSError, ValueError, ParadoxLabError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, ParadoxLabError) as exc:
         raise UsageError(f"--unitary: {exc}")
     n_total = int(u.shape[0]).bit_length() - 1
     if 2**n_total != u.shape[0]:
@@ -395,13 +381,12 @@ def _cmd_audit(inv: CliInvocation):
     path = str(inv.flags["circuit"])
     try:
         with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
+            circuit = Circuit.from_json(fh.read())
+    except (OSError, ValueError, KeyError, TypeError, ParadoxLabError) as exc:
         raise UsageError(f"--circuit: {exc}")
     try:
-        circuit = Circuit.from_json(text)
         report = locality_audit(circuit)
-    except (ValueError, ParadoxLabError) as exc:
+    except ParadoxLabError as exc:
         raise UsageError(f"--circuit: {exc}")
     payload = report.to_dict()
     rows: List[Row] = [

@@ -1,20 +1,22 @@
 """Heisenberg-picture tracking of per-qubit Pauli observables.
 
-A frame carries, for every qubit, the conjugated images of its three
-bare Pauli operators after the circuit prefix applied so far. Where a
-gate does not touch a qubit, its images must stay put; the locality
-audit checks exactly that, numerically, with no shortcuts.
+A frame is the circuit prefix applied so far, as one unitary. Each
+qubit's descriptor, the images of its three bare Pauli operators under
+that prefix, is computed from it on first read. Where a gate does not
+touch a qubit, its images must stay put; the locality audit checks
+exactly that, numerically, with no shortcuts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
 from . import qmath
-from .circuit import MAX_QUBITS, Circuit, Instruction, validate
+from .circuit import MAX_QUBITS, Circuit, Instruction, circuit_unitary, validate
 from .errors import (
     BadParams,
     BadTargets,
@@ -37,26 +39,29 @@ _PAULIS = {
 AXES = ("x", "y", "z")
 
 
+def _images(prefix: np.ndarray, q: int) -> tuple:
+    """Qubit ``q``'s bare (x, y, z) Paulis conjugated by ``prefix``."""
+    pdag = prefix.conj().T
+    return tuple(pdag @ qmath._apply_op(_PAULIS[ax], prefix, [q]) for ax in AXES)
+
+
 @dataclass(frozen=True, eq=False)
 class DescriptorFrame:
-    """Evolved (x, y, z) observable triple for each qubit at step ``t``.
+    """Heisenberg frame at step ``t``: the accumulated circuit unitary.
 
-    ``prefix`` is the accumulated circuit unitary; each stored image is
-    the bare Pauli conjugated by it, so the latest gate sits innermost.
+    ``prefix`` is all a frame stores. Each qubit's evolved (x, y, z)
+    triple is the bare Pauli conjugated by it, so the latest gate sits
+    innermost; ``triples`` computes them on first read.
     """
 
     n: int
     t: int
     prefix: np.ndarray
-    triples: tuple  # per qubit: (x image, y image, z image) as full matrices
 
-
-def _images(prefix: np.ndarray, n: int) -> tuple:
-    pdag = prefix.conj().T
-    return tuple(
-        tuple(pdag @ qmath._apply_op(_PAULIS[ax], prefix, [q]) for ax in AXES)
-        for q in range(n)
-    )
+    @cached_property
+    def triples(self) -> tuple:
+        """Per qubit: (x image, y image, z image) as full matrices."""
+        return tuple(_images(self.prefix, q) for q in range(self.n))
 
 
 def init_frame(n: int) -> DescriptorFrame:
@@ -64,16 +69,15 @@ def init_frame(n: int) -> DescriptorFrame:
         raise BadParams("frame needs at least one qubit")
     if n > MAX_QUBITS:
         raise TooManyQubits(f"{n} qubits exceeds the limit of {MAX_QUBITS}")
-    prefix = np.eye(2 ** n, dtype=complex)
-    return DescriptorFrame(n, 0, prefix, _images(prefix, n))
+    return DescriptorFrame(n, 0, np.eye(2 ** n, dtype=complex))
 
 
 def advance(frame: DescriptorFrame, instr: Instruction) -> DescriptorFrame:
-    """Extend the tracked prefix by one unitary step and refresh all images."""
+    """Extend the tracked prefix by one unitary step."""
     if instr.op != "unitary":
         raise NonUnitaryInstruction(f"descriptors are defined for unitary steps, not {instr.op!r}")
     prefix = qmath._apply_op(instr.gate.matrix, frame.prefix, instr.targets)
-    return DescriptorFrame(frame.n, frame.t + 1, prefix, _images(prefix, frame.n))
+    return DescriptorFrame(frame.n, frame.t + 1, prefix)
 
 
 @dataclass(frozen=True)
@@ -143,16 +147,8 @@ def dependence_probe(
     n = circuits[0].n_qubits
     if not 0 <= qubit < n:
         raise BadTargets(f"qubit {qubit} outside register of {n} qubits")
-    frames = []
-    for c in circuits:
-        f = init_frame(n)
-        for instr in c.instructions:
-            f = advance(f, instr)
-        frames.append(f)
-    delta = max(
-        float(np.max(np.abs(a - b)))
-        for a, b in zip(frames[0].triples[qubit], frames[1].triples[qubit])
-    )
+    images = [_images(circuit_unitary(c), qubit) for c in circuits]
+    delta = max(float(np.max(np.abs(a - b))) for a, b in zip(*images))
     return delta > DEPENDENCE_ATOL, delta
 
 

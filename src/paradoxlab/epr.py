@@ -11,7 +11,7 @@ off the collapsed qubits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, NamedTuple, Sequence
 
 from .circuit import Circuit, run_density
@@ -21,6 +21,13 @@ from .errors import BadParams
 ALICE, BOB, ALICE_MEM, BOB_MEM, CHECK = range(5)
 
 _PROBE_OFFSET = 0.8
+
+# Tracked record: (qubit, whether the probed circuit includes the parity gates).
+_PROBED = {
+    "alice_memory": (ALICE_MEM, False),
+    "bob_memory": (BOB_MEM, False),
+    "check": (CHECK, True),
+}
 
 
 @dataclass(frozen=True)
@@ -47,20 +54,14 @@ def build_epr_unitary(cfg: EprConfig, include_parity: bool = True) -> Circuit:
 
 
 def build_epr_circuit(cfg: EprConfig) -> Circuit:
+    c = build_epr_unitary(cfg, include_parity=cfg.deferred)
     if cfg.deferred:
-        c = build_epr_unitary(cfg)
         c.n_clbits = 1
-        c.measure(CHECK, 0)
-        return c
-    c = Circuit(5, 3)
-    c.h(ALICE).cx(ALICE, BOB)
-    c.rx(cfg.theta, ALICE).rx(cfg.phi, BOB)
-    c.cx(ALICE, ALICE_MEM).cx(BOB, BOB_MEM)
+        return c.measure(CHECK, 0)
     # collapse the records, then run the parity gates off the collapsed qubits
+    c.n_clbits = 3
     c.measure(ALICE_MEM, 0).measure(BOB_MEM, 1)
-    c.cx(ALICE_MEM, CHECK).cx(BOB_MEM, CHECK)
-    c.measure(CHECK, 2)
-    return c
+    return c.cx(ALICE_MEM, CHECK).cx(BOB_MEM, CHECK).measure(CHECK, 2)
 
 
 def check_distribution(cfg: EprConfig) -> float:
@@ -107,34 +108,16 @@ def info_flow_report(cfg: EprConfig) -> EprReport:
     if not cfg.deferred:
         raise BadParams("information flow is tracked on the all-unitary form")
 
-    def truncated(theta, phi):
-        return lambda v, _theta=theta, _phi=phi: build_epr_unitary(
-            EprConfig(v if _theta else cfg.theta, v if _phi else cfg.phi),
-            include_parity=False,
-        )
+    def depends(qubit: int, include_parity: bool, angle: str) -> bool:
+        def build(v):
+            return build_epr_unitary(replace(cfg, **{angle: v}), include_parity)
 
-    def full(theta, phi):
-        return lambda v, _theta=theta, _phi=phi: build_epr_unitary(
-            EprConfig(v if _theta else cfg.theta, v if _phi else cfg.phi)
-        )
-
-    def probe(builder, qubit, base):
-        depends, _ = dependence_probe(builder, qubit, base, base + _PROBE_OFFSET)
-        return depends
+        base = getattr(cfg, angle)
+        return dependence_probe(build, qubit, base, base + _PROBE_OFFSET)[0]
 
     dependence = {
-        "alice_memory": {
-            "theta": probe(truncated(True, False), ALICE_MEM, cfg.theta),
-            "phi": probe(truncated(False, True), ALICE_MEM, cfg.phi),
-        },
-        "bob_memory": {
-            "theta": probe(truncated(True, False), BOB_MEM, cfg.theta),
-            "phi": probe(truncated(False, True), BOB_MEM, cfg.phi),
-        },
-        "check": {
-            "theta": probe(full(True, False), CHECK, cfg.theta),
-            "phi": probe(full(False, True), CHECK, cfg.phi),
-        },
+        record: {angle: depends(qubit, parity, angle) for angle in ("theta", "phi")}
+        for record, (qubit, parity) in _PROBED.items()
     }
     if dependence["bob_memory"]["theta"] or dependence["alice_memory"]["phi"]:
         raise RuntimeError("a memory record depends on the far side's angle")

@@ -7,6 +7,7 @@ import oracle
 import util
 from paradoxlab.circuit import (
     Circuit,
+    Instruction,
     RunResult,
     circuit_unitary,
     depolarizing_kraus,
@@ -111,6 +112,18 @@ class TestValidate:
     def test_clbit_range(self):
         with pytest.raises(BadTargets):
             Circuit(2, 1).measure(0, 3)
+
+    def test_raw_out_of_range_instruction_reported(self):
+        c = Circuit(2)
+        c.instructions.append(Circuit(3).x(2).instructions[0])
+        problems = validate(c)
+        assert len(problems) == 1 and "target 2" in problems[0]
+        with pytest.raises(InvalidCircuit):
+            run_density(c)
+
+    def test_directly_built_instruction_checked(self):
+        with pytest.raises(BadTargets):
+            Instruction("unitary", (0, 0), gate=make_gate("CNOT"))
 
     def test_duplicate_clbit_write_reported(self):
         c = Circuit(2, 1)

@@ -70,6 +70,20 @@ class TestParse:
             parse(["audit-locality"])
         assert "--circuit" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["szilard", "--cycles", "0"], "--cycles"),
+            (["szilard", "--shots", "-1"], "--shots"),
+            (["ctc", "solve", "--unitary", "u.json", "--tol", "nan"], "--tol"),
+            (["epr", "sweep", "--theta-steps", "x"], "--theta-steps"),
+        ],
+    )
+    def test_bad_number_names_flag(self, argv, flag):
+        with pytest.raises(UsageError) as err:
+            parse(argv)
+        assert flag in str(err.value)
+
     def test_szilard_flags(self):
         inv = parse(["szilard", "--cycles", "3", "--skip-reset", "--shots", "10"])
         assert inv.command == "szilard"
@@ -301,3 +315,27 @@ class TestMain:
         monkeypatch.setattr("paradoxlab.ctc.solve_fixed_point", explode)
         assert main(["ctc", "grandfather"]) == 1
         assert "synthetic failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("audit-locality --circuit", "{}"),
+            ("audit-locality --circuit", "[1, 2]"),
+            (
+                "audit-locality --circuit",
+                '{"n_qubits": 1, "instructions": [{"op": "unitary", "kind": "H"}]}',
+            ),
+            (
+                "audit-locality --circuit",
+                '{"n_qubits": 1, "instructions": '
+                '[{"op": "unitary", "kind": "RX", "theta": [1], "targets": [0]}]}',
+            ),
+            ("ctc solve --unitary", '{"dim": 2, "entries": [1, 2, 3, 4]}'),
+        ],
+        ids=["empty-object", "list", "no-targets", "list-angle", "scalar-entries"],
+    )
+    def test_malformed_input_file_is_usage_error(self, command, text, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(command.split() + [str(path)]) == 2
+        assert capsys.readouterr().err.startswith("usage error:")

@@ -93,13 +93,19 @@ class TestAdvance:
 
     def test_invariants_survive_random_circuits(self):
         rng = np.random.default_rng(307)
-        for _ in range(5):
-            n = int(rng.integers(1, 5))
+        paulis = (oracle.X, oracle.Y, oracle.Z)
+        for _ in range(6):
+            n = int(rng.integers(1, 7))
             c = util.random_unitary_circuit(n, 10, rng)
             f = advance_all(init_frame(n), c)
             eye = np.eye(2 ** n)
-            for triple in f.triples:
-                for m in triple:
+            prefix = eye.astype(complex)
+            for instr in c.instructions:
+                prefix = oracle.lift(instr.gate.matrix, list(instr.targets), n) @ prefix
+            for q, triple in enumerate(f.triples):
+                for m, sigma in zip(triple, paulis):
+                    want = prefix.conj().T @ oracle.lift(sigma, [q], n) @ prefix
+                    np.testing.assert_allclose(m, want, atol=1e-10)
                     np.testing.assert_allclose(m, m.conj().T, atol=1e-9)
                     np.testing.assert_allclose(m @ m, eye, atol=1e-9)
                     assert abs(np.trace(m)) <= 1e-9
@@ -166,6 +172,32 @@ class TestDependenceProbe:
             lambda t: Circuit(1).rx(t, 0), qubit=0, value_a=0.5, value_b=0.5
         )
         assert depends is False and delta == 0.0
+
+    def test_delta_matches_walked_frames_on_random_circuits(self):
+        rng = np.random.default_rng(601)
+        for _ in range(6):
+            n = int(rng.integers(1, 7))
+            before = util.random_unitary_circuit(n, 8, rng)
+            after = util.random_unitary_circuit(n, 8, rng)
+            rotated = int(rng.integers(n))
+
+            def build(theta):
+                c = Circuit(n)
+                c.instructions.extend(before.instructions)
+                c.rx(theta, rotated)
+                c.instructions.extend(after.instructions)
+                return c
+
+            qubit = int(rng.integers(n))
+            a, b = (float(v) for v in rng.uniform(-np.pi, np.pi, size=2))
+            depends, delta = dependence_probe(build, qubit, a, b)
+            frames = [advance_all(init_frame(n), build(v)) for v in (a, b)]
+            want = max(
+                float(np.max(np.abs(x - y)))
+                for x, y in zip(frames[0].triples[qubit], frames[1].triples[qubit])
+            )
+            assert delta == pytest.approx(want, abs=1e-12)
+            assert depends is (want > 1e-9)
 
     def test_shape_mismatch(self):
         def build(t):
