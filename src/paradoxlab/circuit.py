@@ -19,6 +19,7 @@ from .errors import (
     BadParams,
     BadProbability,
     BadTargets,
+    DimensionMismatch,
     InvalidCircuit,
     NonUnitary,
     NonUnitaryInstruction,
@@ -30,62 +31,68 @@ from .qmath import DensityMatrix, KrausSet, StateVector
 
 MAX_QUBITS = 6
 
-_SQ2 = 1 / math.sqrt(2)
-
-_FIXED_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "H": np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
-}
-
-
-def _permutation(dim, mapping):
-    m = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        m[mapping.get(col, col), col] = 1
-    return m
-
-
-# Multi-qubit gates index their local basis little-endian over the target
-# list: targets[0] carries local bit 0. Controls come first in the list.
-_FIXED_MATRICES["CNOT"] = _permutation(4, {1: 3, 3: 1})
-_FIXED_MATRICES["SWAP"] = _permutation(4, {1: 2, 2: 1})
-_FIXED_MATRICES["CCX"] = _permutation(8, {3: 7, 7: 3})
-
-_ch = np.eye(4, dtype=complex)
-_ch[1, 1] = _ch[1, 3] = _ch[3, 1] = _SQ2
-_ch[3, 3] = -_SQ2
-_FIXED_MATRICES["CH"] = _ch
-
-GATE_KINDS = ("H", "X", "Y", "Z", "I", "RX", "CNOT", "SWAP", "CH", "CCX")
-
 
 @dataclass(frozen=True, eq=False)
 class Gate:
+    """A named unitary, checked once when built and kept as a read-only complex copy."""
+
     kind: str
     matrix: np.ndarray
     theta: Optional[float] = None
+
+    def __post_init__(self):
+        m = np.array(self.matrix, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise DimensionMismatch(f"{self.kind} matrix of shape {m.shape} is not square")
+        qmath._qubit_count(m.shape[0], f"{self.kind} matrix")
+        if not qmath.is_unitary(m):
+            raise NonUnitary(f"{self.kind} matrix fails the unitarity check")
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
 
     @property
     def arity(self) -> int:
         return int(self.matrix.shape[0]).bit_length() - 1
 
 
+_SQ2 = 1 / math.sqrt(2)
+
+_ch = np.eye(4)
+_ch[1, 1] = _ch[1, 3] = _ch[3, 1] = _SQ2
+_ch[3, 3] = -_SQ2
+
+# The fixed kinds, built and checked once at import and shared read-only.
+# Multi-qubit gates index their local basis little-endian over the target
+# list: targets[0] carries local bit 0. Controls come first in the list.
+# np.eye(d)[:, perm] is the permutation gate taking basis state j to perm[j].
+_LIBRARY = {
+    g.kind: g
+    for g in (
+        Gate("I", np.eye(2)),
+        Gate("X", [[0, 1], [1, 0]]),
+        Gate("Y", [[0, -1j], [1j, 0]]),
+        Gate("Z", [[1, 0], [0, -1]]),
+        Gate("H", [[_SQ2, _SQ2], [_SQ2, -_SQ2]]),
+        Gate("CNOT", np.eye(4)[:, [0, 3, 2, 1]]),
+        Gate("SWAP", np.eye(4)[:, [0, 2, 1, 3]]),
+        Gate("CCX", np.eye(8)[:, [0, 1, 2, 7, 4, 5, 6, 3]]),
+        Gate("CH", _ch),
+    )
+}
+
+
 def make_gate(kind: str, theta: Optional[float] = None) -> Gate:
-    """Build a gate from the fixed library; RX is the only parameterized kind."""
+    """The shared library gate ``kind``; RX, the one parameterized kind, is built per call."""
     if kind == "RX":
         if theta is None:
             raise BadParams("RX needs an angle")
         c, s = math.cos(theta / 2), math.sin(theta / 2)
-        m = np.array([[c, -1j * s], [-1j * s, c]])
-        return Gate("RX", m, float(theta))
-    if kind not in _FIXED_MATRICES:
+        return Gate("RX", [[c, -1j * s], [-1j * s, c]], float(theta))
+    if kind not in _LIBRARY:
         raise UnknownKind(f"no gate kind {kind!r}")
     if theta is not None:
         raise BadParams(f"{kind} takes no angle")
-    return Gate(kind, _FIXED_MATRICES[kind].copy())
+    return _LIBRARY[kind]
 
 
 @dataclass(frozen=True)
@@ -110,8 +117,6 @@ class Instruction:
                 raise BadTargets(
                     f"{self.gate.kind} expects {self.gate.arity} targets, got {len(targets)}"
                 )
-            if not qmath.is_unitary(self.gate.matrix):
-                raise NonUnitary(f"{self.gate.kind} matrix fails the unitarity check")
         elif self.op == "channel" and self.kraus.dim != 2 ** len(targets):
             raise BadTargets("Kraus dimension does not match the target count")
 
@@ -206,14 +211,10 @@ class Circuit:
         out = []
         for instr in self.instructions:
             if instr.op == "unitary":
-                doc = {"op": "unitary", "kind": instr.gate.kind, "targets": list(instr.targets)}
+                doc = {"op": "unitary", "kind": instr.gate.kind}
                 if instr.gate.theta is not None:
-                    doc = {
-                        "op": "unitary",
-                        "kind": instr.gate.kind,
-                        "theta": instr.gate.theta,
-                        "targets": list(instr.targets),
-                    }
+                    doc["theta"] = instr.gate.theta
+                doc["targets"] = list(instr.targets)
                 out.append(doc)
             elif instr.op == "channel":
                 out.append(
@@ -236,20 +237,21 @@ class Circuit:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Circuit":
-        c = cls(int(doc["n_qubits"]), int(doc.get("n_clbits", 0)))
+        whole = qmath._whole
+        c = cls(whole(doc["n_qubits"], "n_qubits"), whole(doc.get("n_clbits", 0), "n_clbits"))
         for item in doc.get("instructions", []):
             op = item["op"]
             if op == "unitary":
-                c.append_gate(make_gate(item["kind"], item.get("theta")), item["targets"])
+                gate = make_gate(item["kind"], item.get("theta"))
+                c.append_gate(gate, [whole(t, "target") for t in item["targets"]])
             elif op == "channel":
-                ops = tuple(
-                    qmath.entries_to_matrix(int(item["dim"]), e) for e in item["operators"]
-                )
-                c.channel(KrausSet(ops), item["targets"])
+                dim = whole(item["dim"], "dim")
+                ops = tuple(qmath.entries_to_matrix(dim, e) for e in item["operators"])
+                c.channel(KrausSet(ops), [whole(t, "target") for t in item["targets"]])
             elif op == "reset":
-                c.reset(item["target"])
+                c.reset(whole(item["target"], "target"))
             elif op == "measure":
-                c.measure(item["target"], item["clbit"])
+                c.measure(whole(item["target"], "target"), whole(item["clbit"], "clbit"))
             else:
                 raise UnknownKind(f"no instruction op {op!r}")
         return c
@@ -394,13 +396,7 @@ def depolarizing_kraus(p: float) -> KrausSet:
     if not 0.0 <= p <= 1.0:
         raise BadProbability(f"depolarizing strength {p} outside [0, 1]")
     if p == 0.0:
-        return KrausSet((np.eye(2, dtype=complex),))
-    x, y, z = (_FIXED_MATRICES[k] for k in ("X", "Y", "Z"))
-    return KrausSet(
-        (
-            math.sqrt(1 - 3 * p / 4) * np.eye(2, dtype=complex),
-            math.sqrt(p / 4) * x,
-            math.sqrt(p / 4) * y,
-            math.sqrt(p / 4) * z,
-        )
-    )
+        return KrausSet((_LIBRARY["I"].matrix,))
+    i, x, y, z = (_LIBRARY[k].matrix for k in "IXYZ")
+    q = math.sqrt(p / 4)
+    return KrausSet((math.sqrt(1 - 3 * p / 4) * i, q * x, q * y, q * z))

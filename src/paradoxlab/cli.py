@@ -17,7 +17,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -295,15 +295,8 @@ def _cmd_szilard(inv: CliInvocation):
     )
     ledger = szilard.run_cycles(cfg, shots=inv.shots, seed=inv.seed)
     payload = [rec.to_dict() for rec in ledger.records]
-    headers = (
-        "cycle",
-        "expected_work",
-        "sampled_work",
-        "memory_entropy_pre_reset",
-        "memory_entropy_post",
-        "mutual_info_particle_memory",
-    )
-    rows = [tuple(rec.to_dict()[h] for h in headers) for rec in ledger.records]
+    headers = tuple(f.name for f in fields(szilard.CycleRecord))
+    rows = [tuple(doc.values()) for doc in payload]
     return payload, headers, rows, 0
 
 

@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Tuple
 import numpy as np
 
 from . import qmath
-from .circuit import MAX_QUBITS, Circuit, Instruction, circuit_unitary, validate
+from .circuit import MAX_QUBITS, Circuit, Instruction, circuit_unitary, make_gate, validate
 from .errors import (
     BadParams,
     BadTargets,
@@ -30,13 +30,9 @@ from .qmath import StateVector
 LOCALITY_ATOL = 1e-10
 DEPENDENCE_ATOL = 1e-9
 
-_PAULIS = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 AXES = ("x", "y", "z")
+
+_PAULIS = {ax: make_gate(ax.upper()).matrix for ax in AXES}
 
 
 def _images(prefix: np.ndarray, q: int) -> tuple:

@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    BadParams,
     BadTargets,
     DimensionMismatch,
     InvalidState,
@@ -263,6 +264,13 @@ def maximally_mixed(n: int) -> DensityMatrix:
 # --- matrix file format ----------------------------------------------------
 
 
+def _whole(value, what: str) -> int:
+    """``int(value)`` for a count or index read from a file; a fractional number is refused."""
+    if isinstance(value, float) and not value.is_integer():
+        raise BadParams(f"{what} {value!r} is not a whole number")
+    return int(value)
+
+
 def matrix_to_entries(m: np.ndarray) -> list:
     """Row-major [[re, im], ...] listing of a square complex matrix."""
     m = np.asarray(m, dtype=complex)
@@ -278,9 +286,9 @@ def entries_to_matrix(dim: int, entries: Sequence[Sequence[float]]) -> np.ndarra
     return flat.reshape(dim, dim)
 
 
-def save_unitary(path: str, m: np.ndarray, validate: bool = True) -> None:
+def save_unitary(path: str, m: np.ndarray) -> None:
     m = np.asarray(m, dtype=complex)
-    if validate and not is_unitary(m):
+    if not is_unitary(m):
         raise NonUnitary("refusing to save a non-unitary matrix")
     payload = {"dim": int(m.shape[0]), "entries": matrix_to_entries(m)}
     with open(path, "w") as fh:
@@ -292,7 +300,7 @@ def load_unitary(path: str) -> np.ndarray:
     with open(path) as fh:
         data = json.load(fh)
     try:
-        dim = int(data["dim"])
+        dim = _whole(data["dim"], "dim")
         entries = data["entries"]
     except (KeyError, TypeError) as exc:
         raise DimensionMismatch(f"malformed matrix file: {exc}") from exc

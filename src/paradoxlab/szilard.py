@@ -13,7 +13,7 @@ which is the erasure charge the ledger tracks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -120,14 +120,7 @@ class CycleRecord:
     mutual_info_particle_memory: float
 
     def to_dict(self) -> dict:
-        return {
-            "cycle": self.cycle,
-            "expected_work": self.expected_work,
-            "sampled_work": self.sampled_work,
-            "memory_entropy_pre_reset": self.memory_entropy_pre_reset,
-            "memory_entropy_post": self.memory_entropy_post,
-            "mutual_info_particle_memory": self.mutual_info_particle_memory,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -156,8 +149,9 @@ def _check_memory(memory_in: DensityMatrix) -> None:
 
 def _assemble(skip_reset: bool, depolarize_p: float) -> Tuple[Circuit, int, int]:
     """Build one cycle; also return the measurement and work-stroke markers."""
+    depolarize = depolarizing_kraus(depolarize_p)
     c = Circuit(4)
-    c.channel(depolarizing_kraus(depolarize_p), [PARTICLE])
+    c.channel(depolarize, [PARTICLE])
     c.x(W0)
     c.cx(PARTICLE, MEMORY)  # record the particle position into the memory
     measured_at = len(c.instructions) - 1
@@ -169,7 +163,7 @@ def _assemble(skip_reset: bool, depolarize_p: float) -> Tuple[Circuit, int, int]
     c.x(MEMORY)
     c.cx(MEMORY, W0)
     c.cx(PARTICLE, MEMORY)  # unfold, leaving the record in place
-    c.channel(depolarizing_kraus(depolarize_p), [PARTICLE])  # rethermalize
+    c.channel(depolarize, [PARTICLE])  # rethermalize
     stroke_done_at = len(c.instructions) - 1
     if not skip_reset:
         c.reset(MEMORY)

@@ -7,6 +7,7 @@ import oracle
 import util
 from paradoxlab.circuit import (
     Circuit,
+    Gate,
     Instruction,
     RunResult,
     circuit_unitary,
@@ -21,6 +22,7 @@ from paradoxlab.errors import (
     BadParams,
     BadProbability,
     BadTargets,
+    DimensionMismatch,
     InvalidCircuit,
     NonUnitary,
     NonUnitaryInstruction,
@@ -93,6 +95,20 @@ class TestGates:
     def test_non_unitary_gate_rejected_when_appended(self):
         with pytest.raises(NonUnitary):
             Circuit(1).rx(float("nan"), 0)
+
+    def test_non_unitary_matrix_rejected_when_built(self):
+        with pytest.raises(NonUnitary):
+            Gate("U", np.array([[1, 1], [0, 1]]))
+
+    def test_non_power_of_two_matrix_rejected_when_built(self):
+        with pytest.raises(DimensionMismatch):
+            Gate("P3", np.eye(3)[:, [1, 2, 0]])
+
+    def test_library_gate_is_shared_and_read_only(self):
+        h = make_gate("H")
+        assert make_gate("H") is h
+        with pytest.raises(ValueError):
+            h.matrix[0, 0] = 0
 
 
 class TestValidate:
@@ -337,6 +353,51 @@ class TestSerialization:
             "theta": 0.3,
             "targets": [0],
         }
+
+
+    @pytest.mark.parametrize(
+        "field, doc",
+        [
+            ("n_qubits", {"n_qubits": 2.9}),
+            ("n_clbits", {"n_qubits": 1, "n_clbits": 0.5}),
+            ("target", {"n_qubits": 2, "instructions": [{"op": "reset", "target": 1.9}]}),
+            (
+                "clbit",
+                {
+                    "n_qubits": 1,
+                    "n_clbits": 2,
+                    "instructions": [{"op": "measure", "target": 0, "clbit": 1.5}],
+                },
+            ),
+            (
+                "dim",
+                {
+                    "n_qubits": 1,
+                    "instructions": [
+                        {
+                            "op": "channel",
+                            "dim": 2.5,
+                            "operators": [[[1, 0], [0, 0], [0, 0], [1, 0]]],
+                            "targets": [0],
+                        }
+                    ],
+                },
+            ),
+        ],
+    )
+    def test_fractional_number_rejected(self, field, doc):
+        with pytest.raises(BadParams, match=field):
+            Circuit.from_dict(doc)
+
+    def test_whole_float_accepted(self):
+        doc = {
+            "n_qubits": 2.0,
+            "n_clbits": 1.0,
+            "instructions": [{"op": "measure", "target": 1.0, "clbit": 0.0}],
+        }
+        c = Circuit.from_dict(doc)
+        assert (c.n_qubits, c.n_clbits) == (2, 1)
+        assert (c.instructions[0].targets, c.instructions[0].clbit) == ((1,), 0)
 
 
 class TestCircuitUnitary:

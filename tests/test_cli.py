@@ -331,8 +331,31 @@ class TestMain:
                 '[{"op": "unitary", "kind": "RX", "theta": [1], "targets": [0]}]}',
             ),
             ("ctc solve --unitary", '{"dim": 2, "entries": [1, 2, 3, 4]}'),
+            (
+                "audit-locality --circuit",
+                '{"n_qubits": 2.9, "instructions": '
+                '[{"op": "unitary", "kind": "H", "targets": [1]}]}',
+            ),
+            (
+                "audit-locality --circuit",
+                '{"n_qubits": 2, "instructions": '
+                '[{"op": "unitary", "kind": "H", "targets": [1.9]}]}',
+            ),
+            (
+                "ctc solve --unitary",
+                '{"dim": 2.5, "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]}',
+            ),
         ],
-        ids=["empty-object", "list", "no-targets", "list-angle", "scalar-entries"],
+        ids=[
+            "empty-object",
+            "list",
+            "no-targets",
+            "list-angle",
+            "scalar-entries",
+            "fractional-qubit-count",
+            "fractional-target",
+            "fractional-dim",
+        ],
     )
     def test_malformed_input_file_is_usage_error(self, command, text, tmp_path, capsys):
         path = tmp_path / "bad.json"

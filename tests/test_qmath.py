@@ -283,7 +283,7 @@ class TestMatrixFile:
 
     def test_rejects_non_unitary(self, tmp_path):
         path = tmp_path / "bad.json"
-        qmath.save_unitary(str(path), np.eye(2), validate=False)
+        qmath.save_unitary(str(path), np.eye(2))
         import json
 
         data = json.loads(path.read_text())
