@@ -298,8 +298,6 @@ _PROJ = (
 
 _RESET_KRAUS = (_PROJ[0], np.array([[0, 1], [0, 0]], dtype=complex))
 
-_BRANCH_FLOOR = 1e-15
-
 
 def apply_instruction(mat: np.ndarray, instr: Instruction) -> np.ndarray:
     """Apply a non-measuring instruction to an unvalidated density-matrix array."""
@@ -344,7 +342,7 @@ def run_density(c: Circuit, initial: Optional[DensityMatrix] = None) -> RunResul
             for outcome in (0, 1):
                 unnorm = qmath._conjugate(_PROJ[outcome], mat, instr.targets)
                 p = float(np.trace(unnorm).real)
-                if w * p <= _BRANCH_FLOOR:
+                if w * p <= qmath.BRANCH_FLOOR:
                     continue
                 new_bits = list(bits)
                 new_bits[instr.clbit] = outcome

@@ -26,12 +26,12 @@ from . import ctc, epr, szilard
 from .circuit import Circuit, run_density, sample
 from .descriptor import locality_audit
 from .errors import NoConvergence, ParadoxLabError, UsageError
-from .qmath import load_unitary, matrix_to_entries
+from .qmath import SOLVE_TOL, load_unitary, matrix_to_entries
 
 _JSON_SIG = 9
 _TABLE_SIG = 6
-# Magnitudes below the tightest reported tolerance are rendering noise.
-_DISPLAY_FLOOR = 1e-12
+# Magnitudes below the default loop-solve tolerance are rendering noise.
+_DISPLAY_FLOOR = SOLVE_TOL
 
 Row = Tuple[object, ...]
 
@@ -105,7 +105,7 @@ def build_parser() -> _Parser:
     p_solve = ctc_sub.add_parser("solve", help="fixed point of a saved interaction")
     p_solve.add_argument("--unitary", required=True, metavar="FILE")
     p_solve.add_argument("--system-state", choices=ctc.STATE_LABELS)
-    p_solve.add_argument("--tol", type=_above(float, 0), default=1e-12)
+    p_solve.add_argument("--tol", type=_above(float, 0), default=SOLVE_TOL)
     _add_output_flags(p_solve)
     p_grand = ctc_sub.add_parser("grandfather", help="bit flip fed back on itself")
     _add_output_flags(p_grand)

@@ -30,6 +30,9 @@ from .errors import (
     TooManyQubits,
 )
 from .qmath import (
+    NULL_ATOL,
+    OUTCOME_FLOOR,
+    SOLVE_TOL,
     DensityMatrix,
     StateVector,
     adjoint,
@@ -50,11 +53,6 @@ _KETS: Dict[str, np.ndarray] = {
     "-": np.array([_SQ2, -_SQ2], dtype=complex),
 }
 
-# Singular values of (superoperator - identity) at or below this count as
-# unit-eigenvalue directions.
-_NULL_ATOL = 1e-9
-# Outcome probabilities below this are dropped before renormalizing.
-_PRUNE = 1e-12
 # Loop registers larger than this skip the superoperator machinery.
 _MAX_EIGEN_LOOP = 4
 
@@ -134,22 +132,23 @@ class CtcRunResult:
     solution: FixedPointSolution
 
 
-def _loop_map(p: CtcProblem) -> Callable[[np.ndarray], np.ndarray]:
-    """The consistency map as a raw matrix function (defined by linearity)."""
-    d_loop = 2 ** p.n_loop
-    d_sys = 2 ** p.n_sys
-    u = p.u
-    udag = adjoint(u)
-    sys_mat = p.system_state.mat if p.n_sys else None
+def _loop_kraus(p: CtcProblem) -> List[np.ndarray]:
+    """Kraus operators sqrt(w) (<s| x I) U (|v> x I) of the consistency map, one
+    per system basis state s and eigenpair (w > 0, v) of the system state."""
+    if not p.n_sys:
+        return [p.u]
+    d_sys, d_loop = 2 ** p.n_sys, 2 ** p.n_loop
+    weights, vecs = np.linalg.eigh(p.system_state.mat)
+    keep = weights > 0
+    blocks = p.u.reshape(d_sys, d_loop, d_sys, d_loop)
+    kraus = np.einsum("slbm,bv->vslm", blocks, vecs[:, keep] * np.sqrt(weights[keep]))
+    return list(kraus.reshape(-1, d_loop, d_loop))
 
-    def apply(mat: np.ndarray) -> np.ndarray:
-        joint = np.kron(sys_mat, mat) if sys_mat is not None else mat
-        evolved = u @ joint @ udag
-        return np.einsum(
-            "slsm->lm", evolved.reshape(d_sys, d_loop, d_sys, d_loop)
-        )
 
-    return apply
+def _loop_map(kraus: Sequence[np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """The consistency map as a raw matrix function: mat -> sum_K K mat K'."""
+    pairs = [(k, adjoint(k)) for k in kraus]
+    return lambda mat: sum(k @ mat @ kdag for k, kdag in pairs)
 
 
 def consistency_map(p: CtcProblem, rho_loop: DensityMatrix) -> DensityMatrix:
@@ -158,17 +157,8 @@ def consistency_map(p: CtcProblem, rho_loop: DensityMatrix) -> DensityMatrix:
         raise DimensionMismatch(
             f"loop state must have {p.n_loop} qubits"
         )
-    out = _loop_map(p)(rho_loop.mat)
+    out = _loop_map(_loop_kraus(p))(rho_loop.mat)
     return DensityMatrix(p.n_loop, (out + adjoint(out)) / 2)
-
-
-def _superoperator(apply: Callable, d: int) -> np.ndarray:
-    s = np.zeros((d * d, d * d), dtype=complex)
-    for j in range(d * d):
-        unit = np.zeros((d, d), dtype=complex)
-        unit[j // d, j % d] = 1.0
-        s[:, j] = apply(unit).reshape(-1)
-    return s
 
 
 def _to_state(mat: np.ndarray) -> Optional[np.ndarray]:
@@ -177,14 +167,14 @@ def _to_state(mat: np.ndarray) -> Optional[np.ndarray]:
     vals, vecs = np.linalg.eigh(h)
     vals = np.clip(vals, 0.0, None)
     total = float(np.sum(vals))
-    if total <= _NULL_ATOL:
+    if total <= NULL_ATOL:
         return None
     vals /= total
     return (vecs * vals) @ adjoint(vecs)
 
 
 def solve_fixed_point(
-    p: CtcProblem, tol: float = 1e-12, max_iter: int = 10000
+    p: CtcProblem, tol: float = SOLVE_TOL, max_iter: int = 10000
 ) -> FixedPointSolution:
     """Find a self-consistent loop state.
 
@@ -205,7 +195,8 @@ def solve_fixed_point(
     if not isinstance(max_iter, int) or max_iter < 1:
         raise BadParams(f"max_iter must be a positive integer, got {max_iter!r}")
 
-    apply = _loop_map(p)
+    kraus = _loop_kraus(p)
+    apply = _loop_map(kraus)
     d = 2 ** p.n_loop
 
     def residual_of(mat: np.ndarray) -> float:
@@ -236,9 +227,10 @@ def solve_fixed_point(
     multiplicity = 0
     null_basis = None
     if use_superop:
-        s = _superoperator(apply, d)
+        # Row-major vec(K rho K') = kron(K, K*) vec(rho).
+        s = sum(np.kron(k, k.conj()) for k in kraus)
         _, sig, vh = np.linalg.svd(s - np.eye(d * d))
-        null_rows = vh[sig <= _NULL_ATOL]
+        null_rows = vh[sig <= NULL_ATOL]
         multiplicity = null_rows.shape[0]
         null_basis = null_rows.conj().T  # columns span the fixed subspace
 
@@ -287,7 +279,7 @@ def solve_fixed_point(
 
 
 def run_ctc_circuit(
-    p: CtcProblem, measure: Sequence[int], tol: float = 1e-12
+    p: CtcProblem, measure: Sequence[int], tol: float = SOLVE_TOL
 ) -> CtcRunResult:
     """Solve the loop, evolve system x loop through the interaction, and
     read out the listed system qubits (first listed renders leftmost)."""
@@ -314,7 +306,7 @@ def run_ctc_circuit(
                 continue
             key = "".join(str((index >> q) & 1) for q in targets)
             distribution[key] = distribution.get(key, 0.0) + float(prob)
-        distribution = {k: v for k, v in distribution.items() if v > _PRUNE}
+        distribution = {k: v for k, v in distribution.items() if v > OUTCOME_FLOOR}
         total = sum(distribution.values())
         distribution = {k: v / total for k, v in sorted(distribution.items())}
     return CtcRunResult(distribution=distribution, solution=solution)

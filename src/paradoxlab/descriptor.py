@@ -25,10 +25,7 @@ from .errors import (
     ShapeMismatch,
     TooManyQubits,
 )
-from .qmath import StateVector
-
-LOCALITY_ATOL = 1e-10
-DEPENDENCE_ATOL = 1e-9
+from .qmath import DEPENDENCE_ATOL, LOCALITY_ATOL, StateVector
 
 AXES = ("x", "y", "z")
 
@@ -167,6 +164,6 @@ def expectation(frame: DescriptorFrame, observable: Dict[int, str], initial: Sta
             raise BadParams(f"axis {ax!r} is not one of x, y, z")
         op = op @ frame.triples[q][AXES.index(ax)]
     val = complex(initial.amplitudes.conj() @ op @ initial.amplitudes)
-    if abs(val.imag) > 1e-9:
+    if abs(val.imag) > qmath.EXPECTATION_IMAG_ATOL:
         raise BadParams(f"observable expectation has imaginary residue {val.imag}")
     return float(val.real)

@@ -24,13 +24,21 @@ from .errors import (
     NotTracePreserving,
 )
 
-# Numerical tolerances used across the package.
-UNITARY_ATOL = 1e-10
-HERMITIAN_ATOL = 1e-10
-TRACE_ATOL = 1e-10
-PSD_FLOOR = -1e-10
-ENTROPY_EIG_FLOOR = 1e-12
-KRAUS_ATOL = 1e-9
+# Numerical tolerances used across the package, one meaning each.
+UNITARY_ATOL = 1e-10  # largest entry of |U'U - I| in a unitary
+HERMITIAN_ATOL = 1e-10  # largest entry of |rho - rho'| in a density matrix
+TRACE_ATOL = 1e-10  # largest |tr rho - 1| of a density matrix
+NORM_ATOL = 1e-10  # largest |<psi|psi> - 1| of a state vector
+PSD_FLOOR = -1e-10  # lowest eigenvalue a density matrix may have
+ENTROPY_EIG_FLOOR = 1e-12  # eigenvalues at or below this add nothing to an entropy
+KRAUS_ATOL = 1e-9  # largest entry of |sum K'K - I| in a Kraus set
+BRANCH_FLOOR = 1e-15  # measurement branches of this weight or less are dropped
+LOCALITY_ATOL = 1e-10  # largest off-support change of a Pauli image in a local step
+DEPENDENCE_ATOL = 1e-9  # Pauli images further apart than this depend on the parameter
+EXPECTATION_IMAG_ATOL = 1e-9  # largest imaginary part of a Pauli-product expectation
+SOLVE_TOL = 1e-12  # default loop fixed-point residual; smaller magnitudes print as 0
+NULL_ATOL = 1e-9  # singular values of the loop S - I, and candidate traces, this small are 0
+OUTCOME_FLOOR = 1e-12  # loop readout probabilities at or below this are dropped
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -75,7 +83,7 @@ class StateVector:
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (2 ** self.n,):
             raise InvalidState(f"expected {2 ** self.n} amplitudes, got {amps.shape}")
-        if abs(np.vdot(amps, amps).real - 1.0) > 1e-10:
+        if abs(np.vdot(amps, amps).real - 1.0) > NORM_ATOL:
             raise InvalidState("state vector is not normalized")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -265,8 +273,10 @@ def maximally_mixed(n: int) -> DensityMatrix:
 
 
 def _whole(value, what: str) -> int:
-    """``int(value)`` for a count or index read from a file; a fractional number is refused."""
-    if isinstance(value, float) and not value.is_integer():
+    """A count or index read from a file: an int or a whole float, never a bool or string."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    ):
         raise BadParams(f"{what} {value!r} is not a whole number")
     return int(value)
 

@@ -383,6 +383,31 @@ class TestSerialization:
                     ],
                 },
             ),
+            # Strings and booleans are not numbers, though int() converts them.
+            ("n_qubits", {"n_qubits": "2"}),
+            ("n_clbits", {"n_qubits": 1, "n_clbits": True}),
+            (
+                "target",
+                {
+                    "n_qubits": 2,
+                    "instructions": [{"op": "unitary", "kind": "CNOT", "targets": "10"}],
+                },
+            ),
+            (
+                "target",
+                {
+                    "n_qubits": 2,
+                    "instructions": [{"op": "unitary", "kind": "H", "targets": [True]}],
+                },
+            ),
+            (
+                "clbit",
+                {
+                    "n_qubits": 1,
+                    "n_clbits": 1,
+                    "instructions": [{"op": "measure", "target": 0, "clbit": False}],
+                },
+            ),
         ],
     )
     def test_fractional_number_rejected(self, field, doc):

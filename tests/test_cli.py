@@ -9,7 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from paradoxlab.circuit import Circuit
+from paradoxlab.circuit import Circuit, circuit_unitary
 from paradoxlab.cli import execute, main, parse
 from paradoxlab.ctc import distinguisher_unitary
 from paradoxlab.errors import NoConvergence, UsageError
@@ -345,6 +345,17 @@ class TestMain:
                 "ctc solve --unitary",
                 '{"dim": 2.5, "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]}',
             ),
+            (
+                "audit-locality --circuit",
+                '{"n_qubits": "2", "instructions": '
+                '[{"op": "unitary", "kind": "CNOT", "targets": "10"}, '
+                '{"op": "unitary", "kind": "H", "targets": [true]}]}',
+            ),
+            (
+                "ctc solve --unitary",
+                '{"dim": "2", "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]}',
+            ),
+            ("ctc solve --unitary", '{"dim": true, "entries": [[1, 0]]}'),
         ],
         ids=[
             "empty-object",
@@ -355,6 +366,9 @@ class TestMain:
             "fractional-qubit-count",
             "fractional-target",
             "fractional-dim",
+            "string-counts",
+            "string-dim",
+            "boolean-dim",
         ],
     )
     def test_malformed_input_file_is_usage_error(self, command, text, tmp_path, capsys):
@@ -362,3 +376,123 @@ class TestMain:
         path.write_text(text)
         assert main(command.split() + [str(path)]) == 2
         assert capsys.readouterr().err.startswith("usage error:")
+
+
+# Exact table output of six invocations; a moved digit or iteration count
+# fails here even when a rerun still matches itself. "{unitary}" stands for
+# a saved partial SWAP: exp(-0.3i SWAP) between loop qubit 0 and system
+# qubit 2, two loop qubits in all.
+GOLDEN = {
+    "grandfather": (
+        ["ctc", "grandfather"],
+        """\
+field              value
+residual           0
+iterations         1
+fixed_point[0][0]  0.5 0
+fixed_point[0][1]  0 0
+fixed_point[1][0]  0 0
+fixed_point[1][1]  0.5 0
+""",
+    ),
+    "distinguish": (
+        ["ctc", "distinguish", "--input", "-"],
+        """\
+field              value
+p[1]               1
+residual           0
+iterations         39
+fixed_point[0][0]  0 0
+fixed_point[0][1]  0 0
+fixed_point[1][0]  0 0
+fixed_point[1][1]  1 0
+""",
+    ),
+    "bb84": (
+        ["ctc", "bb84", "--input", "+"],
+        """\
+field              value
+p[01]              1
+residual           0
+iterations         44
+fixed_point[0][0]  0 0
+fixed_point[0][1]  0 0
+fixed_point[0][2]  0 0
+fixed_point[0][3]  0 0
+fixed_point[1][0]  0 0
+fixed_point[1][1]  1 0
+fixed_point[1][2]  0 0
+fixed_point[1][3]  0 0
+fixed_point[2][0]  0 0
+fixed_point[2][1]  0 0
+fixed_point[2][2]  0 0
+fixed_point[2][3]  0 0
+fixed_point[3][0]  0 0
+fixed_point[3][1]  0 0
+fixed_point[3][2]  0 0
+fixed_point[3][3]  0 0
+""",
+    ),
+    "solve": (
+        ["ctc", "solve", "--unitary", "{unitary}", "--system-state", "1"],
+        """\
+field              value
+p[1]               1
+residual           0
+iterations         269
+fixed_point[0][0]  0 0
+fixed_point[0][1]  0 0
+fixed_point[0][2]  0 0
+fixed_point[0][3]  0 0
+fixed_point[1][0]  0 0
+fixed_point[1][1]  0.5 0
+fixed_point[1][2]  0 0
+fixed_point[1][3]  0 0
+fixed_point[2][0]  0 0
+fixed_point[2][1]  0 0
+fixed_point[2][2]  0 0
+fixed_point[2][3]  0 0
+fixed_point[3][0]  0 0
+fixed_point[3][1]  0 0
+fixed_point[3][2]  0 0
+fixed_point[3][3]  0.5 0
+""",
+    ),
+    "szilard": (
+        ["szilard", "--cycles", "3", "--skip-reset"],
+        """\
+cycle  expected_work  sampled_work  memory_entropy_pre_reset  memory_entropy_post  mutual_info_particle_memory
+1      1                            1                         1                    1
+2      0                            1                         1                    0
+3      0                            1                         1                    0
+""",
+    ),
+    "epr": (
+        ["epr", "--theta", "0.3", "--phi", "0.2"],
+        """\
+field                          value
+theta                          0.3
+phi                            0.2
+p_check_one                    0.0612087
+correlation                    0.877583
+dependence.alice_memory.theta  true
+dependence.alice_memory.phi    false
+dependence.bob_memory.theta    false
+dependence.bob_memory.phi      true
+dependence.check.theta         true
+dependence.check.phi           true
+shots                          0
+seed                           0
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_golden_table_output(name, tmp_path):
+    argv, expected = GOLDEN[name]
+    unitary = tmp_path / "pswap.json"
+    swap = circuit_unitary(Circuit(3).swap(0, 2))
+    save_unitary(str(unitary), math.cos(0.3) * np.eye(8) - 1j * math.sin(0.3) * swap)
+    argv = [str(unitary) if a == "{unitary}" else a for a in argv]
+    assert execute(parse(argv)) == (expected, 0)

@@ -124,6 +124,45 @@ class TestConsistencyMap:
             out = consistency_map(p, rho)  # constructor enforces the invariants
             assert abs(np.trace(out.mat).real - 1.0) <= 1e-10
 
+    @pytest.mark.parametrize(
+        "n_sys, n_loop, pure",
+        [(0, n_loop, None) for n_loop in range(1, 5)]
+        + [(n_sys, n_loop, pure) for n_sys in (1, 2) for n_loop in range(1, 5)
+           for pure in (True, False)],
+    )
+    def test_matches_oracle_channel(self, n_sys, n_loop, pure):
+        """Map values and fixed-direction count against tr_sys[U (sigma x rho) U']."""
+        rng = np.random.default_rng([n_sys, n_loop, int(bool(pure))])
+        u = oracle.random_unitary(2 ** (n_sys + n_loop), rng)
+        if n_sys == 0:
+            sigma = None
+        elif pure:
+            sigma = oracle.density(oracle.random_unitary(2 ** n_sys, rng)[:, 0])
+        else:
+            sigma = oracle.random_density(2 ** n_sys, rng)
+
+        def channel(rho):
+            joint = rho if sigma is None else np.kron(sigma, rho)
+            return oracle.ptrace(u @ joint @ u.conj().T, range(n_loop), n_sys + n_loop)
+
+        p = CtcProblem(
+            u, None if sigma is None else DensityMatrix.from_matrix(sigma), n_sys, n_loop
+        )
+        for _ in range(2):
+            rho = oracle.random_density(2 ** n_loop, rng)
+            out = consistency_map(p, DensityMatrix.from_matrix(rho))
+            assert np.max(np.abs(out.mat - channel(rho))) <= 1e-12
+        if n_loop == 4 and pure:
+            return  # the oracle's 256 columns take ~0.5 s here; mixed covers the size
+        d = 2 ** n_loop
+        s = np.zeros((d * d, d * d), dtype=complex)
+        for j in range(d * d):
+            unit = np.zeros((d, d), dtype=complex)
+            unit[j // d, j % d] = 1.0
+            s[:, j] = channel(unit).reshape(-1)
+        sig = np.linalg.svd(s - np.eye(d * d), compute_uv=False)
+        assert solve_fixed_point(p).multiplicity_hint == int(np.sum(sig <= 1e-9))
+
     def test_wrong_loop_size(self):
         with pytest.raises(DimensionMismatch):
             consistency_map(dist_problem("0"), maximally_mixed(2))

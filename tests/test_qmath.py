@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 import oracle
 from paradoxlab import qmath
 from paradoxlab.errors import (
+    BadParams,
     BadTargets,
     DimensionMismatch,
     InvalidState,
@@ -284,12 +287,17 @@ class TestMatrixFile:
     def test_rejects_non_unitary(self, tmp_path):
         path = tmp_path / "bad.json"
         qmath.save_unitary(str(path), np.eye(2))
-        import json
-
         data = json.loads(path.read_text())
         data["entries"][0] = [2.0, 0.0]
         path.write_text(json.dumps(data))
         with pytest.raises(NonUnitary):
+            qmath.load_unitary(str(path))
+
+    @pytest.mark.parametrize("dim", ["2", True, 2.5])
+    def test_rejects_dim_that_is_not_a_whole_number(self, dim, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"dim": dim, "entries": [[1.0, 0.0]]}))
+        with pytest.raises(BadParams, match="dim"):
             qmath.load_unitary(str(path))
 
     def test_rejects_bad_shape(self, tmp_path):
