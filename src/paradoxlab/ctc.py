@@ -55,6 +55,8 @@ _KETS: Dict[str, np.ndarray] = {
 
 # Loop registers larger than this skip the superoperator machinery.
 _MAX_EIGEN_LOOP = 4
+# Plain passes before the GMRES fallback; the slowest golden solve takes 269.
+_ITERATION_BUDGET = 300
 
 MAX_PROBLEM_QUBITS = 6
 
@@ -173,27 +175,62 @@ def _to_state(mat: np.ndarray) -> Optional[np.ndarray]:
     return (vecs * vals) @ adjoint(vecs)
 
 
-def solve_fixed_point(
-    p: CtcProblem, tol: float = SOLVE_TOL, max_iter: int = 10000
-) -> FixedPointSolution:
+def _gmres_fixed_point(apply: Callable, d: int, tol: float) -> Tuple[np.ndarray, int]:
+    """GMRES on (S - I) x = 0 from I/d (Brown & Walker 1997): x, Krylov dimension.
+    Corrections stay in the traceless range(S - I), so x is the iterates' Cesaro
+    limit, of trace one.  A Hermitian X travels as the real matrix Re X + Im X."""
+
+    def hermitian(y: np.ndarray) -> np.ndarray:
+        return ((1 + 1j) * y.reshape(d, d) + (1 - 1j) * y.reshape(d, d).T) / 2
+    def op(y: np.ndarray) -> np.ndarray:
+        out = apply(hermitian(y))
+        return (out.real + out.imag).reshape(-1) - y
+
+    r0 = -op(np.eye(d).reshape(-1) / d)
+    beta = float(np.linalg.norm(r0))
+    floor = d * np.finfo(float).eps * beta  # below the map's rounding: nothing to gain
+    basis = (r0 / beta)[None, :]  # rows: orthonormal Krylov basis
+    rot, tri = np.ones((1, 1)), np.zeros((1, 1))  # Givens product, rotated Hessenberg
+    for k in range(d * d):
+        if k + 1 == len(basis):  # double the storage; no step copies the basis
+            basis = np.pad(basis, ((0, k + 1), (0, 0)))
+            rot, tri = np.pad(rot, (0, k + 1)), np.pad(tri, (0, k + 1))
+        w = op(basis[k])
+        h = basis[:k + 1] @ w  # classical Gram-Schmidt, run twice
+        w -= h @ basis[:k + 1]
+        again = basis[:k + 1] @ w
+        w -= again @ basis[:k + 1]
+        h_next = float(np.linalg.norm(w))
+        col = rot[:k + 1, :k + 1] @ (h + again)
+        rho = float(np.hypot(col[k], h_next))
+        if rho == 0.0:
+            raise NoConvergence("GMRES broke down on a singular Krylov space")
+        rot[k + 1, k + 1] = 1.0
+        givens = np.array([[col[k], h_next], [-h_next, col[k]]]) / rho
+        rot[k:k + 2, :k + 2] = givens @ rot[k:k + 2, :k + 2]
+        tri[:k, k], tri[k, k] = col[:k], rho
+        estimate = beta * abs(rot[k + 1, 0])  # Frobenius norm of (S - I) x
+        if estimate <= floor or estimate * np.sqrt(d) / 2 <= tol:
+            y = np.linalg.solve(tri[:k + 1, :k + 1], beta * rot[:k + 1, 0])
+            return np.eye(d) / d + hermitian(y @ basis[:k + 1]), k + 1
+        basis[k + 1] = w / h_next
+    raise NoConvergence(f"GMRES exhausted the Krylov space above {tol}")
+
+
+def solve_fixed_point(p: CtcProblem, tol: float = SOLVE_TOL) -> FixedPointSolution:
     """Find a self-consistent loop state.
 
-    Iterates the consistency map from the maximally mixed state, checking
-    the plain iterate, the two-step average, and the running average each
-    pass; on non-convergence falls back to an eigensolve of the map's
-    matrix form.  The raw winner is then projected onto the map's exact
-    fixed subspace, which typically lands within machine precision.  When
-    several fixed points exist the maximum-entropy candidate is kept (the
-    mixed starting point already biases iteration toward it).
-
-    ``multiplicity_hint`` counts the unit-eigenvalue directions of the map;
-    it is 0 for loop registers above 4 qubits, where the matrix form is
-    skipped and only plain iteration is attempted.
+    Iterates the consistency map from I/d for up to ``_ITERATION_BUDGET``
+    passes, checking the plain iterate, the two-step average, and the
+    running average.  A slower loop of any size falls back to GMRES (method
+    ``eigensolve``, ``iterations`` the budget plus the Krylov dimension),
+    which returns the running average's limit: I/d for a unital loop.
+    NoConvergence means GMRES broke down or stagnated above ``tol``.  Up to
+    4 loop qubits the superoperator's unit-eigenvalue directions give
+    ``multiplicity_hint`` (else 0) and the answer is projected onto them.
     """
     if not (isinstance(tol, float) and tol > 0.0):
         raise BadParams(f"tol must be a positive real, got {tol!r}")
-    if not isinstance(max_iter, int) or max_iter < 1:
-        raise BadParams(f"max_iter must be a positive integer, got {max_iter!r}")
 
     kraus = _loop_kraus(p)
     apply = _loop_map(kraus)
@@ -204,75 +241,45 @@ def solve_fixed_point(
 
     best: Optional[np.ndarray] = None
     best_residual = np.inf
-    iterations = 0
-    method = "iteration"
 
     rho = np.eye(d, dtype=complex) / d
     running_sum = np.zeros((d, d), dtype=complex)
-    for k in range(1, max_iter + 1):
+    for iterations in range(1, _ITERATION_BUDGET + 1):
         nxt = apply(rho)
         running_sum += nxt
-        for cand in (nxt, (rho + nxt) / 2, running_sum / k):
+        for cand in (nxt, (rho + nxt) / 2, running_sum / iterations):
             r = residual_of(cand)
             if r < best_residual:
                 best, best_residual = cand, r
         if best_residual <= tol:
-            iterations = k
             break
         rho = nxt
     else:
-        iterations = max_iter
+        best, krylov_dim = _gmres_fixed_point(apply, d, tol)
+        best_residual = residual_of(best)
+        if best_residual > tol:
+            raise NoConvergence(f"GMRES stagnated at residual {best_residual:.3e}")
+        iterations = _ITERATION_BUDGET + krylov_dim
 
-    use_superop = p.n_loop <= _MAX_EIGEN_LOOP
     multiplicity = 0
-    null_basis = None
-    if use_superop:
+    if p.n_loop <= _MAX_EIGEN_LOOP:
         # Row-major vec(K rho K') = kron(K, K*) vec(rho).
         s = sum(np.kron(k, k.conj()) for k in kraus)
         _, sig, vh = np.linalg.svd(s - np.eye(d * d))
-        null_rows = vh[sig <= NULL_ATOL]
-        multiplicity = null_rows.shape[0]
-        null_basis = null_rows.conj().T  # columns span the fixed subspace
-
-    if best_residual > tol:
-        if null_basis is None or null_basis.shape[1] == 0:
-            raise NoConvergence(
-                f"no fixed point within {tol} after {max_iter} iterations "
-                f"(best residual {best_residual:.3e})"
-            )
-        method = "eigensolve"
-        candidates: List[np.ndarray] = []
-        start = (np.eye(d, dtype=complex) / d).reshape(-1)
-        projected = (null_basis @ (adjoint(null_basis) @ start)).reshape(d, d)
-        for raw in [projected] + [v.reshape(d, d) for v in null_basis.T]:
-            for part in (raw, (raw - adjoint(raw)) / 2j):
-                state = _to_state(part)
-                if state is not None and residual_of(state) <= tol:
-                    candidates.append(state)
-        if not candidates:
-            raise NoConvergence(
-                f"eigensolve found no self-consistent state within {tol}"
-            )
-        best = max(
-            candidates, key=lambda m: vn_entropy_bits(DensityMatrix.from_matrix(m))
-        )
-        best_residual = residual_of(best)
-
-    if null_basis is not None and null_basis.shape[1] > 0:
-        vec = best.reshape(-1)
-        refined = (null_basis @ (adjoint(null_basis) @ vec)).reshape(d, d)
-        state = _to_state(refined)
-        if state is not None:
-            r = residual_of(state)
-            if r <= best_residual:
-                best, best_residual = state, r
+        null_basis = vh[sig <= NULL_ATOL].conj().T  # columns span the fixed subspace
+        multiplicity = null_basis.shape[1]
+        if multiplicity:
+            refined = null_basis @ (adjoint(null_basis) @ best.reshape(-1))
+            state = _to_state(refined.reshape(d, d))
+            if state is not None and residual_of(state) <= best_residual:
+                best = state
 
     rho_star = DensityMatrix.from_matrix(_to_state(best))
     return FixedPointSolution(
         rho_loop=rho_star,
         residual=float(residual_of(rho_star.mat)),
         iterations=iterations,
-        method=method,
+        method="eigensolve" if iterations > _ITERATION_BUDGET else "iteration",
         multiplicity_hint=multiplicity,
         entropy_bits=vn_entropy_bits(rho_star),
     )

@@ -37,7 +37,7 @@ LOCALITY_ATOL = 1e-10  # largest off-support change of a Pauli image in a local 
 DEPENDENCE_ATOL = 1e-9  # Pauli images further apart than this depend on the parameter
 EXPECTATION_IMAG_ATOL = 1e-9  # largest imaginary part of a Pauli-product expectation
 SOLVE_TOL = 1e-12  # default loop fixed-point residual; smaller magnitudes print as 0
-NULL_ATOL = 1e-9  # singular values of the loop S - I, and candidate traces, this small are 0
+NULL_ATOL = 1e-9  # loop S - I singular values, projected-state traces: this small is 0
 OUTCOME_FLOOR = 1e-12  # loop readout probabilities at or below this are dropped
 
 
@@ -81,6 +81,8 @@ class StateVector:
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
+        if not np.isfinite(amps).all():
+            raise InvalidState("state vector has non-finite amplitudes")
         if amps.shape != (2 ** self.n,):
             raise InvalidState(f"expected {2 ** self.n} amplitudes, got {amps.shape}")
         if abs(np.vdot(amps, amps).real - 1.0) > NORM_ATOL:
@@ -101,6 +103,8 @@ class DensityMatrix:
     def __post_init__(self):
         mat = np.asarray(self.mat, dtype=complex)
         dim = 2 ** self.n
+        if not np.isfinite(mat).all():
+            raise InvalidState("density matrix has non-finite entries")
         if mat.shape != (dim, dim):
             raise InvalidState(f"expected {dim}x{dim} matrix, got {mat.shape}")
         if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_ATOL:
@@ -131,6 +135,8 @@ class KrausSet:
         ops = tuple(np.asarray(k, dtype=complex) for k in self.operators)
         if not ops:
             raise DimensionMismatch("empty Kraus set")
+        if not all(np.isfinite(k).all() for k in ops):
+            raise NotTracePreserving("Kraus operators have non-finite entries")
         dim = ops[0].shape[0]
         for k in ops:
             if k.shape != (dim, dim):

@@ -121,3 +121,32 @@ def random_kraus_set(dim, count, rng):
     vals, vecs = np.linalg.eigh(s)
     inv_sqrt = vecs @ np.diag(vals ** -0.5) @ vecs.conj().T
     return [a @ inv_sqrt for a in ops]
+
+
+SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+
+
+def partial_swap(n_loop, angle):
+    """exp(-i angle SWAP) between loop qubit 0 and the system qubit above the loop."""
+    n = n_loop + 1
+    swap = lift(SWAP, [0, n_loop], n)
+    return np.cos(angle) * np.eye(2 ** n) - 1j * np.sin(angle) * swap
+
+
+def cesaro_limit(u, sigma, n_loop):
+    """Limit of the running average of loop iterates from I/d, by dense linear algebra.
+
+    The loop superoperator S is written entry by entry from
+    rho -> tr_sys[U (sigma x rho) U'] in row-major vec. With right null
+    vectors N and left null vectors L of S - I, the spectral projection onto
+    the fixed space along range(S - I) is N (L'N)^-1 L', applied to vec(I/d).
+    """
+    d = 2 ** n_loop
+    blocks = u.reshape(sigma.shape[0], d, sigma.shape[0], d)
+    s = np.einsum("sial,ab,sjbm->ijlm", blocks, sigma, blocks.conj()).reshape(d * d, d * d)
+    left, sig, vh = np.linalg.svd(s - np.eye(d * d))
+    null = sig <= 1e-9
+    n_right, n_left = vh[null].conj().T, left[:, null]
+    start = (np.eye(d) / d).reshape(-1)
+    coeff = np.linalg.solve(n_left.conj().T @ n_right, n_left.conj().T @ start)
+    return (n_right @ coeff).reshape(d, d)

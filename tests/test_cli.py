@@ -316,6 +316,16 @@ class TestMain:
         assert main(["ctc", "grandfather"]) == 1
         assert "synthetic failure" in capsys.readouterr().err
 
+    def test_weak_five_loop_qubit_solve_exits_zero(self, tmp_path, capsys):
+        """A 0.03 partial SWAP on 5 loop qubits, once a NoConvergence stall."""
+        path = str(tmp_path / "stall.json")
+        swap = circuit_unitary(Circuit(6).swap(0, 5))
+        save_unitary(path, math.cos(0.03) * np.eye(64) - 1j * math.sin(0.03) * swap)
+        assert main(["ctc", "solve", "--unitary", path, "--system-state", "0"]) == 0
+        out = capsys.readouterr()
+        assert out.out.splitlines()[2].split() == ["residual", "0"]
+        assert out.err == ""
+
     @pytest.mark.parametrize(
         "command, text",
         [
@@ -378,10 +388,13 @@ class TestMain:
         assert capsys.readouterr().err.startswith("usage error:")
 
 
-# Exact table output of six invocations; a moved digit or iteration count
-# fails here even when a rerun still matches itself. "{unitary}" stands for
-# a saved partial SWAP: exp(-0.3i SWAP) between loop qubit 0 and system
-# qubit 2, two loop qubits in all.
+# Exact table output of seven invocations; a moved digit or iteration count
+# fails here even when a rerun still matches itself. "{unitary}" and
+# "{weak_unitary}" stand for saved partial SWAPs: exp(-ia SWAP) between loop
+# qubit 0 and system qubit 2, two loop qubits in all, at the angles below.
+# The weak one mixes too slowly for plain iteration.
+PSWAP_ANGLES = {"{unitary}": 0.3, "{weak_unitary}": 0.03}
+
 GOLDEN = {
     "grandfather": (
         ["ctc", "grandfather"],
@@ -458,6 +471,31 @@ fixed_point[3][2]  0 0
 fixed_point[3][3]  0.5 0
 """,
     ),
+    "weak_solve": (
+        ["ctc", "solve", "--unitary", "{weak_unitary}", "--system-state", "0"],
+        """\
+field              value
+p[0]               1
+residual           0
+iterations         301
+fixed_point[0][0]  0.5 0
+fixed_point[0][1]  0 0
+fixed_point[0][2]  0 0
+fixed_point[0][3]  0 0
+fixed_point[1][0]  0 0
+fixed_point[1][1]  0 0
+fixed_point[1][2]  0 0
+fixed_point[1][3]  0 0
+fixed_point[2][0]  0 0
+fixed_point[2][1]  0 0
+fixed_point[2][2]  0.5 0
+fixed_point[2][3]  0 0
+fixed_point[3][0]  0 0
+fixed_point[3][1]  0 0
+fixed_point[3][2]  0 0
+fixed_point[3][3]  0 0
+""",
+    ),
     "szilard": (
         ["szilard", "--cycles", "3", "--skip-reset"],
         """\
@@ -491,8 +529,10 @@ seed                           0
 @pytest.mark.parametrize("name", GOLDEN)
 def test_golden_table_output(name, tmp_path):
     argv, expected = GOLDEN[name]
-    unitary = tmp_path / "pswap.json"
     swap = circuit_unitary(Circuit(3).swap(0, 2))
-    save_unitary(str(unitary), math.cos(0.3) * np.eye(8) - 1j * math.sin(0.3) * swap)
-    argv = [str(unitary) if a == "{unitary}" else a for a in argv]
+    files = {}
+    for key, angle in PSWAP_ANGLES.items():
+        files[key] = str(tmp_path / f"pswap_{angle}.json")
+        save_unitary(files[key], math.cos(angle) * np.eye(8) - 1j * math.sin(angle) * swap)
+    argv = [files.get(a, a) for a in argv]
     assert execute(parse(argv)) == (expected, 0)

@@ -26,6 +26,7 @@ from paradoxlab.errors import (
     BadParams,
     BadTargets,
     DimensionMismatch,
+    NoConvergence,
     NonUnitary,
 )
 from paradoxlab.qmath import DensityMatrix, is_unitary, maximally_mixed, trace_distance
@@ -221,8 +222,11 @@ class TestSolver:
         assert sol.multiplicity_hint == 1
 
     def test_eigensolve_fallback(self):
-        sol = solve_fixed_point(dist_problem("0"), max_iter=4)
+        """A weak partial SWAP mixes too slowly for the iteration budget."""
+        p = CtcProblem(oracle.partial_swap(1, 0.03), state_from_label("0").density(), 1, 1)
+        sol = solve_fixed_point(p)
         assert sol.method == "eigensolve"
+        assert sol.iterations > 300
         assert oracle.tdist(sol.rho_loop.mat, DIST_FIXED["0"]) <= 1e-10
         assert sol.residual <= 1e-12
 
@@ -233,8 +237,52 @@ class TestSolver:
     def test_bad_solver_params(self):
         with pytest.raises(BadParams):
             solve_fixed_point(dist_problem("0"), tol=0.0)
-        with pytest.raises(BadParams):
-            solve_fixed_point(dist_problem("0"), max_iter=0)
+
+    @pytest.mark.parametrize("n_loop", [2, 5])
+    def test_unreachable_tolerance(self, n_loop):
+        """No loop state is self-consistent to 1e-300; the solve says so."""
+        rng = np.random.default_rng(n_loop)
+        u = oracle.random_unitary(2 ** (n_loop + 1), rng)
+        p = CtcProblem(u, state_from_label("+").density(), 1, n_loop)
+        with pytest.raises(NoConvergence):
+            solve_fixed_point(p, tol=1e-300)
+
+
+def weak_loop(n_loop, eps, seed):
+    """exp(-i eps H) on one system qubit (+) and the loop, H Hermitian Gaussian."""
+    rng = np.random.default_rng(seed)
+    dim = 2 ** (n_loop + 1)
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    vals, vecs = np.linalg.eigh((z + z.conj().T) / 2)
+    u = (vecs * np.exp(-1j * eps * vals)) @ vecs.conj().T
+    return CtcProblem(u, state_from_label("+").density(), 1, n_loop)
+
+
+class TestSlowLoops:
+    """Loops that mix too slowly for plain iteration, on every register size."""
+
+    @pytest.mark.parametrize("n_loop", range(1, 6))
+    @pytest.mark.parametrize("angle", [0.01, 0.03])
+    def test_weak_partial_swap(self, angle, n_loop):
+        """Loop qubit 0 takes the input; the idle loop qubits stay maximally mixed."""
+        u = oracle.partial_swap(n_loop, angle)
+        idle = np.eye(2 ** (n_loop - 1)) / 2 ** (n_loop - 1)
+        for label in STATE_LABELS:
+            psi = oracle.density(KETS[label])
+            sol = solve_fixed_point(CtcProblem(u, DensityMatrix(1, psi), 1, n_loop))
+            assert np.max(np.abs(sol.rho_loop.mat - np.kron(idle, psi))) <= 1e-10
+            assert sol.method == "eigensolve"
+
+    @pytest.mark.parametrize("n_loop", range(2, 6))
+    @pytest.mark.parametrize("eps", [0.05, 0.01])
+    def test_weakly_coupled_random_loop(self, eps, n_loop):
+        p = weak_loop(n_loop, eps, seed=[n_loop, int(eps * 1000)])
+        sol = solve_fixed_point(p)
+        if n_loop <= 4:
+            expect = oracle.cesaro_limit(p.u, p.system_state.mat, n_loop)
+            assert np.max(np.abs(sol.rho_loop.mat - expect)) <= 1e-9
+        else:
+            assert trace_distance(consistency_map(p, sol.rho_loop), sol.rho_loop) <= 1e-12
 
 
 class TestRunCtc:

@@ -76,6 +76,21 @@ class TestStates:
         with pytest.raises(InvalidState):
             dm([[1.5, 0], [0, -0.5]])  # negative eigenvalue
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "build, error",
+        [
+            (lambda bad: StateVector(1, np.full(2, bad)), InvalidState),
+            (lambda bad: DensityMatrix(1, np.full((2, 2), bad)), InvalidState),
+            (lambda bad: KrausSet((np.full((2, 2), bad),)), NotTracePreserving),
+        ],
+        ids=["StateVector", "DensityMatrix", "KrausSet"],
+    )
+    def test_non_finite_entries_rejected(self, build, error, bad):
+        """Each invariant check reads `err > tol`, which NaN slips past."""
+        with pytest.raises(error, match="non-finite"):
+            build(bad)
+
     def test_from_statevector(self):
         sv = StateVector(1, oracle.PLUS.copy())
         rho = DensityMatrix.from_statevector(sv)
