@@ -32,6 +32,11 @@ _JSON_SIG = 9
 _TABLE_SIG = 6
 # Magnitudes below the default loop-solve tolerance are rendering noise.
 _DISPLAY_FLOOR = SOLVE_TOL
+# Largest `epr sweep` grid (256 x 256): every row is held and rendered at
+# once, so a larger grid is refused before anything is allocated.
+MAX_SWEEP_POINTS = 65536
+# Largest --shots: sampling holds a few bytes per shot in memory at once.
+MAX_SHOTS = 10_000_000
 
 Row = Tuple[object, ...]
 
@@ -43,8 +48,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _above(convert, floor):
-    """argparse type: ``convert(text)``, finite and strictly above ``floor``."""
+def _above(convert, floor, ceiling=math.inf):
+    """argparse type: ``convert(text)``, finite, strictly above ``floor``, at most ``ceiling``."""
     noun = "an integer" if convert is int else "a number"
 
     def parse_value(text: str):
@@ -54,6 +59,8 @@ def _above(convert, floor):
             raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}")
         if not floor < value < math.inf:
             raise argparse.ArgumentTypeError(f"expected {noun} above {floor}, got {text!r}")
+        if value > ceiling:
+            raise argparse.ArgumentTypeError(f"expected {noun} at most {ceiling}, got {text!r}")
         return value
 
     return parse_value
@@ -64,7 +71,7 @@ def _add_output_flags(parser: argparse.ArgumentParser, sampling: bool = False) -
         "--format", choices=("table", "json", "csv"), default="table"
     )
     if sampling:
-        parser.add_argument("--shots", type=_above(int, -1), default=0)
+        parser.add_argument("--shots", type=_above(int, -1, MAX_SHOTS), default=0)
         parser.add_argument("--seed", type=_above(int, -1), default=0)
 
 
@@ -119,6 +126,11 @@ def build_parser() -> _Parser:
     return top
 
 
+# Built once: parsing leaves the parser as it was, and rebuilding the whole
+# tree took longer than most invocations' own work.
+_PARSER = build_parser()
+
+
 @dataclass(frozen=True)
 class CliInvocation:
     command: str
@@ -135,7 +147,7 @@ def parse(argv: Sequence[str]) -> CliInvocation:
     args = list(argv)
     if args[:2] == ["epr", "sweep"]:
         args = ["epr-sweep"] + args[2:]
-    ns = build_parser().parse_args(args)
+    ns = _PARSER.parse_args(args)
     command = ns.command
     if command == "ctc":
         command = f"ctc-{ns.ctc_command}"
@@ -152,6 +164,11 @@ def parse(argv: Sequence[str]) -> CliInvocation:
         for flag, value in (("--theta", ns.theta), ("--phi", ns.phi)):
             if not math.isfinite(value):
                 raise UsageError(f"argument {flag}: must be finite")
+    if command == "epr-sweep" and ns.theta_steps * ns.phi_steps > MAX_SWEEP_POINTS:
+        raise UsageError(
+            f"--theta-steps x --phi-steps is {ns.theta_steps * ns.phi_steps} grid points,"
+            f" above the limit of {MAX_SWEEP_POINTS}"
+        )
     flags = {k: v for k, v in vars(ns).items() if k not in _CONSUMED}
     return CliInvocation(
         command=command,

@@ -14,13 +14,21 @@ import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, NamedTuple, Sequence
 
-from .circuit import Circuit, run_density
+import numpy as np
+
+from .circuit import Circuit, make_gate, run_density
 from .descriptor import dependence_probe
-from .errors import BadParams
+from .errors import BadParams, InvalidState
+from .qmath import NORM_ATOL, _apply_op
 
 ALICE, BOB, ALICE_MEM, BOB_MEM, CHECK = range(5)
 
 _PROBE_OFFSET = 0.8
+
+# Grid points per sweep batch. A (32, 64) state is 32 KiB; batching a whole
+# 17 x 17 grid at once made every temporary ~150 KiB and raised a
+# long-running process's peak resident memory by ~0.5 MB.
+_SWEEP_BATCH = 64
 
 # Tracked record: (qubit, whether the probed circuit includes the parity gates).
 _PROBED = {
@@ -82,11 +90,45 @@ class SweepPoint(NamedTuple):
 
 
 def sweep(thetas: Sequence[float], phis: Sequence[float]) -> List[SweepPoint]:
-    """Exact check probabilities over the cartesian angle grid."""
+    """Exact check probabilities over the cartesian angle grid, theta-major.
+
+    The deferred circuit is unitary up to its one measurement, so the grid
+    runs as batches of pure states: column b of a (32, B) array is one grid
+    point. Fixed gates go through the shared kernel; an RX with one angle
+    per column is cos(a/2) psi - i sin(a/2) X psi.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    phis = np.asarray(phis, dtype=float)
+    for name, values in (("theta", thetas), ("phi", phis)):
+        bad = values[~np.isfinite(values)]
+        if bad.size:
+            raise BadParams(f"{name} must be finite, got {bad[0]}")
+    grid_theta = np.repeat(thetas, phis.size)
+    grid_phi = np.tile(phis, thetas.size)
+    x = make_gate("X").matrix
+    template = build_epr_unitary(EprConfig(0.0, 0.0))
+    dim = 2 ** template.n_qubits
+    fires = (np.arange(dim) >> CHECK) & 1 == 1
+    p_one = np.empty(grid_theta.size)
+    for lo in range(0, grid_theta.size, _SWEEP_BATCH):
+        cols = slice(lo, lo + _SWEEP_BATCH)
+        half_angle = {ALICE: grid_theta[cols] / 2, BOB: grid_phi[cols] / 2}
+        state = np.zeros((dim, half_angle[ALICE].size), dtype=complex)
+        state[0] = 1.0
+        for instr in template.instructions:
+            if instr.gate.kind == "RX":
+                half = half_angle[instr.targets[0]]
+                flipped = _apply_op(x, state, instr.targets)
+                state = np.cos(half) * state - 1j * np.sin(half) * flipped
+            else:
+                state = _apply_op(instr.gate.matrix, state, instr.targets)
+        probs = np.abs(state) ** 2
+        if np.max(np.abs(probs.sum(axis=0) - 1.0)) > NORM_ATOL:
+            raise InvalidState("a swept state vector is not normalized")
+        p_one[cols] = probs[fires].sum(axis=0)
     return [
-        SweepPoint(float(t), float(p), check_distribution(EprConfig(float(t), float(p))))
-        for t in thetas
-        for p in phis
+        SweepPoint(t, p, v)
+        for t, p, v in zip(grid_theta.tolist(), grid_phi.tolist(), p_one.tolist())
     ]
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import math
@@ -83,6 +84,36 @@ class TestParse:
         with pytest.raises(UsageError) as err:
             parse(argv)
         assert flag in str(err.value)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["epr", "sweep", "--theta-steps", "257", "--phi-steps", "256"],
+            ["epr", "sweep", "--theta-steps", "1", "--phi-steps", "65537"],
+        ],
+    )
+    def test_sweep_grid_cap_names_both_flags(self, argv):
+        with pytest.raises(UsageError) as err:
+            parse(argv)
+        assert "--theta-steps" in str(err.value) and "--phi-steps" in str(err.value)
+
+    def test_largest_sweep_grid_accepted(self):
+        inv = parse(["epr", "sweep", "--theta-steps", "256", "--phi-steps", "256"])
+        assert inv.flags["theta_steps"] * inv.flags["phi_steps"] == 65536
+
+    @pytest.mark.parametrize("command", [["szilard"], ["epr", "--theta", "0", "--phi", "0"]])
+    def test_shot_ceiling(self, command):
+        assert parse(command + ["--shots", "10000000"]).shots == 10_000_000
+        with pytest.raises(UsageError) as err:
+            parse(command + ["--shots", "10000001"])
+        assert "--shots" in str(err.value)
+
+    def test_parses_share_no_state(self):
+        first = parse(["szilard", "--cycles", "3", "--skip-reset", "--shots", "10"])
+        second = parse(["szilard"])
+        assert first.flags["skip_reset"] is True and first.shots == 10
+        assert second.flags == {"cycles": 1, "skip_reset": False} and second.shots == 0
+        assert parse(["ctc", "bb84", "--prompt"]).flags["input"] is None
 
     def test_szilard_flags(self):
         inv = parse(["szilard", "--cycles", "3", "--skip-reset", "--shots", "10"])
@@ -327,6 +358,22 @@ class TestMain:
         assert out.err == ""
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["epr", "sweep", "--theta-steps", "100000", "--phi-steps", "100000"],
+            ["szilard", "--shots", "1000000000000"],
+            ["szilard", "--cycles", "1", "--shots", "100000000000000000000000"],
+            ["epr", "--theta", "0.3", "--phi", "0.2", "--shots", "100000000000000000000000"],
+        ],
+        ids=["huge-grid", "szilard-shots", "szilard-huge-shots", "epr-huge-shots"],
+    )
+    def test_oversized_request_fails_fast(self, argv, capsys):
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.err.startswith("usage error:")
+        assert out.out == ""
+
+    @pytest.mark.parametrize(
         "command, text",
         [
             ("audit-locality --circuit", "{}"),
@@ -388,7 +435,7 @@ class TestMain:
         assert capsys.readouterr().err.startswith("usage error:")
 
 
-# Exact table output of seven invocations; a moved digit or iteration count
+# Exact table output of eight invocations; a moved digit or iteration count
 # fails here even when a rerun still matches itself. "{unitary}" and
 # "{weak_unitary}" stand for saved partial SWAPs: exp(-ia SWAP) between loop
 # qubit 0 and system qubit 2, two loop qubits in all, at the angles below.
@@ -523,6 +570,21 @@ shots                          0
 seed                           0
 """,
     ),
+    "epr_sweep": (
+        ["epr", "sweep", "--theta-steps", "3", "--phi-steps", "3"],
+        """\
+theta     phi       p_check_one
+-3.14159  -3.14159  0
+-3.14159  0         1
+-3.14159  3.14159   0
+0         -3.14159  1
+0         0         0
+0         3.14159   1
+3.14159   -3.14159  0
+3.14159   0         1
+3.14159   3.14159   0
+""",
+    ),
 }
 
 
@@ -536,3 +598,20 @@ def test_golden_table_output(name, tmp_path):
         save_unitary(files[key], math.cos(angle) * np.eye(8) - 1j * math.sin(angle) * swap)
     argv = [files.get(a, a) for a in argv]
     assert execute(parse(argv)) == (expected, 0)
+
+
+# sha256 of the default 17 x 17 `epr sweep` output in each format, recorded
+# from the one-circuit-per-point implementation that the batched sweep replaced.
+SWEEP_17_SHA256 = {
+    "table": "b45bec601f58d6f25c614e8578445b03bf333e7f3903f9f1571edbf9857f29fd",
+    "csv": "568cb425ff704d4fa0a1460d96d3ab097369b1e82652dc1597bdfb17b866735b",
+    "json": "9e96acb5d280503c81f486e5d01a84fa940cb86c00f42f3bfc879cf2cc25734c",
+}
+
+
+@pytest.mark.parametrize("fmt", SWEEP_17_SHA256)
+def test_golden_sweep_bytes(fmt):
+    argv = ["epr", "sweep", "--theta-steps", "17", "--phi-steps", "17", "--format", fmt]
+    text, code = execute(parse(argv))
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_17_SHA256[fmt]

@@ -18,8 +18,8 @@ from paradoxlab.epr import (
     info_flow_report,
     sweep,
 )
-from paradoxlab.errors import BadParams
-from paradoxlab.qmath import trace_distance
+from paradoxlab.errors import BadParams, InvalidState
+from paradoxlab.qmath import _apply_op, trace_distance
 
 
 def closed_form(theta, phi):
@@ -135,6 +135,39 @@ class TestNoSignalling:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("shape", [(1, 6), (6, 1), (3, 5), (7, 2), (9, 11)])
+    def test_random_grids_match_oracle(self, shape):
+        rng = np.random.default_rng(sum(shape) * 1000 + shape[0])
+        thetas = rng.uniform(-4 * np.pi, 4 * np.pi, shape[0])
+        phis = rng.uniform(-4 * np.pi, 4 * np.pi, shape[1])
+        rows = sweep(thetas, phis)
+        assert [(r.theta, r.phi) for r in rows] == [
+            (float(t), float(p)) for t in thetas for p in phis
+        ]
+        for row in rows:
+            assert abs(row.p_check_one - oracle_check_probability(row.theta, row.phi)) <= 1e-12
+            cfg = EprConfig(row.theta, row.phi)
+            assert abs(row.p_check_one - check_distribution(cfg)) <= 1e-12
+
+    def test_empty_axis(self):
+        assert sweep([], [0.1, 0.2]) == []
+        assert sweep([0.1], []) == []
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_angle_rejected(self, bad):
+        with pytest.raises(BadParams):
+            sweep([0.1, bad], [0.2])
+        with pytest.raises(BadParams):
+            sweep([0.1], [bad, 0.2])
+
+    def test_unnormalized_batch_rejected(self, monkeypatch):
+        def leaky(op, state, targets):
+            return 0.999 * _apply_op(op, state, targets)
+
+        monkeypatch.setattr("paradoxlab.epr._apply_op", leaky)
+        with pytest.raises(InvalidState):
+            sweep([0.1, 0.2], [0.3])
+
     def test_grid_shape_and_values(self):
         thetas = [0.0, 0.5]
         phis = [0.0, 0.25, 0.5]
