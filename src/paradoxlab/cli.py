@@ -37,6 +37,10 @@ _DISPLAY_FLOOR = SOLVE_TOL
 MAX_SWEEP_POINTS = 65536
 # Largest --shots: sampling holds a few bytes per shot in memory at once.
 MAX_SHOTS = 10_000_000
+# Largest `szilard --cycles`: the exact ledger costs a few milliseconds a cycle.
+MAX_CYCLES = 1000
+# Largest `szilard` --cycles x --shots: sampling draws every shot on every cycle.
+MAX_SHOT_CYCLES = 100_000_000
 
 Row = Tuple[object, ...]
 
@@ -97,7 +101,7 @@ def build_parser() -> _Parser:
     _add_output_flags(p_sweep)
 
     p_szi = commands.add_parser("szilard", help="single-particle engine ledger")
-    p_szi.add_argument("--cycles", type=_above(int, 0), default=1)
+    p_szi.add_argument("--cycles", type=_above(int, 0, MAX_CYCLES), default=1)
     p_szi.add_argument("--skip-reset", action="store_true")
     _add_output_flags(p_szi, sampling=True)
 
@@ -168,6 +172,11 @@ def parse(argv: Sequence[str]) -> CliInvocation:
         raise UsageError(
             f"--theta-steps x --phi-steps is {ns.theta_steps * ns.phi_steps} grid points,"
             f" above the limit of {MAX_SWEEP_POINTS}"
+        )
+    if command == "szilard" and ns.cycles * ns.shots > MAX_SHOT_CYCLES:
+        raise UsageError(
+            f"--cycles x --shots is {ns.cycles * ns.shots} sampled shot-cycles,"
+            f" above the limit of {MAX_SHOT_CYCLES}"
         )
     flags = {k: v for k, v in vars(ns).items() if k not in _CONSUMED}
     return CliInvocation(

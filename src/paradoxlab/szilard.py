@@ -14,11 +14,12 @@ which is the erasure charge the ledger tracks.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .circuit import Circuit, apply_instruction, depolarizing_kraus
+from .circuit import Circuit, depolarizing_kraus, run_density
 from .errors import (
     BadMemoryState,
     BadParams,
@@ -147,27 +148,19 @@ def _check_memory(memory_in: DensityMatrix) -> None:
         raise BadMemoryState("memory must be a single-qubit density matrix")
 
 
-def _assemble(skip_reset: bool, depolarize_p: float) -> Tuple[Circuit, int, int]:
-    """Build one cycle; also return the measurement and work-stroke markers."""
+@lru_cache(maxsize=8)
+def _stages(skip_reset: bool, depolarize_p: float) -> Tuple[Circuit, Circuit, Circuit]:
+    """The cycle's observe, stroke and erase stages; built once per setting, shared read-only."""
     depolarize = depolarizing_kraus(depolarize_p)
-    c = Circuit(4)
-    c.channel(depolarize, [PARTICLE])
-    c.x(W0)
-    c.cx(PARTICLE, MEMORY)  # record the particle position into the memory
-    measured_at = len(c.instructions) - 1
+    observe = Circuit(4).channel(depolarize, [PARTICLE]).x(W0)
+    observe.cx(PARTICLE, MEMORY)  # record the particle position into the memory
     # Fold the particle onto the record: memory now holds the agreement bit,
     # 0 when the record matches the particle and the weight should rise.
-    c.cx(PARTICLE, MEMORY)
-    c.x(MEMORY)
-    c.cx(MEMORY, W1)
-    c.x(MEMORY)
-    c.cx(MEMORY, W0)
-    c.cx(PARTICLE, MEMORY)  # unfold, leaving the record in place
-    c.channel(depolarize, [PARTICLE])  # rethermalize
-    stroke_done_at = len(c.instructions) - 1
-    if not skip_reset:
-        c.reset(MEMORY)
-    return c, measured_at, stroke_done_at
+    stroke = Circuit(4).cx(PARTICLE, MEMORY).x(MEMORY).cx(MEMORY, W1).x(MEMORY).cx(MEMORY, W0)
+    stroke.cx(PARTICLE, MEMORY)  # unfold, leaving the record in place
+    stroke.channel(depolarize, [PARTICLE])  # rethermalize
+    erase = Circuit(4) if skip_reset else Circuit(4).reset(MEMORY)
+    return observe, stroke, erase
 
 
 def build_cycle(
@@ -175,8 +168,8 @@ def build_cycle(
 ) -> Circuit:
     """One engine cycle as a plain circuit on (particle, memory, w1, w0)."""
     _check_memory(memory_in)
-    circuit, _, _ = _assemble(skip_reset, depolarize_p)
-    return circuit
+    stages = _stages(skip_reset, depolarize_p)
+    return Circuit(4, 0, [instr for stage in stages for instr in stage.instructions])
 
 
 def run_single_cycle(
@@ -190,21 +183,14 @@ def run_single_cycle(
     and the memory state handed to the next cycle.
     """
     _check_memory(memory_in)
-    circuit, measured_at, stroke_done_at = _assemble(skip_reset, depolarize_p)
-
-    # A plain array between steps, validated only where it is read.
-    mat = kron_all([_GROUND, memory_in.mat, _GROUND, _GROUND])
-    mutual = expected = pre_entropy = 0.0
-    for k, instr in enumerate(circuit.instructions):
-        mat = apply_instruction(mat, instr)
-        if k == measured_at:
-            pair = partial_trace(DensityMatrix(4, mat), [PARTICLE, MEMORY])
-            mutual = mutual_information(pair, [0], [1])
-        if k == stroke_done_at:
-            rho = DensityMatrix(4, mat)
-            expected = work_expectation(partial_trace(rho, [W1, W0]))
-            pre_entropy = vn_entropy_bits(partial_trace(rho, [MEMORY]))
-    memory_out = partial_trace(DensityMatrix(4, mat), [MEMORY])
+    observe, stroke, erase = _stages(skip_reset, depolarize_p)
+    rho = DensityMatrix(4, kron_all([_GROUND, memory_in.mat, _GROUND, _GROUND]))
+    rho = run_density(observe, rho).final_state
+    mutual = mutual_information(partial_trace(rho, [PARTICLE, MEMORY]), [0], [1])
+    rho = run_density(stroke, rho).final_state
+    expected = work_expectation(partial_trace(rho, [W1, W0]))
+    pre_entropy = vn_entropy_bits(partial_trace(rho, [MEMORY]))
+    memory_out = partial_trace(run_density(erase, rho).final_state, [MEMORY])
     post_entropy = pre_entropy if skip_reset else vn_entropy_bits(memory_out)
 
     record = CycleRecord(

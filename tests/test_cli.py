@@ -78,6 +78,7 @@ class TestParse:
             (["szilard", "--shots", "-1"], "--shots"),
             (["ctc", "solve", "--unitary", "u.json", "--tol", "nan"], "--tol"),
             (["epr", "sweep", "--theta-steps", "x"], "--theta-steps"),
+            (["szilard", "--cycles", "1001"], "--cycles"),
         ],
     )
     def test_bad_number_names_flag(self, argv, flag):
@@ -107,6 +108,22 @@ class TestParse:
         with pytest.raises(UsageError) as err:
             parse(command + ["--shots", "10000001"])
         assert "--shots" in str(err.value)
+
+    def test_largest_engine_request_accepted(self):
+        inv = parse(["szilard", "--cycles", "1000", "--shots", "100000"])
+        assert inv.flags["cycles"] * inv.shots == 100_000_000
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["szilard", "--cycles", "40", "--shots", "10000000"],
+            ["szilard", "--cycles", "1000", "--shots", "100001"],
+        ],
+    )
+    def test_shot_cycle_cap_names_both_flags(self, argv):
+        with pytest.raises(UsageError) as err:
+            parse(argv)
+        assert "--cycles" in str(err.value) and "--shots" in str(err.value)
 
     def test_parses_share_no_state(self):
         first = parse(["szilard", "--cycles", "3", "--skip-reset", "--shots", "10"])
@@ -364,8 +381,17 @@ class TestMain:
             ["szilard", "--shots", "1000000000000"],
             ["szilard", "--cycles", "1", "--shots", "100000000000000000000000"],
             ["epr", "--theta", "0.3", "--phi", "0.2", "--shots", "100000000000000000000000"],
+            ["szilard", "--cycles", "1000000000"],
+            ["szilard", "--cycles", "40", "--shots", "10000000"],
         ],
-        ids=["huge-grid", "szilard-shots", "szilard-huge-shots", "epr-huge-shots"],
+        ids=[
+            "huge-grid",
+            "szilard-shots",
+            "szilard-huge-shots",
+            "epr-huge-shots",
+            "szilard-cycles",
+            "szilard-shot-cycles",
+        ],
     )
     def test_oversized_request_fails_fast(self, argv, capsys):
         assert main(argv) == 2
@@ -615,3 +641,26 @@ def test_golden_sweep_bytes(fmt):
     text, code = execute(parse(argv))
     assert code == 0
     assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_17_SHA256[fmt]
+
+
+# sha256 of two `szilard` ledgers in each format, recorded from the engine
+# that walked one hand-assembled cycle circuit instruction by instruction.
+SZILARD_40_SHA256 = {
+    ("exact", "table"): "4cef9d97669b173ca9d05efff4c2b107cd82ffe39f25714be50337109f384644",
+    ("exact", "csv"): "d59b5fdb9816bf151a72c62bc9022ea2834de69b464d5f31bff2e15d69ab8058",
+    ("exact", "json"): "2e62e3b0655528e0a3bf1144a545e2c81732c986487dce21a90f43a3ed60ba5b",
+    ("sampled", "table"): "aee3fa58af579dbf180edabf21118f73aae5e19b7a60f368538461b722cb3c7b",
+    ("sampled", "csv"): "b3a8de09f55951bed6ff4335eb4f954be9883b14c84cadd79e3e560ece83e072",
+    ("sampled", "json"): "5e219c9f69a04d93c0058b976c76789f84fdb8a4cab9c094057287a1b24f9ce9",
+}
+SZILARD_40_ARGV = {
+    "exact": ["szilard", "--cycles", "40"],
+    "sampled": ["szilard", "--cycles", "40", "--skip-reset", "--shots", "5000", "--seed", "7"],
+}
+
+
+@pytest.mark.parametrize("mode, fmt", SZILARD_40_SHA256)
+def test_golden_engine_bytes(mode, fmt):
+    text, code = execute(parse(SZILARD_40_ARGV[mode] + ["--format", fmt]))
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == SZILARD_40_SHA256[mode, fmt]

@@ -3,6 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import oracle
+
 from paradoxlab.circuit import run_density
 from paradoxlab.errors import (
     BadMemoryState,
@@ -116,6 +118,77 @@ class TestWeightLogic:
     def test_memory_state_validated(self):
         with pytest.raises(BadMemoryState):
             build_cycle(maximally_mixed(2))
+
+
+def reference_cycle(memory, skip_reset, p):
+    """One engine cycle on (particle 0, memory 1, w1 2, w0 3) from oracle parts only.
+
+    Returns the record fields and the output memory in the order
+    (mutual information, expected work, entropy before and after the reset, memory out).
+    """
+    ground = oracle.density(oracle.KET0)
+    one = oracle.density(oracle.KET1)
+
+    def gate(rho, op, qubits):
+        full = oracle.lift(op, qubits, 4)
+        return full @ rho @ full.conj().T
+
+    def kraus(rho, ops, qubit):
+        return sum(gate(rho, k, [qubit]) for k in ops)
+
+    depolarize = [np.sqrt(1 - 3 * p / 4) * oracle.I2] + [
+        np.sqrt(p / 4) * pauli for pauli in (oracle.X, oracle.Y, oracle.Z)
+    ]
+    rho = oracle.kron_chain([ground, memory, ground, ground])
+    rho = kraus(rho, depolarize, 0)
+    rho = gate(rho, oracle.X, [3])
+    rho = gate(rho, oracle.CNOT, [0, 1])
+    s = oracle.entropy_bits
+    mutual = (
+        s(oracle.ptrace(rho, [0], 4))
+        + s(oracle.ptrace(rho, [1], 4))
+        - s(oracle.ptrace(rho, [0, 1], 4))
+    )
+    for op, qubits in [
+        (oracle.CNOT, [0, 1]),
+        (oracle.X, [1]),
+        (oracle.CNOT, [1, 2]),
+        (oracle.X, [1]),
+        (oracle.CNOT, [1, 3]),
+        (oracle.CNOT, [0, 1]),
+    ]:
+        rho = gate(rho, op, qubits)
+    rho = kraus(rho, depolarize, 0)
+    # Work is the weight's excitation count above the one it starts with.
+    work = sum(np.trace(oracle.lift(one, [q], 4) @ rho).real for q in (2, 3)) - 1
+    pre = s(oracle.ptrace(rho, [1], 4))
+    if not skip_reset:
+        rho = kraus(rho, [ground, np.outer(oracle.KET0, oracle.KET1)], 1)
+    memory_out = oracle.ptrace(rho, [1], 4)
+    return mutual, work, pre, s(memory_out), memory_out
+
+
+ORACLE_MEMORIES = {
+    "blank": oracle.density(oracle.KET0),
+    "mixed": np.eye(2, dtype=complex) / 2,
+    **{f"random{k}": oracle.random_density(2, np.random.default_rng(k)) for k in range(3)},
+}
+
+
+class TestCycleOracle:
+    @pytest.mark.parametrize("skip_reset", [False, True])
+    @pytest.mark.parametrize("p", [0.0, 0.37, 1.0])
+    @pytest.mark.parametrize("memory", ORACLE_MEMORIES)
+    def test_cycle_matches_oracle(self, memory, p, skip_reset):
+        mat = ORACLE_MEMORIES[memory]
+        rec, memory_out = run_single_cycle(DensityMatrix(1, mat), skip_reset, p)
+        mutual, work, pre, post, want_out = reference_cycle(mat, skip_reset, p)
+        assert rec.cycle == 1 and rec.sampled_work is None
+        assert rec.mutual_info_particle_memory == pytest.approx(mutual, abs=1e-10)
+        assert rec.expected_work == pytest.approx(work, abs=1e-10)
+        assert rec.memory_entropy_pre_reset == pytest.approx(pre, abs=1e-10)
+        assert rec.memory_entropy_post == pytest.approx(post, abs=1e-10)
+        np.testing.assert_allclose(memory_out.mat, want_out, atol=1e-10)
 
 
 class TestCyclesWithErasure:
