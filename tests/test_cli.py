@@ -461,8 +461,10 @@ class TestMain:
         assert capsys.readouterr().err.startswith("usage error:")
 
 
-# Exact table output of eight invocations; a moved digit or iteration count
-# fails here even when a rerun still matches itself. "{unitary}" and
+# Exact output of ten invocations; a moved digit or iteration count fails
+# here even when a rerun still matches itself. The two 40-cycle `szilard`
+# ledgers were recorded from the engine that simulated every cycle and
+# sampled through a per-shot work array. "{unitary}" and
 # "{weak_unitary}" stand for saved partial SWAPs: exp(-ia SWAP) between loop
 # qubit 0 and system qubit 2, two loop qubits in all, at the angles below.
 # The weak one mixes too slowly for plain iteration.
@@ -576,6 +578,380 @@ cycle  expected_work  sampled_work  memory_entropy_pre_reset  memory_entropy_pos
 1      1                            1                         1                    1
 2      0                            1                         1                    0
 3      0                            1                         1                    0
+""",
+    ),
+    "szilard_sampled_csv": (
+        ["szilard", "--cycles", "40", "--skip-reset", "--shots", "1000", "--seed", "11",
+         "--format", "csv"],
+        """\
+cycle,expected_work,sampled_work,memory_entropy_pre_reset,memory_entropy_post,mutual_info_particle_memory
+1,1,1000,1,1,1
+2,0,-50,1,1,0
+3,0,-72,1,1,0
+4,0,-50,1,1,0
+5,0,28,1,1,0
+6,0,-26,1,1,0
+7,0,-20,1,1,0
+8,0,8,1,1,0
+9,0,-70,1,1,0
+10,0,-2,1,1,0
+11,0,36,1,1,0
+12,0,-8,1,1,0
+13,0,62,1,1,0
+14,0,-38,1,1,0
+15,0,-28,1,1,0
+16,0,-10,1,1,0
+17,0,16,1,1,0
+18,0,0,1,1,0
+19,0,-8,1,1,0
+20,0,-2,1,1,0
+21,0,-44,1,1,0
+22,0,28,1,1,0
+23,0,-14,1,1,0
+24,0,36,1,1,0
+25,0,48,1,1,0
+26,0,-12,1,1,0
+27,0,-36,1,1,0
+28,0,-12,1,1,0
+29,0,14,1,1,0
+30,0,56,1,1,0
+31,0,-24,1,1,0
+32,0,-30,1,1,0
+33,0,24,1,1,0
+34,0,40,1,1,0
+35,0,12,1,1,0
+36,0,0,1,1,0
+37,0,-2,1,1,0
+38,0,50,1,1,0
+39,0,54,1,1,0
+40,0,4,1,1,0
+""",
+    ),
+    "szilard_json": (
+        ["szilard", "--cycles", "40", "--format", "json"],
+        """\
+[
+  {
+    "cycle": 1,
+    "expected_work": 1.0,
+    "sampled_work": null,
+    "memory_entropy_pre_reset": 1.0,
+    "memory_entropy_post": 0.0,
+    "mutual_info_particle_memory": 1.0
+  },
+  {
+    "cycle": 2,
+    "expected_work": 1.0,
+    "sampled_work": null,
+    "memory_entropy_pre_reset": 1.0,
+    "memory_entropy_post": 0.0,
+    "mutual_info_particle_memory": 1.0
+  },
+  {
+    "cycle": 3,
+    "expected_work": 1.0,
+    "sampled_work": null,
+    "memory_entropy_pre_reset": 1.0,
+    "memory_entropy_post": 0.0,
+    "mutual_info_particle_memory": 1.0
+  },
+  {
+    "cycle": 4,
+    "expected_work": 1.0,
+    "sampled_work": null,
+    "memory_entropy_pre_reset": 1.0,
+    "memory_entropy_post": 0.0,
+    "mutual_info_particle_memory": 1.0
+  },
+  {
+    "cycle": 5,
+    "expected_work": 1.0,
+    "sampled_work": null,
+    "memory_entropy_pre_reset": 1.0,
+    "memory_entropy_post": 0.0,
+    "mutual_info_particle_memory": 1.0
+  },
+  {
+    "cycle": 6,
+    "expected_work": 1.0,
+    "sampled_work": null,
+    "memory_entropy_pre_reset": 1.0,
+    "memory_entropy_post": 0.0,
+    "mutual_info_particle_memory": 1.0
+  },
+  {
+    "cycle": 7,
+    "expected_work": 1.0,
+    "sampled_work": null,
+    "memory_entropy_pre_reset": 1.0,
+    "memory_entropy_post": 0.0,
+    "mutual_info_particle_memory": 1.0
+  },
+  {
+    "cycle": 8,
+    "expected_work": 1.0,
+    "sampled_work": null,
+    "memory_entropy_pre_reset": 1.0,
+    "memory_entropy_post": 0.0,
+    "mutual_info_particle_memory": 1.0
+  },
+  {
+    "cycle": 9,
+    "expected_work": 1.0,
+    "sampled_work": null,
+    "memory_entropy_pre_reset": 1.0,
+    "memory_entropy_post": 0.0,
+    "mutual_info_particle_memory": 1.0
+  },
+  {
+    "cycle": 10,
+    "expected_work": 1.0,
+    "sampled_work": null,
+    "memory_entropy_pre_reset": 1.0,
+    "memory_entropy_post": 0.0,
+    "mutual_info_particle_memory": 1.0
+  },
+  {
+    "cycle": 11,
+    "expected_work": 1.0,
+    "sampled_work": null,
+    "memory_entropy_pre_reset": 1.0,
+    "memory_entropy_post": 0.0,
+    "mutual_info_particle_memory": 1.0
+  },
+  {
+    "cycle": 12,
+    "expected_work": 1.0,
+    "sampled_work": null,
+    "memory_entropy_pre_reset": 1.0,
+    "memory_entropy_post": 0.0,
+    "mutual_info_particle_memory": 1.0
+  },
+  {
+    "cycle": 13,
+    "expected_work": 1.0,
+    "sampled_work": null,
+    "memory_entropy_pre_reset": 1.0,
+    "memory_entropy_post": 0.0,
+    "mutual_info_particle_memory": 1.0
+  },
+  {
+    "cycle": 14,
+    "expected_work": 1.0,
+    "sampled_work": null,
+    "memory_entropy_pre_reset": 1.0,
+    "memory_entropy_post": 0.0,
+    "mutual_info_particle_memory": 1.0
+  },
+  {
+    "cycle": 15,
+    "expected_work": 1.0,
+    "sampled_work": null,
+    "memory_entropy_pre_reset": 1.0,
+    "memory_entropy_post": 0.0,
+    "mutual_info_particle_memory": 1.0
+  },
+  {
+    "cycle": 16,
+    "expected_work": 1.0,
+    "sampled_work": null,
+    "memory_entropy_pre_reset": 1.0,
+    "memory_entropy_post": 0.0,
+    "mutual_info_particle_memory": 1.0
+  },
+  {
+    "cycle": 17,
+    "expected_work": 1.0,
+    "sampled_work": null,
+    "memory_entropy_pre_reset": 1.0,
+    "memory_entropy_post": 0.0,
+    "mutual_info_particle_memory": 1.0
+  },
+  {
+    "cycle": 18,
+    "expected_work": 1.0,
+    "sampled_work": null,
+    "memory_entropy_pre_reset": 1.0,
+    "memory_entropy_post": 0.0,
+    "mutual_info_particle_memory": 1.0
+  },
+  {
+    "cycle": 19,
+    "expected_work": 1.0,
+    "sampled_work": null,
+    "memory_entropy_pre_reset": 1.0,
+    "memory_entropy_post": 0.0,
+    "mutual_info_particle_memory": 1.0
+  },
+  {
+    "cycle": 20,
+    "expected_work": 1.0,
+    "sampled_work": null,
+    "memory_entropy_pre_reset": 1.0,
+    "memory_entropy_post": 0.0,
+    "mutual_info_particle_memory": 1.0
+  },
+  {
+    "cycle": 21,
+    "expected_work": 1.0,
+    "sampled_work": null,
+    "memory_entropy_pre_reset": 1.0,
+    "memory_entropy_post": 0.0,
+    "mutual_info_particle_memory": 1.0
+  },
+  {
+    "cycle": 22,
+    "expected_work": 1.0,
+    "sampled_work": null,
+    "memory_entropy_pre_reset": 1.0,
+    "memory_entropy_post": 0.0,
+    "mutual_info_particle_memory": 1.0
+  },
+  {
+    "cycle": 23,
+    "expected_work": 1.0,
+    "sampled_work": null,
+    "memory_entropy_pre_reset": 1.0,
+    "memory_entropy_post": 0.0,
+    "mutual_info_particle_memory": 1.0
+  },
+  {
+    "cycle": 24,
+    "expected_work": 1.0,
+    "sampled_work": null,
+    "memory_entropy_pre_reset": 1.0,
+    "memory_entropy_post": 0.0,
+    "mutual_info_particle_memory": 1.0
+  },
+  {
+    "cycle": 25,
+    "expected_work": 1.0,
+    "sampled_work": null,
+    "memory_entropy_pre_reset": 1.0,
+    "memory_entropy_post": 0.0,
+    "mutual_info_particle_memory": 1.0
+  },
+  {
+    "cycle": 26,
+    "expected_work": 1.0,
+    "sampled_work": null,
+    "memory_entropy_pre_reset": 1.0,
+    "memory_entropy_post": 0.0,
+    "mutual_info_particle_memory": 1.0
+  },
+  {
+    "cycle": 27,
+    "expected_work": 1.0,
+    "sampled_work": null,
+    "memory_entropy_pre_reset": 1.0,
+    "memory_entropy_post": 0.0,
+    "mutual_info_particle_memory": 1.0
+  },
+  {
+    "cycle": 28,
+    "expected_work": 1.0,
+    "sampled_work": null,
+    "memory_entropy_pre_reset": 1.0,
+    "memory_entropy_post": 0.0,
+    "mutual_info_particle_memory": 1.0
+  },
+  {
+    "cycle": 29,
+    "expected_work": 1.0,
+    "sampled_work": null,
+    "memory_entropy_pre_reset": 1.0,
+    "memory_entropy_post": 0.0,
+    "mutual_info_particle_memory": 1.0
+  },
+  {
+    "cycle": 30,
+    "expected_work": 1.0,
+    "sampled_work": null,
+    "memory_entropy_pre_reset": 1.0,
+    "memory_entropy_post": 0.0,
+    "mutual_info_particle_memory": 1.0
+  },
+  {
+    "cycle": 31,
+    "expected_work": 1.0,
+    "sampled_work": null,
+    "memory_entropy_pre_reset": 1.0,
+    "memory_entropy_post": 0.0,
+    "mutual_info_particle_memory": 1.0
+  },
+  {
+    "cycle": 32,
+    "expected_work": 1.0,
+    "sampled_work": null,
+    "memory_entropy_pre_reset": 1.0,
+    "memory_entropy_post": 0.0,
+    "mutual_info_particle_memory": 1.0
+  },
+  {
+    "cycle": 33,
+    "expected_work": 1.0,
+    "sampled_work": null,
+    "memory_entropy_pre_reset": 1.0,
+    "memory_entropy_post": 0.0,
+    "mutual_info_particle_memory": 1.0
+  },
+  {
+    "cycle": 34,
+    "expected_work": 1.0,
+    "sampled_work": null,
+    "memory_entropy_pre_reset": 1.0,
+    "memory_entropy_post": 0.0,
+    "mutual_info_particle_memory": 1.0
+  },
+  {
+    "cycle": 35,
+    "expected_work": 1.0,
+    "sampled_work": null,
+    "memory_entropy_pre_reset": 1.0,
+    "memory_entropy_post": 0.0,
+    "mutual_info_particle_memory": 1.0
+  },
+  {
+    "cycle": 36,
+    "expected_work": 1.0,
+    "sampled_work": null,
+    "memory_entropy_pre_reset": 1.0,
+    "memory_entropy_post": 0.0,
+    "mutual_info_particle_memory": 1.0
+  },
+  {
+    "cycle": 37,
+    "expected_work": 1.0,
+    "sampled_work": null,
+    "memory_entropy_pre_reset": 1.0,
+    "memory_entropy_post": 0.0,
+    "mutual_info_particle_memory": 1.0
+  },
+  {
+    "cycle": 38,
+    "expected_work": 1.0,
+    "sampled_work": null,
+    "memory_entropy_pre_reset": 1.0,
+    "memory_entropy_post": 0.0,
+    "mutual_info_particle_memory": 1.0
+  },
+  {
+    "cycle": 39,
+    "expected_work": 1.0,
+    "sampled_work": null,
+    "memory_entropy_pre_reset": 1.0,
+    "memory_entropy_post": 0.0,
+    "mutual_info_particle_memory": 1.0
+  },
+  {
+    "cycle": 40,
+    "expected_work": 1.0,
+    "sampled_work": null,
+    "memory_entropy_pre_reset": 1.0,
+    "memory_entropy_post": 0.0,
+    "mutual_info_particle_memory": 1.0
+  }
+]
 """,
     ),
     "epr": (

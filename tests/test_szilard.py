@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import oracle
 
+from paradoxlab import szilard
 from paradoxlab.circuit import run_density
 from paradoxlab.errors import (
     BadMemoryState,
@@ -246,6 +250,44 @@ class TestCyclesWithoutErasure:
         assert mutual_information(pair, [0], [1]) == pytest.approx(0.0, abs=1e-9)
 
 
+class SimulationSpy:
+    """Counts ``run_single_cycle`` calls and keeps the memory the last one returned."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        self.last_memory = None
+        monkeypatch.setattr(szilard, "run_single_cycle", self)
+
+    def __call__(self, *args):
+        self.calls += 1
+        rec, self.last_memory = run_single_cycle(*args)
+        return rec, self.last_memory
+
+
+class TestRecordReuse:
+    @pytest.mark.parametrize("skip_reset", [False, True])
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.7, 1.0])
+    def test_ledger_equals_every_cycle_simulated(self, p, skip_reset, monkeypatch):
+        memory = basis_state(1).density()
+        want = []
+        for k in range(1, 13):
+            rec, memory = run_single_cycle(memory, skip_reset, p)
+            want.append(replace(rec, cycle=k))
+        spy = SimulationSpy(monkeypatch)
+        ledger = run_cycles(SzilardConfig(cycles=12, skip_reset=skip_reset, depolarize_p=p))
+        assert list(ledger.records) == want
+        # A reused cycle leaves the memory as it was, so the last simulated
+        # cycle's output is the ledger's final memory.
+        assert spy.last_memory.mat.tobytes() == memory.mat.tobytes()
+
+    @pytest.mark.parametrize("skip_reset, most", [(False, 1), (True, 2)])
+    def test_standard_engine_simulates_at_most_two_cycles(self, skip_reset, most, monkeypatch):
+        spy = SimulationSpy(monkeypatch)
+        ledger = run_cycles(SzilardConfig(cycles=40, skip_reset=skip_reset))
+        assert len(ledger.records) == 40
+        assert 1 <= spy.calls <= most
+
+
 class TestTrajectorySampling:
     def test_first_cycle_always_wins(self):
         ledger = run_cycles(SzilardConfig(cycles=1), shots=500, seed=3)
@@ -259,6 +301,33 @@ class TestTrajectorySampling:
         a = run_cycles(SzilardConfig(cycles=3, skip_reset=True), shots=200, seed=9)
         b = run_cycles(SzilardConfig(cycles=3, skip_reset=True), shots=200, seed=9)
         assert [r.sampled_work for r in a.records] == [r.sampled_work for r in b.records]
+
+    # Totals recorded from the sampler that built a per-shot int64 work array.
+    @pytest.mark.parametrize(
+        "seed, skip_reset, p, totals",
+        [
+            (5, True, 1.0, [1000, 28, -48, -52, 0, 0]),
+            (5, True, 0.3, [1000, 708, 494, 350, 284, 194]),
+            (5, False, 0.7, [1000] * 6),
+            (2024, True, 1.0, [1000, -10, -60, 2, -36, -44]),
+            (2024, True, 0.3, [1000, 686, 506, 338, 258, 190]),
+            (2024, False, 0.7, [1000] * 6),
+        ],
+    )
+    def test_pinned_totals(self, seed, skip_reset, p, totals):
+        cfg = SzilardConfig(cycles=6, skip_reset=skip_reset, depolarize_p=p)
+        ledger = run_cycles(cfg, shots=1000, seed=seed)
+        assert [r.sampled_work for r in ledger.records] == totals
+
+    def test_memory_per_shot(self):
+        # ~12 bytes per shot: a float64 draw plus one-byte flags and memory.
+        tracemalloc.start()
+        try:
+            run_cycles(SzilardConfig(cycles=3, skip_reset=True), shots=1_000_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     def test_exact_mode_leaves_samples_unset(self):
         ledger = run_cycles(SzilardConfig(cycles=1))
