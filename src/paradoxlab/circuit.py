@@ -242,7 +242,9 @@ class Circuit:
         for item in doc.get("instructions", []):
             op = item["op"]
             if op == "unitary":
-                gate = make_gate(item["kind"], item.get("theta"))
+                theta = item.get("theta")
+                theta = None if theta is None else qmath._finite(theta, "theta")
+                gate = make_gate(item["kind"], theta)
                 c.append_gate(gate, [whole(t, "target") for t in item["targets"]])
             elif op == "channel":
                 dim = whole(item["dim"], "dim")

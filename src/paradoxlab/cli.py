@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import ctc, epr, szilard
-from .circuit import Circuit, run_density, sample
+from .circuit import Circuit, sample
 from .descriptor import locality_audit
 from .errors import NoConvergence, ParadoxLabError, UsageError
 from .qmath import SOLVE_TOL, load_unitary, matrix_to_entries
@@ -294,8 +294,7 @@ def _cmd_epr(inv: CliInvocation):
     rows.append(("shots", inv.shots))
     rows.append(("seed", inv.seed))
     if inv.shots > 0:
-        result = run_density(epr.build_epr_circuit(cfg))
-        counts = sample(result, inv.shots, inv.seed)
+        counts = sample(report.run, inv.shots, inv.seed)
         payload["counts"] = counts
         for key in sorted(counts):
             rows.append((f"counts[{key}]", counts[key]))
@@ -370,25 +369,17 @@ def _cmd_ctc_solve(inv: CliInvocation):
     except (OSError, ValueError, KeyError, TypeError, ParadoxLabError) as exc:
         raise UsageError(f"--unitary: {exc}")
     n_total = int(u.shape[0]).bit_length() - 1
-    if 2**n_total != u.shape[0]:
-        raise UsageError("--unitary: matrix dimension must be a power of two")
     label = inv.flags.get("system_state")
+    system, n_sys = None, 0
+    if label is not None:
+        if n_total < 2:
+            raise UsageError("--system-state: the unitary must act on at least two qubits")
+        system, n_sys = ctc.state_from_label(str(label)).density(), 1
     try:
-        if label is None:
-            problem = ctc.CtcProblem(u, None, 0, n_total)
-            measure: List[int] = []
-        else:
-            if n_total < 2:
-                raise UsageError(
-                    "--system-state: the unitary must act on at least two qubits"
-                )
-            system = ctc.state_from_label(str(label)).density()
-            problem = ctc.CtcProblem(u, system, 1, n_total - 1)
-            measure = [problem.n_loop]
-    except UsageError:
-        raise
+        problem = ctc.CtcProblem(u, system, n_sys, n_total - n_sys)
     except ParadoxLabError as exc:
         raise UsageError(f"--unitary: {exc}")
+    measure = [problem.n_loop] if n_sys else []
     tol = float(inv.flags["tol"])
     return _ctc_report(ctc.run_ctc_circuit(problem, measure, tol=tol))
 
@@ -441,12 +432,7 @@ def execute(inv: CliInvocation) -> Tuple[str, int]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
     try:
-        inv = parse(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        text, code = execute(inv)
+        text, code = execute(parse(args))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -14,6 +14,7 @@ high ones, so a joint state is kron(system, loop).
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -43,15 +44,9 @@ from .qmath import (
     vn_entropy_bits,
 )
 
-STATE_LABELS = ("0", "1", "+", "-")
-
-_SQ2 = 1.0 / np.sqrt(2.0)
-_KETS: Dict[str, np.ndarray] = {
-    "0": np.array([1.0, 0.0], dtype=complex),
-    "1": np.array([0.0, 1.0], dtype=complex),
-    "+": np.array([_SQ2, _SQ2], dtype=complex),
-    "-": np.array([_SQ2, -_SQ2], dtype=complex),
-}
+# Gates that prepare each labelled state from |0>, applied in order.
+_PREPARE = {"0": "", "1": "x", "+": "h", "-": "hz"}
+STATE_LABELS = tuple(_PREPARE)
 
 # Loop registers larger than this skip the superoperator machinery.
 _MAX_EIGEN_LOOP = 4
@@ -61,11 +56,18 @@ _ITERATION_BUDGET = 300
 MAX_PROBLEM_QUBITS = 6
 
 
+def _prepare(c: Circuit, label: str, q: int) -> Circuit:
+    """Append the gates that take qubit ``q`` from |0> to the labelled state."""
+    for gate in _PREPARE[label]:
+        getattr(c, gate)(q)
+    return c
+
+
 def state_from_label(label: str) -> StateVector:
     """One of the four standard single-qubit states by its text label."""
-    if label not in _KETS:
+    if label not in _PREPARE:
         raise BadLabel(f"unknown state label {label!r}, expected one of 0 1 + -")
-    return StateVector(1, _KETS[label])
+    return StateVector(1, circuit_unitary(_prepare(Circuit(1), label, 0))[:, 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,6 +177,12 @@ def _to_state(mat: np.ndarray) -> Optional[np.ndarray]:
     return (vecs * vals) @ adjoint(vecs)
 
 
+def _fresh_zeros(rows: int, cols: int) -> np.ndarray:
+    """Float zeros on a new anonymous mapping. Pages no step writes never become
+    resident; np.zeros on recycled heap memory would clear, and so touch, them all."""
+    return np.frombuffer(mmap.mmap(-1, 8 * rows * cols), dtype=float).reshape(rows, cols)
+
+
 def _gmres_fixed_point(apply: Callable, d: int, tol: float) -> Tuple[np.ndarray, int]:
     """GMRES on (S - I) x = 0 from I/d (Brown & Walker 1997): x, Krylov dimension.
     Corrections stay in the traceless range(S - I), so x is the iterates' Cesaro
@@ -189,12 +197,12 @@ def _gmres_fixed_point(apply: Callable, d: int, tol: float) -> Tuple[np.ndarray,
     r0 = -op(np.eye(d).reshape(-1) / d)
     beta = float(np.linalg.norm(r0))
     floor = d * np.finfo(float).eps * beta  # below the map's rounding: nothing to gain
-    basis = (r0 / beta)[None, :]  # rows: orthonormal Krylov basis
-    rot, tri = np.ones((1, 1)), np.zeros((1, 1))  # Givens product, rotated Hessenberg
+    bound = d * d + 1  # storage is sized once, at the Krylov bound
+    basis = _fresh_zeros(bound, d * d)  # rows: orthonormal Krylov basis
+    rot = _fresh_zeros(bound, bound)  # Givens product
+    tri = _fresh_zeros(bound, bound)  # rotated Hessenberg, upper triangular
+    basis[0], rot[0, 0] = r0 / beta, 1.0
     for k in range(d * d):
-        if k + 1 == len(basis):  # double the storage; no step copies the basis
-            basis = np.pad(basis, ((0, k + 1), (0, 0)))
-            rot, tri = np.pad(rot, (0, k + 1)), np.pad(tri, (0, k + 1))
         w = op(basis[k])
         h = basis[:k + 1] @ w  # classical Gram-Schmidt, run twice
         w -= h @ basis[:k + 1]
@@ -377,25 +385,16 @@ def classical_control_demo(input_label: str, protocol: str) -> Circuit:
     what makes the pre-seeding legitimate.
     """
     if protocol == "single":
-        if input_label == "0":
-            c = Circuit(2, 1)
-        elif input_label == "-":
-            c = Circuit(2, 1).h(1).z(1).x(0)
-        else:
-            raise BadLabel(
-                f"single-state demo takes labels 0 or -, got {input_label!r}"
-            )
+        if input_label not in ("0", "-"):
+            raise BadLabel(f"single-state demo takes labels 0 or -, got {input_label!r}")
+        c = _prepare(Circuit(2, 1), input_label, 1)
+        if input_label == "-":
+            c.x(0)
         return _distinguisher_gates(c).measure(1, 0)
     if protocol == "bb84":
         if input_label not in STATE_LABELS:
             raise BadLabel(f"unknown state label {input_label!r}")
-        c = Circuit(4, 2)
-        if input_label == "1":
-            c.x(2)
-        elif input_label == "+":
-            c.h(2)
-        elif input_label == "-":
-            c.h(2).z(2)
+        c = _prepare(Circuit(4, 2), input_label, 2)
         # loop claim (m0 = basis, m1 = value) matching the input
         if input_label in ("+", "-"):
             c.x(0)

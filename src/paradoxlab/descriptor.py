@@ -16,11 +16,10 @@ from typing import Callable, Dict, List, Tuple
 import numpy as np
 
 from . import qmath
-from .circuit import MAX_QUBITS, Circuit, Instruction, circuit_unitary, make_gate, validate
+from .circuit import MAX_QUBITS, Circuit, Instruction, _require_valid, circuit_unitary, make_gate
 from .errors import (
     BadParams,
     BadTargets,
-    InvalidCircuit,
     NonUnitaryInstruction,
     ShapeMismatch,
     TooManyQubits,
@@ -98,9 +97,7 @@ class AuditReport:
 
 def locality_audit(c: Circuit) -> AuditReport:
     """Advance a frame through ``c`` and bound the off-support drift per step."""
-    problems = validate(c)
-    if problems:
-        raise InvalidCircuit(problems)
+    _require_valid(c)
     frame = init_frame(c.n_qubits)
     steps: List[AuditStep] = []
     for i, instr in enumerate(c.instructions):

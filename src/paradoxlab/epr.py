@@ -11,12 +11,12 @@ off the collapsed qubits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, NamedTuple, Sequence
 
 import numpy as np
 
-from .circuit import Circuit, make_gate, run_density
+from .circuit import Circuit, RunResult, make_gate, run_density
 from .descriptor import dependence_probe
 from .errors import BadParams, InvalidState
 from .qmath import NORM_ATOL, _apply_op
@@ -139,13 +139,15 @@ class EprReport:
     p_check_one: float
     correlation: float
     dependence: Dict[str, Dict[str, bool]]
+    run: RunResult = field(repr=False, compare=False)  # the deferred circuit's run
 
 
 def info_flow_report(cfg: EprConfig) -> EprReport:
     """Check statistics plus which angles each tracked qubit's record carries.
 
     Memory qubits are probed on the circuit truncated before the parity
-    gates; the check qubit on the full circuit.
+    gates; the check qubit on the full circuit. The statistics come from one
+    run of the deferred circuit, returned as ``run``.
     """
     if not cfg.deferred:
         raise BadParams("information flow is tracked on the all-unitary form")
@@ -165,5 +167,6 @@ def info_flow_report(cfg: EprConfig) -> EprReport:
         raise RuntimeError("a memory record depends on the far side's angle")
     if not (dependence["check"]["theta"] and dependence["check"]["phi"]):
         raise RuntimeError("the parity record lost an angle dependence")
-    p_one = check_distribution(cfg)
-    return EprReport(cfg.theta, cfg.phi, p_one, 1.0 - 2.0 * p_one, dependence)
+    run = run_density(build_epr_circuit(cfg))
+    p_one = run.distribution.get("1", 0.0)
+    return EprReport(cfg.theta, cfg.phi, p_one, 1.0 - 2.0 * p_one, dependence, run)

@@ -9,6 +9,7 @@ six qubits, so dense is always fine.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Sequence
@@ -287,6 +288,16 @@ def _whole(value, what: str) -> int:
     return int(value)
 
 
+def _finite(value, what: str):
+    """An angle or matrix entry read from a file: a finite int or float, never a bool or string."""
+    # One comparison refuses NaN, infinities and ints too large for a float.
+    if isinstance(value, bool) or not (
+        isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    ):
+        raise BadParams(f"{what} {value!r} is not a finite number")
+    return value
+
+
 def matrix_to_entries(m: np.ndarray) -> list:
     """Row-major [[re, im], ...] listing of a square complex matrix."""
     m = np.asarray(m, dtype=complex)
@@ -296,23 +307,25 @@ def matrix_to_entries(m: np.ndarray) -> list:
 def entries_to_matrix(dim: int, entries: Sequence[Sequence[float]]) -> np.ndarray:
     if len(entries) != dim * dim:
         raise DimensionMismatch(f"expected {dim * dim} entries, got {len(entries)}")
-    flat = np.array([complex(re, im) for re, im in entries])
-    if not np.all(np.isfinite(flat)):
-        raise InvalidState("matrix file contains non-finite entries")
-    return flat.reshape(dim, dim)
+    flat = [
+        complex(_finite(re, "entry real part"), _finite(im, "entry imaginary part"))
+        for re, im in entries
+    ]
+    return np.array(flat).reshape(dim, dim)
 
 
 def save_unitary(path: str, m: np.ndarray) -> None:
     m = np.asarray(m, dtype=complex)
     if not is_unitary(m):
         raise NonUnitary("refusing to save a non-unitary matrix")
+    _qubit_count(m.shape[0], "matrix")
     payload = {"dim": int(m.shape[0]), "entries": matrix_to_entries(m)}
     with open(path, "w") as fh:
         json.dump(payload, fh)
 
 
 def load_unitary(path: str) -> np.ndarray:
-    """Read a matrix file and validate unitarity on load."""
+    """Read a matrix file; its dimension must be a power of two and the matrix unitary."""
     with open(path) as fh:
         data = json.load(fh)
     try:
@@ -320,6 +333,7 @@ def load_unitary(path: str) -> np.ndarray:
         entries = data["entries"]
     except (KeyError, TypeError) as exc:
         raise DimensionMismatch(f"malformed matrix file: {exc}") from exc
+    _qubit_count(dim, "matrix")
     m = entries_to_matrix(dim, entries)
     if not is_unitary(m):
         raise NonUnitary(f"matrix in {path} fails the unitarity check")

@@ -134,14 +134,6 @@ class CycleLedger:
     def total_expected_work(self) -> float:
         return sum(rec.expected_work for rec in self.records)
 
-    def to_dict(self) -> dict:
-        return {
-            "records": [rec.to_dict() for rec in self.records],
-            "shots": self.shots,
-            "seed": self.seed,
-            "total_expected_work": self.total_expected_work,
-        }
-
 
 def _check_memory(memory_in: DensityMatrix) -> None:
     if not isinstance(memory_in, DensityMatrix) or memory_in.n != 1:

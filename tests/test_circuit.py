@@ -317,6 +317,14 @@ class TestDepolarizing:
         np.testing.assert_allclose(r.final_state.mat, want, atol=1e-12)
 
 
+def rx_doc(theta):
+    """One-qubit circuit document holding a single RX at ``theta``."""
+    return {
+        "n_qubits": 1,
+        "instructions": [{"op": "unitary", "kind": "RX", "theta": theta, "targets": [0]}],
+    }
+
+
 class TestSerialization:
     def build(self):
         c = Circuit(3, 2)
@@ -408,6 +416,24 @@ class TestSerialization:
                     "instructions": [{"op": "measure", "target": 0, "clbit": False}],
                 },
             ),
+            # An angle is any finite number, but still not a boolean or a string.
+            ("theta", rx_doc(True)),
+            ("theta", rx_doc("0.3")),
+            ("theta", rx_doc(float("nan"))),
+            (
+                "entry real part",
+                {
+                    "n_qubits": 1,
+                    "instructions": [
+                        {
+                            "op": "channel",
+                            "dim": 2,
+                            "operators": [[[True, 0], [0, 0], [0, 0], [1, 0]]],
+                            "targets": [0],
+                        }
+                    ],
+                },
+            ),
         ],
     )
     def test_fractional_number_rejected(self, field, doc):
@@ -423,6 +449,9 @@ class TestSerialization:
         c = Circuit.from_dict(doc)
         assert (c.n_qubits, c.n_clbits) == (2, 1)
         assert (c.instructions[0].targets, c.instructions[0].clbit) == ((1,), 0)
+
+    def test_integer_angle_accepted(self):
+        assert Circuit.from_dict(rx_doc(1)).instructions[0].gate.theta == 1.0
 
 
 class TestCircuitUnitary:

@@ -4,12 +4,14 @@ import hashlib
 import io
 import json
 import math
+import sys
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+from paradoxlab import circuit
 from paradoxlab.circuit import Circuit, circuit_unitary
 from paradoxlab.cli import execute, main, parse
 from paradoxlab.ctc import distinguisher_unitary
@@ -163,6 +165,21 @@ class TestEprCommand:
         jsonschema.validate(payload, load_schema("epr"))
         assert sum(payload["counts"].values()) == 100
         assert payload["shots"] == 100 and payload["seed"] == 5
+
+    def test_shots_sample_the_reports_own_run(self, monkeypatch):
+        """One density simulation per `epr --shots`, counted in every module that binds it."""
+        calls = []
+        original = circuit.run_density
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("paradoxlab") and getattr(module, "run_density", None) is original:
+                monkeypatch.setattr(module, "run_density", counted)
+        execute(parse(["epr", "--theta", "0.3", "--phi", "0.2", "--shots", "10"]))
+        assert len(calls) == 1
 
     def test_table_and_csv_rows_match(self):
         table, _ = execute(parse(["epr", "--theta", "0", "--phi", "0"]))
@@ -439,6 +456,26 @@ class TestMain:
                 '{"dim": "2", "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]}',
             ),
             ("ctc solve --unitary", '{"dim": true, "entries": [[1, 0]]}'),
+            (
+                "audit-locality --circuit",
+                '{"n_qubits": 1, "instructions": '
+                '[{"op": "unitary", "kind": "RX", "theta": true, "targets": [0]}]}',
+            ),
+            (
+                "audit-locality --circuit",
+                '{"n_qubits": 1, "instructions": '
+                '[{"op": "unitary", "kind": "RX", "theta": "0.3", "targets": [0]}]}',
+            ),
+            (
+                "ctc solve --unitary",
+                '{"dim": 2, "entries": '
+                '[[true, false], [false, false], [false, false], [true, false]]}',
+            ),
+            (
+                "ctc solve --unitary",
+                '{"dim": 3, "entries": [[0, 0], [0, 0], [1, 0], [1, 0], [0, 0], [0, 0], '
+                '[0, 0], [1, 0], [0, 0]]}',
+            ),
         ],
         ids=[
             "empty-object",
@@ -452,6 +489,10 @@ class TestMain:
             "string-counts",
             "string-dim",
             "boolean-dim",
+            "boolean-angle",
+            "string-angle",
+            "boolean-entries",
+            "three-dim-permutation",
         ],
     )
     def test_malformed_input_file_is_usage_error(self, command, text, tmp_path, capsys):
@@ -461,7 +502,7 @@ class TestMain:
         assert capsys.readouterr().err.startswith("usage error:")
 
 
-# Exact output of ten invocations; a moved digit or iteration count fails
+# Exact output of eleven invocations; a moved digit or iteration count fails
 # here even when a rerun still matches itself. The two 40-cycle `szilard`
 # ledgers were recorded from the engine that simulated every cycle and
 # sampled through a per-shot work array. "{unitary}" and
@@ -970,6 +1011,38 @@ dependence.check.theta         true
 dependence.check.phi           true
 shots                          0
 seed                           0
+""",
+    ),
+    "epr_shots_json": (
+        ["epr", "--theta", "0.3", "--phi", "0.2", "--shots", "500", "--seed", "7",
+         "--format", "json"],
+        """\
+{
+  "theta": 0.3,
+  "phi": 0.2,
+  "p_check_one": 0.0612087191,
+  "correlation": 0.877582562,
+  "dependence": {
+    "alice_memory": {
+      "theta": true,
+      "phi": false
+    },
+    "bob_memory": {
+      "theta": false,
+      "phi": true
+    },
+    "check": {
+      "theta": true,
+      "phi": true
+    }
+  },
+  "shots": 500,
+  "seed": 7,
+  "counts": {
+    "0": 463,
+    "1": 37
+  }
+}
 """,
     ),
     "epr_sweep": (

@@ -315,6 +315,27 @@ class TestMatrixFile:
         with pytest.raises(BadParams, match="dim"):
             qmath.load_unitary(str(path))
 
+    @pytest.mark.parametrize(
+        "entry, field",
+        [([True, 0.0], "real part"), ([1.0, "0"], "imaginary part"), ([float("nan"), 0.0], "real")],
+        ids=["boolean", "string", "nan"],
+    )
+    def test_rejects_entry_that_is_not_a_finite_number(self, entry, field, tmp_path):
+        path = tmp_path / "bad.json"
+        entries = [entry, [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+        path.write_text(json.dumps({"dim": 2, "entries": entries}))
+        with pytest.raises(BadParams, match=field):
+            qmath.load_unitary(str(path))
+
+    def test_refuses_dimension_that_is_not_a_power_of_two(self, tmp_path):
+        perm = np.eye(3)[:, [1, 2, 0]]
+        path = tmp_path / "perm.json"
+        with pytest.raises(DimensionMismatch, match="power of two"):
+            qmath.save_unitary(str(path), perm)
+        path.write_text(json.dumps({"dim": 3, "entries": qmath.matrix_to_entries(perm)}))
+        with pytest.raises(DimensionMismatch, match="power of two"):
+            qmath.load_unitary(str(path))
+
     def test_rejects_bad_shape(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"dim": 2, "entries": [[1.0, 0.0]]}')
