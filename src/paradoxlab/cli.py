@@ -17,8 +17,10 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from dataclasses import fields
+from pathlib import Path
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -136,27 +138,16 @@ def build_parser() -> _Parser:
 _PARSER = build_parser()
 
 
-@dataclass(frozen=True)
-class CliInvocation:
-    command: str
-    flags: Dict[str, object] = field(default_factory=dict)
-    format: str = "table"
-    shots: int = 0
-    seed: int = 0
-
-
-_CONSUMED = {"command", "epr_command", "ctc_command", "format", "shots", "seed"}
-
-
-def parse(argv: Sequence[str]) -> CliInvocation:
+def parse(argv: Sequence[str]) -> argparse.Namespace:
+    """argparse's namespace for ``argv``, with ``command`` naming the handler
+    (``ctc bb84`` becomes ``ctc-bb84``, ``epr sweep`` becomes ``epr-sweep``)."""
     args = list(argv)
     if args[:2] == ["epr", "sweep"]:
         args = ["epr-sweep"] + args[2:]
     ns = _PARSER.parse_args(args)
-    command = ns.command
-    if command == "ctc":
-        command = f"ctc-{ns.ctc_command}"
-    if command == "epr":
+    if ns.command == "ctc":
+        ns.command = "ctc-" + vars(ns).pop("ctc_command")
+    if ns.command == "epr":
         missing = [
             flag
             for flag, value in (("--theta", ns.theta), ("--phi", ns.phi))
@@ -169,24 +160,17 @@ def parse(argv: Sequence[str]) -> CliInvocation:
         for flag, value in (("--theta", ns.theta), ("--phi", ns.phi)):
             if not math.isfinite(value):
                 raise UsageError(f"argument {flag}: must be finite")
-    if command == "epr-sweep" and ns.theta_steps * ns.phi_steps > MAX_SWEEP_POINTS:
+    if ns.command == "epr-sweep" and ns.theta_steps * ns.phi_steps > MAX_SWEEP_POINTS:
         raise UsageError(
             f"--theta-steps x --phi-steps is {ns.theta_steps * ns.phi_steps} grid points,"
             f" above the limit of {MAX_SWEEP_POINTS}"
         )
-    if command == "szilard" and ns.cycles * ns.shots > MAX_SHOT_CYCLES:
+    if ns.command == "szilard" and ns.cycles * ns.shots > MAX_SHOT_CYCLES:
         raise UsageError(
             f"--cycles x --shots is {ns.cycles * ns.shots} sampled shot-cycles,"
             f" above the limit of {MAX_SHOT_CYCLES}"
         )
-    flags = {k: v for k, v in vars(ns).items() if k not in _CONSUMED}
-    return CliInvocation(
-        command=command,
-        flags=flags,
-        format=getattr(ns, "format", "table"),
-        shots=getattr(ns, "shots", 0),
-        seed=getattr(ns, "seed", 0),
-    )
+    return ns
 
 
 def _round_float(value: float, sig: int = _JSON_SIG) -> float:
@@ -251,7 +235,7 @@ def _render_csv(headers: Sequence[str], rows: Sequence[Row]) -> str:
     return buffer.getvalue()
 
 
-def _render(inv: CliInvocation, payload, headers, rows) -> str:
+def _render(inv: argparse.Namespace, payload, headers, rows) -> str:
     if inv.format == "json":
         return _render_json(payload)
     if inv.format == "csv":
@@ -259,19 +243,19 @@ def _render(inv: CliInvocation, payload, headers, rows) -> str:
     return _render_table(headers, rows)
 
 
-def _read_label(inv: CliInvocation, allowed: Sequence[str]) -> str:
-    if inv.flags.get("prompt"):
+def _read_label(inv: argparse.Namespace, allowed: Sequence[str]) -> str:
+    if inv.prompt:
         label = sys.stdin.readline().strip()
         if label not in allowed:
             raise UsageError(
                 f"prompt input {label!r} is not one of {', '.join(allowed)}"
             )
         return label
-    return str(inv.flags["input"])
+    return inv.input
 
 
-def _cmd_epr(inv: CliInvocation):
-    cfg = epr.EprConfig(float(inv.flags["theta"]), float(inv.flags["phi"]))
+def _cmd_epr(inv: argparse.Namespace):
+    cfg = epr.EprConfig(inv.theta, inv.phi)
     report = epr.info_flow_report(cfg)
     payload = {
         "theta": report.theta,
@@ -301,9 +285,9 @@ def _cmd_epr(inv: CliInvocation):
     return payload, ("field", "value"), rows, 0
 
 
-def _cmd_epr_sweep(inv: CliInvocation):
-    thetas = np.linspace(-math.pi, math.pi, int(inv.flags["theta_steps"]))
-    phis = np.linspace(-math.pi, math.pi, int(inv.flags["phi_steps"]))
+def _cmd_epr_sweep(inv: argparse.Namespace):
+    thetas = np.linspace(-math.pi, math.pi, inv.theta_steps)
+    phis = np.linspace(-math.pi, math.pi, inv.phi_steps)
     points = epr.sweep(thetas, phis)
     payload = {
         "rows": [
@@ -315,10 +299,8 @@ def _cmd_epr_sweep(inv: CliInvocation):
     return payload, ("theta", "phi", "p_check_one"), rows, 0
 
 
-def _cmd_szilard(inv: CliInvocation):
-    cfg = szilard.SzilardConfig(
-        cycles=int(inv.flags["cycles"]), skip_reset=bool(inv.flags["skip_reset"])
-    )
+def _cmd_szilard(inv: argparse.Namespace):
+    cfg = szilard.SzilardConfig(cycles=inv.cycles, skip_reset=inv.skip_reset)
     ledger = szilard.run_cycles(cfg, shots=inv.shots, seed=inv.seed)
     payload = [rec.to_dict() for rec in ledger.records]
     headers = tuple(f.name for f in fields(szilard.CycleRecord))
@@ -326,7 +308,11 @@ def _cmd_szilard(inv: CliInvocation):
     return payload, headers, rows, 0
 
 
-def _ctc_report(result: ctc.CtcRunResult):
+def _ctc_report(problem: ctc.CtcProblem, tol: float = SOLVE_TOL):
+    """Solve ``problem``'s loop and read out every system qubit, lowest first."""
+    result = ctc.run_ctc_circuit(
+        problem, range(problem.n_loop, problem.n_loop + problem.n_sys), tol=tol
+    )
     sol = result.solution
     payload = {
         "distribution": dict(result.distribution),
@@ -349,52 +335,45 @@ def _ctc_report(result: ctc.CtcRunResult):
     return payload, ("field", "value"), rows, 0
 
 
-def _cmd_ctc_distinguish(inv: CliInvocation):
-    label = _read_label(inv, ("0", "-"))
-    problem = ctc.distinguisher_problem(label)
-    return _ctc_report(ctc.run_ctc_circuit(problem, [problem.n_loop]))
+def _cmd_ctc_distinguish(inv: argparse.Namespace):
+    return _ctc_report(ctc.distinguisher_problem(_read_label(inv, ("0", "-"))))
 
 
-def _cmd_ctc_bb84(inv: CliInvocation):
-    label = _read_label(inv, ctc.STATE_LABELS)
-    problem = ctc.bb84_problem(label)
-    measure = [problem.n_loop, problem.n_loop + 1]
-    return _ctc_report(ctc.run_ctc_circuit(problem, measure))
+def _cmd_ctc_bb84(inv: argparse.Namespace):
+    return _ctc_report(ctc.bb84_problem(_read_label(inv, ctc.STATE_LABELS)))
 
 
-def _cmd_ctc_solve(inv: CliInvocation):
-    path = str(inv.flags["unitary"])
+@contextmanager
+def _input_file(flag: str):
+    """Report a failure to read ``flag``'s file, or to build from it, as a
+    usage error; a file nested too deeply to parse is one of them."""
     try:
-        u = load_unitary(path)
-    except (OSError, ValueError, KeyError, TypeError, ParadoxLabError) as exc:
-        raise UsageError(f"--unitary: {exc}")
-    n_total = int(u.shape[0]).bit_length() - 1
-    label = inv.flags.get("system_state")
+        yield
+    except (OSError, ValueError, KeyError, TypeError, RecursionError, ParadoxLabError) as exc:
+        raise UsageError(f"{flag}: {exc}")
+
+
+def _cmd_ctc_solve(inv: argparse.Namespace):
+    with _input_file("--unitary"):
+        u = load_unitary(inv.unitary)
+    n_total = u.shape[0].bit_length() - 1
     system, n_sys = None, 0
-    if label is not None:
+    if inv.system_state is not None:
         if n_total < 2:
             raise UsageError("--system-state: the unitary must act on at least two qubits")
-        system, n_sys = ctc.state_from_label(str(label)).density(), 1
-    try:
+        system, n_sys = ctc.state_from_label(inv.system_state).density(), 1
+    with _input_file("--unitary"):
         problem = ctc.CtcProblem(u, system, n_sys, n_total - n_sys)
-    except ParadoxLabError as exc:
-        raise UsageError(f"--unitary: {exc}")
-    measure = [problem.n_loop] if n_sys else []
-    tol = float(inv.flags["tol"])
-    return _ctc_report(ctc.run_ctc_circuit(problem, measure, tol=tol))
+    return _ctc_report(problem, inv.tol)
 
 
-def _cmd_ctc_grandfather(inv: CliInvocation):
-    return _ctc_report(ctc.run_ctc_circuit(ctc.grandfather_problem(), []))
+def _cmd_ctc_grandfather(inv: argparse.Namespace):
+    return _ctc_report(ctc.grandfather_problem())
 
 
-def _cmd_audit(inv: CliInvocation):
-    path = str(inv.flags["circuit"])
-    try:
-        with open(path) as fh:
-            circuit = Circuit.from_json(fh.read())
-    except (OSError, ValueError, KeyError, TypeError, ParadoxLabError) as exc:
-        raise UsageError(f"--circuit: {exc}")
+def _cmd_audit(inv: argparse.Namespace):
+    with _input_file("--circuit"):
+        circuit = Circuit.from_json(Path(inv.circuit).read_text())
     try:
         report = locality_audit(circuit)
     except ParadoxLabError as exc:
@@ -420,7 +399,7 @@ _HANDLERS = {
 }
 
 
-def execute(inv: CliInvocation) -> Tuple[str, int]:
+def execute(inv: argparse.Namespace) -> Tuple[str, int]:
     """Run one parsed invocation; returns rendered text and an exit code."""
     handler = _HANDLERS.get(inv.command)
     if handler is None:

@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .circuit import Circuit, circuit_unitary, make_gate, run_density
+from .circuit import MAX_QUBITS, Circuit, circuit_unitary, make_gate, run_density
 from .errors import (
     BadLabel,
     BadParams,
@@ -52,8 +52,6 @@ STATE_LABELS = tuple(_PREPARE)
 _MAX_EIGEN_LOOP = 4
 # Plain passes before the GMRES fallback; the slowest golden solve takes 269.
 _ITERATION_BUDGET = 300
-
-MAX_PROBLEM_QUBITS = 6
 
 
 def _prepare(c: Circuit, label: str, q: int) -> Circuit:
@@ -88,10 +86,10 @@ class CtcProblem:
             raise BadParams(f"n_loop must be a positive integer, got {self.n_loop!r}")
         if not isinstance(self.n_sys, int) or self.n_sys < 0:
             raise BadParams(f"n_sys must be a non-negative integer, got {self.n_sys!r}")
-        if self.n_sys + self.n_loop > MAX_PROBLEM_QUBITS:
+        if self.n_sys + self.n_loop > MAX_QUBITS:
             raise TooManyQubits(
                 f"problem has {self.n_sys + self.n_loop} qubits, "
-                f"limit is {MAX_PROBLEM_QUBITS}"
+                f"limit is {MAX_QUBITS}"
             )
         u = np.asarray(self.u, dtype=complex)
         dim = 2 ** (self.n_sys + self.n_loop)

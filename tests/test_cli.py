@@ -35,13 +35,13 @@ class TestParse:
     def test_epr_defaults(self):
         inv = parse(["epr", "--theta", "0", "--phi", "0"])
         assert inv.command == "epr"
-        assert inv.flags["theta"] == 0.0 and inv.flags["phi"] == 0.0
+        assert inv.theta == 0.0 and inv.phi == 0.0
         assert inv.format == "table" and inv.seed == 0 and inv.shots == 0
 
     def test_epr_sweep(self):
         inv = parse(["epr", "sweep", "--theta-steps", "3", "--phi-steps", "5"])
         assert inv.command == "epr-sweep"
-        assert inv.flags["theta_steps"] == 3 and inv.flags["phi_steps"] == 5
+        assert inv.theta_steps == 3 and inv.phi_steps == 5
 
     def test_ctc_subcommands(self):
         assert parse(["ctc", "distinguish", "--input", "-"]).command == "ctc-distinguish"
@@ -66,7 +66,7 @@ class TestParse:
 
     def test_negative_angle_accepted(self):
         inv = parse(["epr", "--theta", "-0.5", "--phi", "0.5"])
-        assert inv.flags["theta"] == -0.5
+        assert inv.theta == -0.5
 
     def test_audit_requires_circuit(self):
         with pytest.raises(UsageError) as err:
@@ -81,6 +81,9 @@ class TestParse:
             (["ctc", "solve", "--unitary", "u.json", "--tol", "nan"], "--tol"),
             (["epr", "sweep", "--theta-steps", "x"], "--theta-steps"),
             (["szilard", "--cycles", "1001"], "--cycles"),
+            (["epr", "--theta", "nan", "--phi", "0"], "--theta"),
+            (["epr", "--theta", "0", "--phi", "inf"], "--phi"),
+            (["epr", "--theta", "-inf", "--phi", "0"], "--theta"),
         ],
     )
     def test_bad_number_names_flag(self, argv, flag):
@@ -102,7 +105,7 @@ class TestParse:
 
     def test_largest_sweep_grid_accepted(self):
         inv = parse(["epr", "sweep", "--theta-steps", "256", "--phi-steps", "256"])
-        assert inv.flags["theta_steps"] * inv.flags["phi_steps"] == 65536
+        assert inv.theta_steps * inv.phi_steps == 65536
 
     @pytest.mark.parametrize("command", [["szilard"], ["epr", "--theta", "0", "--phi", "0"]])
     def test_shot_ceiling(self, command):
@@ -113,7 +116,7 @@ class TestParse:
 
     def test_largest_engine_request_accepted(self):
         inv = parse(["szilard", "--cycles", "1000", "--shots", "100000"])
-        assert inv.flags["cycles"] * inv.shots == 100_000_000
+        assert inv.cycles * inv.shots == 100_000_000
 
     @pytest.mark.parametrize(
         "argv",
@@ -130,14 +133,17 @@ class TestParse:
     def test_parses_share_no_state(self):
         first = parse(["szilard", "--cycles", "3", "--skip-reset", "--shots", "10"])
         second = parse(["szilard"])
-        assert first.flags["skip_reset"] is True and first.shots == 10
-        assert second.flags == {"cycles": 1, "skip_reset": False} and second.shots == 0
-        assert parse(["ctc", "bb84", "--prompt"]).flags["input"] is None
+        assert first.skip_reset is True and first.shots == 10
+        assert vars(second) == {
+            "command": "szilard", "cycles": 1, "skip_reset": False,
+            "format": "table", "shots": 0, "seed": 0,
+        }
+        assert parse(["ctc", "bb84", "--prompt"]).input is None
 
     def test_szilard_flags(self):
         inv = parse(["szilard", "--cycles", "3", "--skip-reset", "--shots", "10"])
         assert inv.command == "szilard"
-        assert inv.flags["cycles"] == 3 and inv.flags["skip_reset"] is True
+        assert inv.cycles == 3 and inv.skip_reset is True
         assert inv.shots == 10
 
 
@@ -476,6 +482,8 @@ class TestMain:
                 '{"dim": 3, "entries": [[0, 0], [0, 0], [1, 0], [1, 0], [0, 0], [0, 0], '
                 '[0, 0], [1, 0], [0, 0]]}',
             ),
+            ("ctc solve --unitary", "[" * 100_000),
+            ("audit-locality --circuit", "[" * 100_000),
         ],
         ids=[
             "empty-object",
@@ -493,6 +501,8 @@ class TestMain:
             "string-angle",
             "boolean-entries",
             "three-dim-permutation",
+            "deeply-nested-unitary",
+            "deeply-nested-circuit",
         ],
     )
     def test_malformed_input_file_is_usage_error(self, command, text, tmp_path, capsys):

@@ -28,6 +28,7 @@ from paradoxlab.errors import (
     DimensionMismatch,
     NoConvergence,
     NonUnitary,
+    TooManyQubits,
 )
 from paradoxlab.qmath import DensityMatrix, is_unitary, maximally_mixed, trace_distance
 
@@ -80,6 +81,11 @@ class TestProblemValidation:
             CtcProblem(np.eye(4, dtype=complex), maximally_mixed(2), 1, 1)
         with pytest.raises(DimensionMismatch):
             CtcProblem(np.eye(2, dtype=complex), maximally_mixed(1), 1, 1)
+
+    def test_qubit_ceiling_is_the_circuit_limit(self):
+        CtcProblem(np.eye(64, dtype=complex), None, 0, 6)
+        with pytest.raises(TooManyQubits, match=r"^problem has 7 qubits, limit is 6$"):
+            CtcProblem(np.eye(128, dtype=complex), None, 0, 7)
 
     def test_loopless_problem_rejected(self):
         with pytest.raises(BadParams):
