@@ -148,7 +148,8 @@ def _loop_kraus(p: CtcProblem) -> List[np.ndarray]:
 
 
 def _loop_map(kraus: Sequence[np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-    """The consistency map as a raw matrix function: mat -> sum_K K mat K'."""
+    """The consistency map as a raw matrix function: mat -> sum_K K mat K'.
+    A ``(..., d, d)`` stack maps slice by slice, each by the same arithmetic."""
     pairs = [(k, adjoint(k)) for k in kraus]
     return lambda mat: sum(k @ mat @ kdag for k, kdag in pairs)
 
@@ -223,19 +224,49 @@ def _gmres_fixed_point(apply: Callable, d: int, tol: float) -> Tuple[np.ndarray,
     raise NoConvergence(f"GMRES exhausted the Krylov space above {tol}")
 
 
+def _iterate(apply: Callable, d: int, tol: float) -> Optional[Tuple[np.ndarray, float, int]]:
+    """Iterate the consistency map from I/d for up to ``_ITERATION_BUDGET``
+    passes: the best candidate, its residual and the pass count once a
+    residual is within ``tol``, or None when the budget runs out.
+
+    Each pass stacks its three candidates (plain iterate, two-step average,
+    running average), maps the stack once and reads the three residuals from
+    one batched ``eigvalsh``; the plain iterate's image is the next iterate.
+    Candidates are compared in that order, so the first of equals wins.
+    """
+    rho = np.eye(d, dtype=complex) / d
+    nxt = apply(rho)
+    running_sum = np.zeros((d, d), dtype=complex)
+    best: Optional[np.ndarray] = None
+    best_residual = np.inf
+    for iterations in range(1, _ITERATION_BUDGET + 1):
+        running_sum += nxt
+        cands = np.stack((nxt, (rho + nxt) / 2, running_sum / iterations))
+        images = apply(cands)
+        residuals = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(images - cands)), axis=-1)
+        for cand, r in zip(cands, residuals):
+            if r < best_residual:
+                best, best_residual = cand, float(r)
+        if best_residual <= tol:
+            return best, best_residual, iterations
+        rho, nxt = nxt, images[0]
+    return None
+
+
 def solve_fixed_point(p: CtcProblem, tol: float = SOLVE_TOL) -> FixedPointSolution:
     """Find a self-consistent loop state.
 
     Iterates the consistency map from I/d for up to ``_ITERATION_BUDGET``
     passes, checking the plain iterate, the two-step average, and the
-    running average.  A slower loop of any size falls back to GMRES (method
-    ``eigensolve``, ``iterations`` the budget plus the Krylov dimension),
-    which returns the running average's limit: I/d for a unital loop.
-    NoConvergence means GMRES broke down or stagnated above ``tol``.  Up to
-    4 loop qubits the superoperator's unit-eigenvalue directions give
-    ``multiplicity_hint`` (else 0) and the answer is projected onto them.
+    running average as one stack per pass (``_iterate``).  A slower loop of
+    any size falls back to GMRES (method ``eigensolve``, ``iterations`` the
+    budget plus the Krylov dimension), which returns the running average's
+    limit: I/d for a unital loop.  NoConvergence means GMRES broke down or
+    stagnated above ``tol``.  Up to 4 loop qubits the superoperator's
+    unit-eigenvalue directions give ``multiplicity_hint`` (else 0) and the
+    answer is projected onto them.
     """
-    if not (isinstance(tol, float) and tol > 0.0):
+    if not (isinstance(tol, float) and 0.0 < tol < np.inf):
         raise BadParams(f"tol must be a positive real, got {tol!r}")
 
     kraus = _loop_kraus(p)
@@ -245,21 +276,9 @@ def solve_fixed_point(p: CtcProblem, tol: float = SOLVE_TOL) -> FixedPointSoluti
     def residual_of(mat: np.ndarray) -> float:
         return trace_distance(apply(mat), mat)
 
-    best: Optional[np.ndarray] = None
-    best_residual = np.inf
-
-    rho = np.eye(d, dtype=complex) / d
-    running_sum = np.zeros((d, d), dtype=complex)
-    for iterations in range(1, _ITERATION_BUDGET + 1):
-        nxt = apply(rho)
-        running_sum += nxt
-        for cand in (nxt, (rho + nxt) / 2, running_sum / iterations):
-            r = residual_of(cand)
-            if r < best_residual:
-                best, best_residual = cand, r
-        if best_residual <= tol:
-            break
-        rho = nxt
+    found = _iterate(apply, d, tol)
+    if found is not None:
+        best, best_residual, iterations = found
     else:
         best, krylov_dim = _gmres_fixed_point(apply, d, tol)
         best_residual = residual_of(best)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracle
+from paradoxlab import ctc
 from paradoxlab.circuit import Circuit, run_density
 from paradoxlab.ctc import (
     STATE_LABELS,
@@ -241,8 +242,9 @@ class TestSolver:
         assert sol.entropy_bits == pytest.approx(0.0, abs=1e-9)
 
     def test_bad_solver_params(self):
-        with pytest.raises(BadParams):
-            solve_fixed_point(dist_problem("0"), tol=0.0)
+        for tol in (0.0, float("inf"), float("nan")):
+            with pytest.raises(BadParams, match="tol must be a positive real"):
+                solve_fixed_point(dist_problem("0"), tol=tol)
 
     @pytest.mark.parametrize("n_loop", [2, 5])
     def test_unreachable_tolerance(self, n_loop):
@@ -252,6 +254,88 @@ class TestSolver:
         p = CtcProblem(u, state_from_label("+").density(), 1, n_loop)
         with pytest.raises(NoConvergence):
             solve_fixed_point(p, tol=1e-300)
+
+
+def reference_iterate(apply, d, tol):
+    """The pass loop one candidate at a time: each residual is its own
+    trace distance between the candidate and its image."""
+    best, best_residual = None, np.inf
+    rho = np.eye(d, dtype=complex) / d
+    running_sum = np.zeros((d, d), dtype=complex)
+    for iterations in range(1, ctc._ITERATION_BUDGET + 1):
+        nxt = apply(rho)
+        running_sum += nxt
+        for cand in (nxt, (rho + nxt) / 2, running_sum / iterations):
+            r = trace_distance(apply(cand), cand)
+            if r < best_residual:
+                best, best_residual = cand, r
+        if best_residual <= tol:
+            return best, best_residual, iterations
+        rho = nxt
+    return None
+
+
+def random_loop_problem(n_sys, n_loop, seed):
+    rng = np.random.default_rng(seed)
+    u = oracle.random_unitary(2 ** (n_sys + n_loop), rng)
+    state = DensityMatrix(n_sys, oracle.random_density(2 ** n_sys, rng)) if n_sys else None
+    return CtcProblem(u, state, n_sys, n_loop)
+
+
+def partial_swap_problem(n_loop, angle, seed):
+    rng = np.random.default_rng(seed)
+    state = DensityMatrix(1, oracle.random_density(2, rng))
+    return CtcProblem(oracle.partial_swap(n_loop, angle), state, 1, n_loop)
+
+
+class TestStackedPass:
+    """Each pass maps its three candidates as one stack and reads their
+    residuals from one batched eigvalsh, with the per-candidate loop's bits."""
+
+    @staticmethod
+    def assert_matches_reference(p, tol=1e-12):
+        apply = ctc._loop_map(ctc._loop_kraus(p))
+        d = 2 ** p.n_loop
+        got = ctc._iterate(apply, d, tol)
+        want = reference_iterate(apply, d, tol)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert np.array_equal(got[0], want[0])
+            assert got[1] == want[1]
+            assert got[2] == want[2]
+
+    @pytest.mark.parametrize("n_loop", [1, 2, 3])
+    @pytest.mark.parametrize("n_sys", [0, 1, 2])
+    def test_random_loops(self, n_sys, n_loop):
+        for seed in range(3):
+            self.assert_matches_reference(random_loop_problem(n_sys, n_loop, [n_sys, n_loop, seed]))
+
+    @pytest.mark.parametrize("n_loop", range(1, 6))
+    @pytest.mark.parametrize("angle", [0.3, 0.1, 0.03])
+    def test_weak_partial_swaps(self, angle, n_loop):
+        """At 1e-3 the 0.1 loops stop after 111-159 passes; at 1e-12 only the
+        0.3 loops stop within the budget."""
+        for tol in (1e-12, 1e-3):
+            self.assert_matches_reference(partial_swap_problem(n_loop, angle, n_loop), tol)
+
+    def test_one_eigvalsh_per_pass(self, monkeypatch):
+        """The 269-pass golden solve: residuals are read in batches, not one
+        trace distance per candidate."""
+        calls = {"trace_distance": 0, "eigvalsh": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ctc, "trace_distance", counted("trace_distance", ctc.trace_distance))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+        p = CtcProblem(oracle.partial_swap(2, 0.3), state_from_label("1").density(), 1, 2)
+        sol = solve_fixed_point(p)
+        assert sol.iterations == 269
+        assert calls["trace_distance"] <= 3
+        assert calls["eigvalsh"] <= sol.iterations + 5
 
 
 def weak_loop(n_loop, eps, seed):
