@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -318,11 +317,6 @@ class RunResult:
 
     distribution: dict
     final_state: DensityMatrix
-
-    @cached_property
-    def reduced_states(self) -> list:
-        """Single-qubit marginals of the final state, computed on first access."""
-        return [qmath.partial_trace(self.final_state, [q]) for q in range(self.final_state.n)]
 
 
 def run_density(c: Circuit, initial: Optional[DensityMatrix] = None) -> RunResult:

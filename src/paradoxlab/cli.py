@@ -44,6 +44,9 @@ MAX_SHOTS = 10_000_000
 MAX_CYCLES = 1000
 # Largest `szilard` --cycles x --shots: sampling draws every shot on every cycle.
 MAX_SHOT_CYCLES = 100_000_000
+# Largest `audit-locality` circuit: the audit takes milliseconds per instruction
+# at six qubits, so a longer file is refused before the audit starts.
+MAX_AUDIT_INSTRUCTIONS = 1000
 
 Row = Tuple[object, ...]
 
@@ -310,9 +313,7 @@ def _cmd_szilard(inv: argparse.Namespace):
 
 def _ctc_report(problem: ctc.CtcProblem, tol: float = SOLVE_TOL):
     """Solve ``problem``'s loop and read out every system qubit, lowest first."""
-    result = ctc.run_ctc_circuit(
-        problem, range(problem.n_loop, problem.n_loop + problem.n_sys), tol=tol
-    )
+    result = ctc.run_ctc_circuit(problem, tol=tol)
     sol = result.solution
     payload = {
         "distribution": dict(result.distribution),
@@ -374,6 +375,11 @@ def _cmd_ctc_grandfather(inv: argparse.Namespace):
 def _cmd_audit(inv: argparse.Namespace):
     with _input_file("--circuit"):
         circuit = Circuit.from_json(Path(inv.circuit).read_text())
+    if len(circuit.instructions) > MAX_AUDIT_INSTRUCTIONS:
+        raise UsageError(
+            f"--circuit: {len(circuit.instructions)} instructions,"
+            f" above the limit of {MAX_AUDIT_INSTRUCTIONS}"
+        )
     try:
         report = locality_audit(circuit)
     except ParadoxLabError as exc:

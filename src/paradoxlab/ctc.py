@@ -24,7 +24,6 @@ from .circuit import MAX_QUBITS, Circuit, circuit_unitary, make_gate, run_densit
 from .errors import (
     BadLabel,
     BadParams,
-    BadTargets,
     DimensionMismatch,
     NoConvergence,
     NonUnitary,
@@ -310,33 +309,20 @@ def solve_fixed_point(p: CtcProblem, tol: float = SOLVE_TOL) -> FixedPointSoluti
     )
 
 
-def run_ctc_circuit(
-    p: CtcProblem, measure: Sequence[int], tol: float = SOLVE_TOL
-) -> CtcRunResult:
-    """Solve the loop, evolve system x loop through the interaction, and
-    read out the listed system qubits (first listed renders leftmost)."""
-    targets = [int(q) for q in measure]
-    if len(set(targets)) != len(targets):
-        raise BadTargets(f"duplicate measurement targets in {targets}")
-    for q in targets:
-        if not p.n_loop <= q < p.n_loop + p.n_sys:
-            raise BadTargets(
-                f"qubit {q} is not a system qubit of this problem"
-            )
+def run_ctc_circuit(p: CtcProblem, tol: float = SOLVE_TOL) -> CtcRunResult:
+    """Solve the loop, evolve system x loop through the interaction, and read
+    out every system qubit, lowest first and leftmost; a problem without
+    system qubits gives an empty distribution."""
     solution = solve_fixed_point(p, tol=tol)
-    joint = (
-        np.kron(p.system_state.mat, solution.rho_loop.mat)
-        if p.n_sys
-        else solution.rho_loop.mat
-    )
-    evolved = p.u @ joint @ adjoint(p.u)
     distribution: Dict[str, float] = {}
-    if targets:
-        probs = np.real(np.diag(evolved))
+    if p.n_sys:
+        system = range(p.n_loop, p.n_loop + p.n_sys)
+        joint = np.kron(p.system_state.mat, solution.rho_loop.mat)
+        probs = np.real(np.diag(p.u @ joint @ adjoint(p.u)))
         for index, prob in enumerate(probs):
             if prob <= 0.0:
                 continue
-            key = "".join(str((index >> q) & 1) for q in targets)
+            key = "".join(str((index >> q) & 1) for q in system)
             distribution[key] = distribution.get(key, 0.0) + float(prob)
         distribution = {k: v for k, v in distribution.items() if v > OUTCOME_FLOOR}
         total = sum(distribution.values())

@@ -48,13 +48,6 @@ _ENERGY = np.diag([0.0, 1.0, 1.0, 2.0]).astype(complex)
 _START_ENERGY = 1.0
 
 
-def weight_energy(index: int) -> int:
-    """Energy level of a weight basis state, in work units."""
-    if not isinstance(index, int) or not 0 <= index < 4:
-        raise BadParams(f"weight index must be 0..3, got {index!r}")
-    return int(bin(index).count("1"))
-
-
 def work_expectation(weight_state: DensityMatrix) -> float:
     """Expected work stored in the weight register relative to its start level."""
     if weight_state.n != 2:
@@ -127,12 +120,6 @@ class CycleRecord:
 @dataclass(frozen=True)
 class CycleLedger:
     records: Tuple[CycleRecord, ...]
-    shots: int
-    seed: int
-
-    @property
-    def total_expected_work(self) -> float:
-        return sum(rec.expected_work for rec in self.records)
 
 
 def _check_memory(memory_in: DensityMatrix) -> None:
@@ -240,4 +227,4 @@ def run_cycles(cfg: SzilardConfig, shots: int = 0, seed: int = 0) -> CycleLedger
     if shots > 0:
         totals = _sample_trajectories(cfg, shots, seed)
         records = [replace(r, sampled_work=t) for r, t in zip(records, totals)]
-    return CycleLedger(tuple(records), shots, seed)
+    return CycleLedger(tuple(records))

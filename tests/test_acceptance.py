@@ -209,7 +209,7 @@ def test_c08_loop_distinguisher():
     details = []
     for label, outcome in targets.items():
         problem = ctc.distinguisher_problem(label)
-        result = ctc.run_ctc_circuit(problem, [problem.n_loop])
+        result = ctc.run_ctc_circuit(problem)
         solution = ctc.solve_fixed_point(problem)
         td = trace_distance(solution.rho_loop.mat, fixed[label])
         ok = (
@@ -230,9 +230,7 @@ def test_c09_four_state_discrimination():
     ok = True
     details = []
     for label, outcome in expected.items():
-        problem = ctc.bb84_problem(label)
-        measure = [problem.n_loop, problem.n_loop + 1]
-        result = ctc.run_ctc_circuit(problem, measure)
+        result = ctc.run_ctc_circuit(ctc.bb84_problem(label))
         dist = result.distribution
         ok = (
             ok
@@ -276,11 +274,9 @@ def test_c12_mode_agreement():
         demo = ctc.demo_distribution(label, protocol)
         if protocol == "single":
             problem = ctc.distinguisher_problem(label)
-            measure = [problem.n_loop]
         else:
             problem = ctc.bb84_problem(label)
-            measure = [problem.n_loop, problem.n_loop + 1]
-        honest = ctc.run_ctc_circuit(problem, measure).distribution
+        honest = ctc.run_ctc_circuit(problem).distribution
         for key in set(demo) | set(honest):
             worst = max(worst, abs(demo.get(key, 0.0) - honest.get(key, 0.0)))
     ok = worst <= 1e-9

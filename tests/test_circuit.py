@@ -29,7 +29,7 @@ from paradoxlab.errors import (
     TooManyQubits,
     UnknownKind,
 )
-from paradoxlab.qmath import DensityMatrix, maximally_mixed
+from paradoxlab.qmath import DensityMatrix, maximally_mixed, partial_trace
 
 
 SQ2 = 1 / np.sqrt(2)
@@ -234,7 +234,7 @@ class TestRunDensity:
     def test_reduced_states_of_bell(self):
         r = run_density(Circuit(2).h(0).cx(0, 1))
         for q in range(2):
-            np.testing.assert_allclose(r.reduced_states[q].mat, np.eye(2) / 2, atol=1e-12)
+            np.testing.assert_allclose(partial_trace(r.final_state, [q]).mat, np.eye(2) / 2, atol=1e-12)
 
     def test_backends_agree_on_random_circuits(self):
         """Terminal-measurement distribution equals squared amplitudes."""

@@ -11,7 +11,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from paradoxlab import circuit
+from paradoxlab import circuit, cli
 from paradoxlab.circuit import Circuit, circuit_unitary
 from paradoxlab.cli import execute, main, parse
 from paradoxlab.ctc import distinguisher_unitary
@@ -334,6 +334,23 @@ class TestAuditCommand:
         path.write_text(Circuit(1, 1).h(0).measure(0, 0).to_json())
         with pytest.raises(UsageError):
             execute(parse(["audit-locality", "--circuit", str(path)]))
+
+    def test_oversized_circuit_refused_before_audit(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "long.json"
+        c = Circuit(1)
+        for _ in range(1001):
+            c.h(0)
+        path.write_text(c.to_json())
+
+        def audit(_circuit):
+            raise AssertionError("the audit must not start")
+
+        monkeypatch.setattr(cli, "locality_audit", audit)
+        assert main(["audit-locality", "--circuit", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.err.startswith("usage error: --circuit:")
+        assert "1001" in out.err and "1000" in out.err
+        assert out.out == ""
 
 
 class TestDeterminism:

@@ -25,13 +25,18 @@ from paradoxlab.ctc import (
 from paradoxlab.errors import (
     BadLabel,
     BadParams,
-    BadTargets,
     DimensionMismatch,
     NoConvergence,
     NonUnitary,
     TooManyQubits,
 )
-from paradoxlab.qmath import DensityMatrix, is_unitary, maximally_mixed, trace_distance
+from paradoxlab.qmath import (
+    OUTCOME_FLOOR,
+    DensityMatrix,
+    is_unitary,
+    maximally_mixed,
+    trace_distance,
+)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -377,36 +382,58 @@ class TestSlowLoops:
 
 class TestRunCtc:
     def test_distinguisher_zero(self):
-        result = run_ctc_circuit(dist_problem("0"), [1])
+        result = run_ctc_circuit(dist_problem("0"))
         assert result.distribution == {"0": 1.0}
         assert result.solution.residual <= 1e-10
 
     def test_distinguisher_minus(self):
-        result = run_ctc_circuit(dist_problem("-"), [1])
+        result = run_ctc_circuit(dist_problem("-"))
         assert result.distribution == {"1": 1.0}
 
     def test_distinguisher_off_design_inputs(self):
-        result = run_ctc_circuit(dist_problem("1"), [1])
+        result = run_ctc_circuit(dist_problem("1"))
         assert result.distribution["1"] == pytest.approx(2 / 3, abs=1e-9)
-        result = run_ctc_circuit(dist_problem("+"), [1])
+        result = run_ctc_circuit(dist_problem("+"))
         assert result.distribution["1"] == pytest.approx(1 / 3, abs=1e-9)
 
     @pytest.mark.parametrize("label", STATE_LABELS)
     def test_bb84_single_shot_table(self, label):
-        result = run_ctc_circuit(bb84_problem(label), [2, 3])
+        result = run_ctc_circuit(bb84_problem(label))
         assert result.distribution == {BB84_OUTPUT[label]: 1.0}
         assert result.solution.residual <= 1e-10
 
     def test_grandfather_has_nothing_to_measure(self):
-        result = run_ctc_circuit(grandfather_problem(), [])
+        result = run_ctc_circuit(grandfather_problem())
         assert result.distribution == {}
         assert result.solution.residual <= 1e-12
 
-    def test_loop_qubits_not_measurable(self):
-        with pytest.raises(BadTargets):
-            run_ctc_circuit(dist_problem("0"), [0])
-        with pytest.raises(BadTargets):
-            run_ctc_circuit(bb84_problem("0"), [2, 2])
+    @staticmethod
+    def _reference_readout(p, rho_loop):
+        """Read out every system qubit, lowest first, from the evolved joint state."""
+        joint = np.kron(p.system_state.mat, rho_loop.mat)
+        evolved = p.u @ joint @ p.u.conj().T
+        dist = {}
+        for index, prob in enumerate(np.real(np.diag(evolved))):
+            if prob <= 0.0:
+                continue
+            key = "".join(str((index >> q) & 1) for q in range(p.n_loop, p.n_loop + p.n_sys))
+            dist[key] = dist.get(key, 0.0) + float(prob)
+        dist = {k: v for k, v in dist.items() if v > OUTCOME_FLOOR}
+        total = sum(dist.values())
+        return {k: v / total for k, v in sorted(dist.items())}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_reads_every_system_qubit_lowest_first(self, seed):
+        rng = np.random.default_rng(seed)
+        n_sys, n_loop = 1 + seed % 2, 1 + (seed // 2) % 2
+        u = oracle.random_unitary(2 ** (n_sys + n_loop), rng)
+        if seed < 3:
+            sigma = oracle.density(oracle.random_unitary(2 ** n_sys, rng)[:, 0])
+        else:
+            sigma = oracle.random_density(2 ** n_sys, rng)
+        p = CtcProblem(u, DensityMatrix.from_matrix(sigma), n_sys, n_loop)
+        result = run_ctc_circuit(p)
+        assert result.distribution == self._reference_readout(p, result.solution.rho_loop)
 
 
 class TestBb84Unitary:
@@ -467,9 +494,9 @@ class TestClassicalControlDemo:
         for label, protocol in pairs:
             demo = demo_distribution(label, protocol)
             if protocol == "single":
-                honest = run_ctc_circuit(dist_problem(label), [1]).distribution
+                honest = run_ctc_circuit(dist_problem(label)).distribution
             else:
-                honest = run_ctc_circuit(bb84_problem(label), [2, 3]).distribution
+                honest = run_ctc_circuit(bb84_problem(label)).distribution
             keys = set(demo) | set(honest)
             for key in keys:
                 assert demo.get(key, 0.0) == pytest.approx(

@@ -21,7 +21,7 @@ from paradoxlab.errors import (
     ShapeMismatch,
     TooManyQubits,
 )
-from paradoxlab.qmath import StateVector, basis_state
+from paradoxlab.qmath import StateVector, basis_state, partial_trace
 
 
 def advance_all(frame: DescriptorFrame, circuit: Circuit) -> DescriptorFrame:
@@ -261,9 +261,9 @@ class TestExpectation:
             n = int(rng.integers(1, 4))
             c = util.random_unitary_circuit(n, 8, rng)
             f = advance_all(init_frame(n), c)
-            reduced = run_density(c).reduced_states
+            final = run_density(c).final_state
             for q in range(n):
                 acc = np.eye(2, dtype=complex)
                 for ax, m in paulis.items():
                     acc = acc + expectation(f, {q: ax}, basis_state(n)) * m
-                np.testing.assert_allclose(acc / 2, reduced[q].mat, atol=1e-9)
+                np.testing.assert_allclose(acc / 2, partial_trace(final, [q]).mat, atol=1e-9)

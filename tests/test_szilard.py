@@ -28,7 +28,6 @@ from paradoxlab.szilard import (
     mutual_information,
     run_cycles,
     run_single_cycle,
-    weight_energy,
     work_expectation,
 )
 
@@ -51,15 +50,6 @@ BELL = DensityMatrix(
 )
 
 CLASSICAL_PAIR = DensityMatrix(2, np.diag([0.5, 0, 0, 0.5]).astype(complex))
-
-
-class TestWeightEnergy:
-    def test_ladder(self):
-        assert [weight_energy(i) for i in range(4)] == [0, 1, 1, 2]
-
-    def test_range_checked(self):
-        with pytest.raises(BadParams):
-            weight_energy(4)
 
 
 class TestWorkExpectation:
@@ -201,7 +191,7 @@ class TestCyclesWithErasure:
         assert len(ledger.records) == 5
         for rec in ledger.records:
             assert rec.expected_work == pytest.approx(1.0, abs=1e-9)
-        assert ledger.total_expected_work == pytest.approx(5.0, abs=1e-9)
+        assert sum(rec.expected_work for rec in ledger.records) == pytest.approx(5.0, abs=1e-9)
 
     def test_memory_returns_to_ground(self):
         memory = basis_state(1).density()
