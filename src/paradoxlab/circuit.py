@@ -119,22 +119,6 @@ class Instruction:
         elif self.op == "channel" and self.kraus.dim != 2 ** len(targets):
             raise BadTargets("Kraus dimension does not match the target count")
 
-    @classmethod
-    def unitary(cls, gate: Gate, targets: Sequence[int]) -> "Instruction":
-        return cls("unitary", targets, gate=gate)
-
-    @classmethod
-    def channel(cls, kraus: KrausSet, targets: Sequence[int]) -> "Instruction":
-        return cls("channel", targets, kraus=kraus)
-
-    @classmethod
-    def reset(cls, target: int) -> "Instruction":
-        return cls("reset", (target,))
-
-    @classmethod
-    def measure(cls, target: int, clbit: int) -> "Instruction":
-        return cls("measure", (target,), clbit=int(clbit))
-
 
 @dataclass
 class Circuit:
@@ -149,6 +133,8 @@ class Circuit:
             raise TooManyQubits(f"{self.n_qubits} qubits exceeds the limit of {MAX_QUBITS}")
         if self.n_qubits < 1:
             raise InvalidCircuit(["circuit needs at least one qubit"])
+        if self.n_clbits < 0:
+            raise InvalidCircuit(["circuit needs a non-negative clbit count"])
 
     # -- builder helpers ----------------------------------------------------
 
@@ -160,7 +146,7 @@ class Circuit:
         return self
 
     def append_gate(self, gate: Gate, targets: Sequence[int]) -> "Circuit":
-        return self._append(Instruction.unitary(gate, targets))
+        return self._append(Instruction("unitary", targets, gate=gate))
 
     def h(self, q):
         return self.append_gate(make_gate("H"), [q])
@@ -193,13 +179,13 @@ class Circuit:
         return self.append_gate(make_gate("CCX"), [c1, c2, target])
 
     def channel(self, kraus: KrausSet, targets: Sequence[int]) -> "Circuit":
-        return self._append(Instruction.channel(kraus, targets))
+        return self._append(Instruction("channel", targets, kraus=kraus))
 
     def reset(self, q) -> "Circuit":
-        return self._append(Instruction.reset(q))
+        return self._append(Instruction("reset", (q,)))
 
     def measure(self, q, clbit) -> "Circuit":
-        return self._append(Instruction.measure(q, clbit))
+        return self._append(Instruction("measure", (q,), clbit=int(clbit)))
 
     # -- serialization -------------------------------------------------------
 

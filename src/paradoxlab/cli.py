@@ -304,9 +304,9 @@ def _cmd_epr_sweep(inv: argparse.Namespace):
 
 def _cmd_szilard(inv: argparse.Namespace):
     cfg = szilard.SzilardConfig(cycles=inv.cycles, skip_reset=inv.skip_reset)
-    ledger = szilard.run_cycles(cfg, shots=inv.shots, seed=inv.seed)
-    payload = [rec.to_dict() for rec in ledger.records]
+    records = szilard.run_cycles(cfg, shots=inv.shots, seed=inv.seed)
     headers = tuple(f.name for f in fields(szilard.CycleRecord))
+    payload = [{name: getattr(rec, name) for name in headers} for rec in records]
     rows = [tuple(doc.values()) for doc in payload]
     return payload, headers, rows, 0
 
@@ -327,12 +327,8 @@ def _ctc_report(problem: ctc.CtcProblem, tol: float = SOLVE_TOL):
     rows.append(("residual", sol.residual))
     rows.append(("iterations", sol.iterations))
     dim = sol.rho_loop.mat.shape[0]
-    for i in range(dim):
-        for j in range(dim):
-            entry = sol.rho_loop.mat[i, j]
-            rows.append(
-                (f"fixed_point[{i}][{j}]", (float(entry.real), float(entry.imag)))
-            )
+    for (i, j), entry in zip(np.ndindex(dim, dim), payload["fixed_point"]):
+        rows.append((f"fixed_point[{i}][{j}]", tuple(entry)))
     return payload, ("field", "value"), rows, 0
 
 
@@ -380,14 +376,14 @@ def _cmd_audit(inv: argparse.Namespace):
             f"--circuit: {len(circuit.instructions)} instructions,"
             f" above the limit of {MAX_AUDIT_INSTRUCTIONS}"
         )
-    try:
+    with _input_file("--circuit"):
         report = locality_audit(circuit)
-    except ParadoxLabError as exc:
-        raise UsageError(f"--circuit: {exc}")
-    payload = report.to_dict()
-    rows: List[Row] = [
-        (step.instr, step.max_offsupport_delta, step.ok) for step in report.steps
+    steps = [
+        {"instr": s.instr, "max_offsupport_delta": s.max_offsupport_delta, "pass": s.ok}
+        for s in report.steps
     ]
+    payload = {"steps": steps, "overall": report.overall}
+    rows: List[Row] = [tuple(step.values()) for step in steps]
     rows.append(("overall", None, report.overall))
     headers = ("instr", "max_offsupport_delta", "pass")
     return payload, headers, rows, 0 if report.overall else 1

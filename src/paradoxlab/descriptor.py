@@ -78,21 +78,11 @@ class AuditStep:
     max_offsupport_delta: float
     ok: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "instr": self.instr,
-            "max_offsupport_delta": self.max_offsupport_delta,
-            "pass": self.ok,
-        }
-
 
 @dataclass(frozen=True)
 class AuditReport:
     steps: tuple
     overall: bool
-
-    def to_dict(self) -> dict:
-        return {"steps": [s.to_dict() for s in self.steps], "overall": self.overall}
 
 
 def locality_audit(c: Circuit) -> AuditReport:

@@ -156,7 +156,9 @@ def info_flow_report(cfg: EprConfig) -> EprReport:
         def build(v):
             return build_epr_unitary(replace(cfg, **{angle: v}), include_parity)
 
-        base = getattr(cfg, angle)
+        # RX has period 4 pi; reducing first keeps base + offset distinct
+        # from base where a large angle would absorb the offset in rounding.
+        base = math.remainder(getattr(cfg, angle), 4 * math.pi)
         return dependence_probe(build, qubit, base, base + _PROBE_OFFSET)[0]
 
     dependence = {

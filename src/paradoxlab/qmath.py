@@ -91,7 +91,9 @@ class StateVector:
         object.__setattr__(self, "amplitudes", amps)
 
     def density(self) -> "DensityMatrix":
-        return DensityMatrix.from_statevector(self)
+        """The pure state's density matrix |psi><psi|."""
+        a = self.amplitudes
+        return DensityMatrix(self.n, np.outer(a, a.conj()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,10 +123,6 @@ class DensityMatrix:
         mat = np.asarray(mat, dtype=complex)
         return cls(_qubit_count(mat.shape[0], "density matrix"), mat)
 
-    @classmethod
-    def from_statevector(cls, sv: StateVector) -> "DensityMatrix":
-        return cls(sv.n, np.outer(sv.amplitudes, sv.amplitudes.conj()))
-
 
 @dataclass(frozen=True, eq=False)
 class KrausSet:
@@ -142,6 +140,10 @@ class KrausSet:
         for k in ops:
             if k.shape != (dim, dim):
                 raise DimensionMismatch("Kraus operators differ in shape")
+        # Completeness puts every entry in the unit disc; checking that first
+        # keeps the sum below from overflowing into infinities and NaN.
+        if max(np.max(np.abs(k)) for k in ops) > 1.0 + KRAUS_ATOL:
+            raise NotTracePreserving("a Kraus operator has an entry outside the unit disc")
         total = sum(adjoint(k) @ k for k in ops)
         if np.max(np.abs(total - np.eye(dim))) > KRAUS_ATOL:
             raise NotTracePreserving("sum of K^dag K deviates from identity")
@@ -335,6 +337,8 @@ def load_unitary(path: str) -> np.ndarray:
         raise DimensionMismatch(f"malformed matrix file: {exc}") from exc
     _qubit_count(dim, "matrix")
     m = entries_to_matrix(dim, entries)
-    if not is_unitary(m):
+    # A unitary's entries lie in the unit disc; checking that first keeps the
+    # unitarity check's product from overflowing on a huge entry.
+    if np.max(np.abs(m)) > 1.0 + UNITARY_ATOL or not is_unitary(m):
         raise NonUnitary(f"matrix in {path} fails the unitarity check")
     return m

@@ -13,7 +13,7 @@ which is the erasure charge the ledger tracks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
@@ -113,14 +113,6 @@ class CycleRecord:
     memory_entropy_post: float
     mutual_info_particle_memory: float
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-@dataclass(frozen=True)
-class CycleLedger:
-    records: Tuple[CycleRecord, ...]
-
 
 def _check_memory(memory_in: DensityMatrix) -> None:
     if not isinstance(memory_in, DensityMatrix) or memory_in.n != 1:
@@ -205,11 +197,12 @@ def _sample_trajectories(cfg: SzilardConfig, shots: int, seed: int) -> List[int]
     return totals
 
 
-def run_cycles(cfg: SzilardConfig, shots: int = 0, seed: int = 0) -> CycleLedger:
+def run_cycles(cfg: SzilardConfig, shots: int = 0, seed: int = 0) -> Tuple[CycleRecord, ...]:
     """Run the configured number of cycles, carrying the memory state across.
 
-    With ``shots`` > 0 a seeded trajectory sample is attached to each record;
-    the exact expectation values are computed either way.
+    Returns one record per cycle, in cycle order. With ``shots`` > 0 a seeded
+    trajectory sample is attached to each record; the exact expectation
+    values are computed either way.
     """
     if not isinstance(shots, int) or shots < 0:
         raise BadParams(f"shots must be a non-negative integer, got {shots!r}")
@@ -227,4 +220,4 @@ def run_cycles(cfg: SzilardConfig, shots: int = 0, seed: int = 0) -> CycleLedger
     if shots > 0:
         totals = _sample_trajectories(cfg, shots, seed)
         records = [replace(r, sampled_work=t) for r, t in zip(records, totals)]
-    return CycleLedger(tuple(records))
+    return tuple(records)

@@ -168,9 +168,9 @@ def test_c05_engine_with_erasure():
 
 
 def test_c06_engine_without_erasure():
-    ledger = szilard.run_cycles(szilard.SzilardConfig(cycles=5, skip_reset=True))
-    first = ledger.records[0]
-    later = ledger.records[1:]
+    records = szilard.run_cycles(szilard.SzilardConfig(cycles=5, skip_reset=True))
+    first = records[0]
+    later = records[1:]
     worst_later = max(abs(r.expected_work) for r in later)
     entropy_gap = abs(first.memory_entropy_post - 1.0)
     ok = (
@@ -189,10 +189,10 @@ def test_c06_engine_without_erasure():
 
 def test_c07_engine_trajectory_sampling():
     shots = 10**4
-    ledger = szilard.run_cycles(
+    records = szilard.run_cycles(
         szilard.SzilardConfig(cycles=2, skip_reset=True), shots=shots, seed=20240817
     )
-    mean = ledger.records[1].sampled_work / shots
+    mean = records[1].sampled_work / shots
     ok = abs(mean) <= 0.03
     check(
         7,

@@ -129,6 +129,10 @@ class TestValidate:
         with pytest.raises(BadTargets):
             Circuit(2, 1).measure(0, 3)
 
+    def test_negative_clbit_count_rejected(self):
+        with pytest.raises(InvalidCircuit, match="non-negative clbit count"):
+            Circuit(1, -3)
+
     def test_raw_out_of_range_instruction_reported(self):
         c = Circuit(2)
         c.instructions.append(Circuit(3).x(2).instructions[0])

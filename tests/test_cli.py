@@ -187,6 +187,13 @@ class TestEprCommand:
         execute(parse(["epr", "--theta", "0.3", "--phi", "0.2", "--shots", "10"]))
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("theta, phi", [("1e16", "0.2"), ("0.3", "1e17"), ("1e30", "1e17")])
+    def test_large_angles_keep_dependence_flags(self, theta, phi):
+        """A probe offset that rounds away against a huge angle must not lose its flag."""
+        doc = run_json(["epr", "--theta", theta, "--phi", phi, "--format", "json"])
+        small = run_json(["epr", "--theta", "0.3", "--phi", "0.2", "--format", "json"])
+        assert doc["dependence"] == small["dependence"]
+
     def test_table_and_csv_rows_match(self):
         table, _ = execute(parse(["epr", "--theta", "0", "--phi", "0"]))
         csv_text, _ = execute(
@@ -322,6 +329,15 @@ class TestAuditCommand:
         assert payload["overall"] is True
         assert len(payload["steps"]) == 3
 
+    def test_json_shape(self, tmp_path):
+        path = tmp_path / "bell.json"
+        path.write_text(Circuit(2).h(0).cx(0, 1).to_json())
+        doc = run_json(["audit-locality", "--circuit", str(path), "--format", "json"])
+        assert doc["overall"] is True
+        assert [s["instr"] for s in doc["steps"]] == [0, 1]
+        assert all(s["pass"] is True for s in doc["steps"])
+        assert all(isinstance(s["max_offsupport_delta"], float) for s in doc["steps"])
+
     def test_table_rows(self, tmp_path):
         text, code = execute(
             parse(["audit-locality", "--circuit", self.make_circuit_file(tmp_path)])
@@ -350,6 +366,18 @@ class TestAuditCommand:
         out = capsys.readouterr()
         assert out.err.startswith("usage error: --circuit:")
         assert "1001" in out.err and "1000" in out.err
+        assert out.out == ""
+
+    def test_negative_clbit_count_refused(self, tmp_path, capsys):
+        path = tmp_path / "negclbits.json"
+        path.write_text(
+            '{"n_qubits": 1, "n_clbits": -1, "instructions": '
+            '[{"op": "unitary", "kind": "H", "targets": [0]}]}'
+        )
+        assert main(["audit-locality", "--circuit", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.err.startswith("usage error: --circuit:")
+        assert "non-negative clbit count" in out.err
         assert out.out == ""
 
 
@@ -501,6 +529,15 @@ class TestMain:
             ),
             ("ctc solve --unitary", "[" * 100_000),
             ("audit-locality --circuit", "[" * 100_000),
+            (
+                "ctc solve --unitary",
+                '{"dim": 2, "entries": [[1e200, 0], [0, 0], [0, 0], [1, 0]]}',
+            ),
+            (
+                "audit-locality --circuit",
+                '{"n_qubits": 1, "instructions": [{"op": "channel", "dim": 2, '
+                '"operators": [[[1e200, 0], [0, 0], [0, 0], [1, 0]]], "targets": [0]}]}',
+            ),
         ],
         ids=[
             "empty-object",
@@ -520,6 +557,8 @@ class TestMain:
             "three-dim-permutation",
             "deeply-nested-unitary",
             "deeply-nested-circuit",
+            "overflowing-unitary-entry",
+            "overflowing-kraus-entry",
         ],
     )
     def test_malformed_input_file_is_usage_error(self, command, text, tmp_path, capsys):
@@ -529,13 +568,14 @@ class TestMain:
         assert capsys.readouterr().err.startswith("usage error:")
 
 
-# Exact output of eleven invocations; a moved digit or iteration count fails
+# Exact output of thirteen invocations; a moved digit or iteration count fails
 # here even when a rerun still matches itself. The two 40-cycle `szilard`
 # ledgers were recorded from the engine that simulated every cycle and
 # sampled through a per-shot work array. "{unitary}" and
 # "{weak_unitary}" stand for saved partial SWAPs: exp(-ia SWAP) between loop
 # qubit 0 and system qubit 2, two loop qubits in all, at the angles below.
-# The weak one mixes too slowly for plain iteration.
+# The weak one mixes too slowly for plain iteration. "{circuit}" stands for the
+# README's audit circuit, Circuit(3).h(0).ccx(0, 1, 2).rx(0.4, 2).
 PSWAP_ANGLES = {"{unitary}": 0.3, "{weak_unitary}": 0.03}
 
 GOLDEN = {
@@ -1087,6 +1127,41 @@ theta     phi       p_check_one
 3.14159   3.14159   0
 """,
     ),
+    "audit": (
+        ["audit-locality", "--circuit", "{circuit}"],
+        """\
+instr    max_offsupport_delta  pass
+0        0                     true
+1        0                     true
+2        0                     true
+overall                        true
+""",
+    ),
+    "audit_json": (
+        ["audit-locality", "--circuit", "{circuit}", "--format", "json"],
+        """\
+{
+  "steps": [
+    {
+      "instr": 0,
+      "max_offsupport_delta": 0.0,
+      "pass": true
+    },
+    {
+      "instr": 1,
+      "max_offsupport_delta": 0.0,
+      "pass": true
+    },
+    {
+      "instr": 2,
+      "max_offsupport_delta": 0.0,
+      "pass": true
+    }
+  ],
+  "overall": true
+}
+""",
+    ),
 }
 
 
@@ -1098,6 +1173,8 @@ def test_golden_table_output(name, tmp_path):
     for key, angle in PSWAP_ANGLES.items():
         files[key] = str(tmp_path / f"pswap_{angle}.json")
         save_unitary(files[key], math.cos(angle) * np.eye(8) - 1j * math.sin(angle) * swap)
+    files["{circuit}"] = str(tmp_path / "c.json")
+    Path(files["{circuit}"]).write_text(Circuit(3).h(0).ccx(0, 1, 2).rx(0.4, 2).to_json())
     argv = [files.get(a, a) for a in argv]
     assert execute(parse(argv)) == (expected, 0)
 

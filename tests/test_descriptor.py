@@ -136,14 +136,6 @@ class TestLocalityAudit:
             for step in report.steps:
                 assert step.max_offsupport_delta <= 1e-10
 
-    def test_json_shape(self):
-        report = locality_audit(Circuit(2).h(0).cx(0, 1))
-        doc = report.to_dict()
-        assert doc["overall"] is True
-        assert [s["instr"] for s in doc["steps"]] == [0, 1]
-        assert all(s["pass"] is True for s in doc["steps"])
-        assert all(isinstance(s["max_offsupport_delta"], float) for s in doc["steps"])
-
     def test_rejects_non_unitary_circuit(self):
         with pytest.raises(NonUnitaryInstruction):
             locality_audit(Circuit(1).reset(0))

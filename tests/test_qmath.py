@@ -93,7 +93,7 @@ class TestStates:
 
     def test_from_statevector(self):
         sv = StateVector(1, oracle.PLUS.copy())
-        rho = DensityMatrix.from_statevector(sv)
+        rho = sv.density()
         np.testing.assert_allclose(rho.mat, oracle.density(oracle.PLUS), atol=1e-12)
 
 
@@ -179,6 +179,10 @@ class TestApplyKraus:
     def test_trace_preservation_enforced(self):
         with pytest.raises(NotTracePreserving):
             KrausSet((oracle.X * 0.9,))
+
+    def test_huge_entry_refused_without_overflow(self):
+        with pytest.raises(NotTracePreserving, match="unit disc"):
+            KrausSet((oracle.X * 1e200,))
 
     def test_trace_preserved_on_random_sets(self):
         rng = np.random.default_rng(19)
@@ -304,6 +308,15 @@ class TestMatrixFile:
         qmath.save_unitary(str(path), np.eye(2))
         data = json.loads(path.read_text())
         data["entries"][0] = [2.0, 0.0]
+        path.write_text(json.dumps(data))
+        with pytest.raises(NonUnitary):
+            qmath.load_unitary(str(path))
+
+    def test_huge_entry_rejected_without_overflow(self, tmp_path):
+        path = tmp_path / "huge.json"
+        qmath.save_unitary(str(path), np.eye(2))
+        data = json.loads(path.read_text())
+        data["entries"][3] = [1e200, -1e200]
         path.write_text(json.dumps(data))
         with pytest.raises(NonUnitary):
             qmath.load_unitary(str(path))

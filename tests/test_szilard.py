@@ -187,11 +187,11 @@ class TestCycleOracle:
 
 class TestCyclesWithErasure:
     def test_unit_work_every_cycle(self):
-        ledger = run_cycles(SzilardConfig(cycles=5))
-        assert len(ledger.records) == 5
-        for rec in ledger.records:
+        records = run_cycles(SzilardConfig(cycles=5))
+        assert len(records) == 5
+        for rec in records:
             assert rec.expected_work == pytest.approx(1.0, abs=1e-9)
-        assert sum(rec.expected_work for rec in ledger.records) == pytest.approx(5.0, abs=1e-9)
+        assert sum(rec.expected_work for rec in records) == pytest.approx(5.0, abs=1e-9)
 
     def test_memory_returns_to_ground(self):
         memory = basis_state(1).density()
@@ -206,26 +206,26 @@ class TestCyclesWithErasure:
         assert rec.memory_entropy_post == pytest.approx(0.0, abs=1e-9)
 
     def test_measurement_writes_one_bit(self):
-        ledger = run_cycles(SzilardConfig(cycles=1))
-        assert ledger.records[0].mutual_info_particle_memory == pytest.approx(1.0, abs=1e-9)
+        records = run_cycles(SzilardConfig(cycles=1))
+        assert records[0].mutual_info_particle_memory == pytest.approx(1.0, abs=1e-9)
 
 
 class TestCyclesWithoutErasure:
     def test_second_cycle_yields_nothing(self):
-        ledger = run_cycles(SzilardConfig(cycles=5, skip_reset=True))
-        works = [rec.expected_work for rec in ledger.records]
+        records = run_cycles(SzilardConfig(cycles=5, skip_reset=True))
+        works = [rec.expected_work for rec in records]
         assert works[0] == pytest.approx(1.0, abs=1e-9)
         for w in works[1:]:
             assert w == pytest.approx(0.0, abs=1e-9)
 
     def test_memory_saturates_at_one_bit(self):
-        ledger = run_cycles(SzilardConfig(cycles=3, skip_reset=True))
-        assert ledger.records[0].memory_entropy_post == pytest.approx(1.0, abs=1e-9)
-        assert ledger.records[1].memory_entropy_pre_reset == pytest.approx(1.0, abs=1e-9)
+        records = run_cycles(SzilardConfig(cycles=3, skip_reset=True))
+        assert records[0].memory_entropy_post == pytest.approx(1.0, abs=1e-9)
+        assert records[1].memory_entropy_pre_reset == pytest.approx(1.0, abs=1e-9)
 
     def test_full_memory_learns_nothing(self):
-        ledger = run_cycles(SzilardConfig(cycles=2, skip_reset=True))
-        assert ledger.records[1].mutual_info_particle_memory == pytest.approx(0.0, abs=1e-9)
+        records = run_cycles(SzilardConfig(cycles=2, skip_reset=True))
+        assert records[1].mutual_info_particle_memory == pytest.approx(0.0, abs=1e-9)
 
     def test_decorrelation_detaches_particle(self):
         from paradoxlab.qmath import partial_trace
@@ -264,8 +264,8 @@ class TestRecordReuse:
             rec, memory = run_single_cycle(memory, skip_reset, p)
             want.append(replace(rec, cycle=k))
         spy = SimulationSpy(monkeypatch)
-        ledger = run_cycles(SzilardConfig(cycles=12, skip_reset=skip_reset, depolarize_p=p))
-        assert list(ledger.records) == want
+        records = run_cycles(SzilardConfig(cycles=12, skip_reset=skip_reset, depolarize_p=p))
+        assert list(records) == want
         # A reused cycle leaves the memory as it was, so the last simulated
         # cycle's output is the ledger's final memory.
         assert spy.last_memory.mat.tobytes() == memory.mat.tobytes()
@@ -273,24 +273,24 @@ class TestRecordReuse:
     @pytest.mark.parametrize("skip_reset, most", [(False, 1), (True, 2)])
     def test_standard_engine_simulates_at_most_two_cycles(self, skip_reset, most, monkeypatch):
         spy = SimulationSpy(monkeypatch)
-        ledger = run_cycles(SzilardConfig(cycles=40, skip_reset=skip_reset))
-        assert len(ledger.records) == 40
+        records = run_cycles(SzilardConfig(cycles=40, skip_reset=skip_reset))
+        assert len(records) == 40
         assert 1 <= spy.calls <= most
 
 
 class TestTrajectorySampling:
     def test_first_cycle_always_wins(self):
-        ledger = run_cycles(SzilardConfig(cycles=1), shots=500, seed=3)
-        assert ledger.records[0].sampled_work == 500
+        records = run_cycles(SzilardConfig(cycles=1), shots=500, seed=3)
+        assert records[0].sampled_work == 500
 
     def test_stale_memory_cycle_is_fair(self):
-        ledger = run_cycles(SzilardConfig(cycles=2, skip_reset=True), shots=10000, seed=11)
-        assert abs(ledger.records[1].sampled_work) <= 300  # 3 sigma of a +-1 coin
+        records = run_cycles(SzilardConfig(cycles=2, skip_reset=True), shots=10000, seed=11)
+        assert abs(records[1].sampled_work) <= 300  # 3 sigma of a +-1 coin
 
     def test_seeded_reproducibility(self):
         a = run_cycles(SzilardConfig(cycles=3, skip_reset=True), shots=200, seed=9)
         b = run_cycles(SzilardConfig(cycles=3, skip_reset=True), shots=200, seed=9)
-        assert [r.sampled_work for r in a.records] == [r.sampled_work for r in b.records]
+        assert [r.sampled_work for r in a] == [r.sampled_work for r in b]
 
     # Totals recorded from the sampler that built a per-shot int64 work array.
     @pytest.mark.parametrize(
@@ -306,8 +306,8 @@ class TestTrajectorySampling:
     )
     def test_pinned_totals(self, seed, skip_reset, p, totals):
         cfg = SzilardConfig(cycles=6, skip_reset=skip_reset, depolarize_p=p)
-        ledger = run_cycles(cfg, shots=1000, seed=seed)
-        assert [r.sampled_work for r in ledger.records] == totals
+        records = run_cycles(cfg, shots=1000, seed=seed)
+        assert [r.sampled_work for r in records] == totals
 
     def test_memory_per_shot(self):
         # ~12 bytes per shot: a float64 draw plus one-byte flags and memory.
@@ -320,8 +320,8 @@ class TestTrajectorySampling:
         assert peak < 16e6
 
     def test_exact_mode_leaves_samples_unset(self):
-        ledger = run_cycles(SzilardConfig(cycles=1))
-        assert ledger.records[0].sampled_work is None
+        records = run_cycles(SzilardConfig(cycles=1))
+        assert records[0].sampled_work is None
 
 
 class TestConfig:
@@ -335,5 +335,5 @@ class TestConfig:
 
     def test_partial_noise_still_wins_first_cycle(self):
         """Extracted work depends on the memory being blank, not on the particle."""
-        ledger = run_cycles(SzilardConfig(cycles=1, depolarize_p=0.5))
-        assert ledger.records[0].expected_work == pytest.approx(1.0, abs=1e-9)
+        records = run_cycles(SzilardConfig(cycles=1, depolarize_p=0.5))
+        assert records[0].expected_work == pytest.approx(1.0, abs=1e-9)
