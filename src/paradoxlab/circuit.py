@@ -107,8 +107,10 @@ class Instruction:
     def __post_init__(self):
         # Checks that need no circuit; target and clbit ranges depend on the
         # register and are checked by _register_problems.
-        targets = tuple(int(t) for t in self.targets)
+        targets = tuple(qmath._whole(t, "target") for t in self.targets)
         object.__setattr__(self, "targets", targets)
+        if self.clbit is not None:
+            object.__setattr__(self, "clbit", qmath._whole(self.clbit, "clbit"))
         if len(set(targets)) != len(targets):
             raise BadTargets(f"repeated target in {targets}")
         if self.op == "unitary":
@@ -129,12 +131,14 @@ class Circuit:
     instructions: list = field(default_factory=list)
 
     def __post_init__(self):
+        self.n_qubits = qmath._whole(self.n_qubits, "n_qubits")
+        self.n_clbits = qmath._whole(self.n_clbits, "n_clbits")
         if self.n_qubits > MAX_QUBITS:
             raise TooManyQubits(f"{self.n_qubits} qubits exceeds the limit of {MAX_QUBITS}")
         if self.n_qubits < 1:
-            raise InvalidCircuit(["circuit needs at least one qubit"])
+            raise InvalidCircuit("circuit needs at least one qubit")
         if self.n_clbits < 0:
-            raise InvalidCircuit(["circuit needs a non-negative clbit count"])
+            raise InvalidCircuit("circuit needs a non-negative clbit count")
 
     # -- builder helpers ----------------------------------------------------
 
@@ -185,7 +189,7 @@ class Circuit:
         return self._append(Instruction("reset", (q,)))
 
     def measure(self, q, clbit) -> "Circuit":
-        return self._append(Instruction("measure", (q,), clbit=int(clbit)))
+        return self._append(Instruction("measure", (q,), clbit=clbit))
 
     # -- serialization -------------------------------------------------------
 
@@ -222,23 +226,22 @@ class Circuit:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Circuit":
-        whole = qmath._whole
-        c = cls(whole(doc["n_qubits"], "n_qubits"), whole(doc.get("n_clbits", 0), "n_clbits"))
+        c = cls(doc["n_qubits"], doc.get("n_clbits", 0))
         for item in doc.get("instructions", []):
             op = item["op"]
             if op == "unitary":
                 theta = item.get("theta")
                 theta = None if theta is None else qmath._finite(theta, "theta")
                 gate = make_gate(item["kind"], theta)
-                c.append_gate(gate, [whole(t, "target") for t in item["targets"]])
+                c.append_gate(gate, item["targets"])
             elif op == "channel":
-                dim = whole(item["dim"], "dim")
+                dim = qmath._whole(item["dim"], "dim")
                 ops = tuple(qmath.entries_to_matrix(dim, e) for e in item["operators"])
-                c.channel(KrausSet(ops), [whole(t, "target") for t in item["targets"]])
+                c.channel(KrausSet(ops), item["targets"])
             elif op == "reset":
-                c.reset(whole(item["target"], "target"))
+                c.reset(item["target"])
             elif op == "measure":
-                c.measure(whole(item["target"], "target"), whole(item["clbit"], "clbit"))
+                c.measure(item["target"], item["clbit"])
             else:
                 raise UnknownKind(f"no instruction op {op!r}")
         return c
@@ -275,7 +278,7 @@ def validate(c: Circuit) -> list:
 def run_statevector(c: Circuit) -> StateVector:
     """Evolve |0...0> through a unitary-only circuit."""
     _require_valid(c)
-    return StateVector(c.n_qubits, circuit_unitary(c)[:, 0])
+    return StateVector(circuit_unitary(c)[:, 0])
 
 
 _PROJ = (
@@ -336,13 +339,13 @@ def run_density(c: Circuit, initial: Optional[DensityMatrix] = None) -> RunResul
         distribution[key] = distribution.get(key, 0.0) + w
     total = sum(w for w, _, _ in branches)
     mixed = sum(w * mat for w, mat, _ in branches) / total
-    return RunResult(distribution, DensityMatrix(n, mixed))
+    return RunResult(distribution, DensityMatrix(mixed))
 
 
 def _require_valid(c: Circuit):
     problems = validate(c)
     if problems:
-        raise InvalidCircuit(problems)
+        raise InvalidCircuit("; ".join(problems))
 
 
 def circuit_unitary(c: Circuit) -> np.ndarray:

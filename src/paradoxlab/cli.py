@@ -353,14 +353,13 @@ def _input_file(flag: str):
 def _cmd_ctc_solve(inv: argparse.Namespace):
     with _input_file("--unitary"):
         u = load_unitary(inv.unitary)
-    n_total = u.shape[0].bit_length() - 1
-    system, n_sys = None, 0
+    system = None
     if inv.system_state is not None:
-        if n_total < 2:
+        if u.shape[0] < 4:
             raise UsageError("--system-state: the unitary must act on at least two qubits")
-        system, n_sys = ctc.state_from_label(inv.system_state).density(), 1
+        system = ctc.state_from_label(inv.system_state).density()
     with _input_file("--unitary"):
-        problem = ctc.CtcProblem(u, system, n_sys, n_total - n_sys)
+        problem = ctc.CtcProblem(u, system)
     return _ctc_report(problem, inv.tol)
 
 
@@ -403,10 +402,7 @@ _HANDLERS = {
 
 def execute(inv: argparse.Namespace) -> Tuple[str, int]:
     """Run one parsed invocation; returns rendered text and an exit code."""
-    handler = _HANDLERS.get(inv.command)
-    if handler is None:
-        raise UsageError(f"unknown command {inv.command!r}")
-    payload, headers, rows, code = handler(inv)
+    payload, headers, rows, code = _HANDLERS[inv.command](inv)
     return _render(inv, payload, headers, rows), code
 
 

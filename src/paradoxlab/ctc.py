@@ -15,12 +15,12 @@ high ones, so a joint state is kron(system, loop).
 from __future__ import annotations
 
 import mmap
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .circuit import MAX_QUBITS, Circuit, circuit_unitary, make_gate, run_density
+from .circuit import MAX_QUBITS, Circuit, circuit_unitary, make_gate
 from .errors import (
     BadLabel,
     BadParams,
@@ -35,6 +35,7 @@ from .qmath import (
     SOLVE_TOL,
     DensityMatrix,
     StateVector,
+    _qubit_count,
     adjoint,
     is_unitary,
     kron_all,
@@ -64,51 +65,38 @@ def state_from_label(label: str) -> StateVector:
     """One of the four standard single-qubit states by its text label."""
     if label not in _PREPARE:
         raise BadLabel(f"unknown state label {label!r}, expected one of 0 1 + -")
-    return StateVector(1, circuit_unitary(_prepare(Circuit(1), label, 0))[:, 0])
+    return StateVector(circuit_unitary(_prepare(Circuit(1), label, 0))[:, 0])
 
 
 @dataclass(frozen=True, eq=False)
 class CtcProblem:
     """An interaction unitary plus the ordinary-qubit input state.
 
-    ``u`` acts on system (high) and loop (low) qubits together;
-    ``system_state`` is required exactly when ``n_sys`` > 0.
+    ``u`` acts on system (high) and loop (low) qubits together. The system
+    has ``system_state``'s qubits, none without a state, and the loop the
+    rest of ``u``'s; ``n_sys`` and ``n_loop`` are derived, never passed.
     """
 
     u: np.ndarray
-    system_state: Optional[DensityMatrix]
-    n_sys: int
-    n_loop: int
+    system_state: Optional[DensityMatrix] = None
+    n_sys: int = field(init=False)
+    n_loop: int = field(init=False)
 
     def __post_init__(self):
-        if not isinstance(self.n_loop, int) or self.n_loop < 1:
-            raise BadParams(f"n_loop must be a positive integer, got {self.n_loop!r}")
-        if not isinstance(self.n_sys, int) or self.n_sys < 0:
-            raise BadParams(f"n_sys must be a non-negative integer, got {self.n_sys!r}")
-        if self.n_sys + self.n_loop > MAX_QUBITS:
-            raise TooManyQubits(
-                f"problem has {self.n_sys + self.n_loop} qubits, "
-                f"limit is {MAX_QUBITS}"
-            )
         u = np.asarray(self.u, dtype=complex)
-        dim = 2 ** (self.n_sys + self.n_loop)
-        if u.shape != (dim, dim):
-            raise DimensionMismatch(
-                f"unitary shape {u.shape} does not match {dim}x{dim}"
-            )
+        if u.ndim != 2 or u.shape[0] != u.shape[1]:
+            raise DimensionMismatch(f"interaction of shape {u.shape} is not square")
+        n_total = _qubit_count(u.shape[0], "interaction")
+        if n_total > MAX_QUBITS:
+            raise TooManyQubits(f"problem has {n_total} qubits, limit is {MAX_QUBITS}")
+        n_sys = 0 if self.system_state is None else self.system_state.n
+        if n_total <= n_sys:
+            raise BadParams(f"a {n_total}-qubit interaction leaves no loop qubit")
         if not is_unitary(u):
             raise NonUnitary("interaction matrix is not unitary within tolerance")
-        if self.n_sys == 0:
-            if self.system_state is not None:
-                raise BadParams("system_state given but n_sys is 0")
-        else:
-            if self.system_state is None:
-                raise BadParams("system_state required when n_sys > 0")
-            if self.system_state.n != self.n_sys:
-                raise DimensionMismatch(
-                    f"system_state has {self.system_state.n} qubits, expected {self.n_sys}"
-                )
         object.__setattr__(self, "u", u.copy())
+        object.__setattr__(self, "n_sys", n_sys)
+        object.__setattr__(self, "n_loop", n_total - n_sys)
 
 
 class NonlinearityWitness(NamedTuple):
@@ -160,7 +148,7 @@ def consistency_map(p: CtcProblem, rho_loop: DensityMatrix) -> DensityMatrix:
             f"loop state must have {p.n_loop} qubits"
         )
     out = _loop_map(_loop_kraus(p))(rho_loop.mat)
-    return DensityMatrix(p.n_loop, (out + adjoint(out)) / 2)
+    return DensityMatrix((out + adjoint(out)) / 2)
 
 
 def _to_state(mat: np.ndarray) -> Optional[np.ndarray]:
@@ -298,7 +286,7 @@ def solve_fixed_point(p: CtcProblem, tol: float = SOLVE_TOL) -> FixedPointSoluti
             if state is not None and residual_of(state) <= best_residual:
                 best = state
 
-    rho_star = DensityMatrix.from_matrix(_to_state(best))
+    rho_star = DensityMatrix(_to_state(best))
     return FixedPointSolution(
         rho_loop=rho_star,
         residual=float(residual_of(rho_star.mat)),
@@ -365,19 +353,19 @@ def bb84_unitary() -> np.ndarray:
 
 def distinguisher_problem(label: str) -> CtcProblem:
     sys_state = state_from_label(label).density()
-    return CtcProblem(distinguisher_unitary(), sys_state, 1, 1)
+    return CtcProblem(distinguisher_unitary(), sys_state)
 
 
 def bb84_problem(label: str) -> CtcProblem:
     ground = np.diag([1.0, 0.0]).astype(complex)
     psi = state_from_label(label).density()
-    sys_state = DensityMatrix(2, kron_all([psi.mat, ground]))
-    return CtcProblem(bb84_unitary(), sys_state, 2, 2)
+    sys_state = DensityMatrix(kron_all([psi.mat, ground]))
+    return CtcProblem(bb84_unitary(), sys_state)
 
 
 def grandfather_problem() -> CtcProblem:
     """A loop that meets its own negation: U = X with no system qubits."""
-    return CtcProblem(make_gate("X").matrix, None, 0, 1)
+    return CtcProblem(make_gate("X").matrix)
 
 
 def classical_control_demo(input_label: str, protocol: str) -> Circuit:
@@ -407,11 +395,6 @@ def classical_control_demo(input_label: str, protocol: str) -> Circuit:
     raise BadLabel(f"unknown protocol {protocol!r}, expected single or bb84")
 
 
-def demo_distribution(input_label: str, protocol: str) -> Dict[str, float]:
-    """Outcome distribution of the pre-seeded demonstration circuit."""
-    return run_density(classical_control_demo(input_label, protocol)).distribution
-
-
 def nonlinearity_witness() -> NonlinearityWitness:
     """Quantify the map's non-linearity on the discriminator.
 
@@ -420,11 +403,11 @@ def nonlinearity_witness() -> NonlinearityWitness:
     separately gives something else; for a linear theory the two would
     coincide.  Returns both states and their trace distance (sqrt(2)/6).
     """
-    mixture = CtcProblem(distinguisher_unitary(), maximally_mixed(1), 1, 1)
+    mixture = CtcProblem(distinguisher_unitary(), maximally_mixed(1))
     rho_mixture = solve_fixed_point(mixture).rho_loop
     rho_zero = solve_fixed_point(distinguisher_problem("0")).rho_loop
     rho_one = solve_fixed_point(distinguisher_problem("1")).rho_loop
-    averaged = DensityMatrix.from_matrix((rho_zero.mat + rho_one.mat) / 2)
+    averaged = DensityMatrix((rho_zero.mat + rho_one.mat) / 2)
     return NonlinearityWitness(
         trace_distance=trace_distance(rho_mixture, averaged),
         mixture_fixed_point=rho_mixture,

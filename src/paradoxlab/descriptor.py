@@ -39,16 +39,19 @@ def _images(prefix: np.ndarray, q: int) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class DescriptorFrame:
-    """Heisenberg frame at step ``t``: the accumulated circuit unitary.
+    """Heisenberg frame: the accumulated circuit unitary.
 
-    ``prefix`` is all a frame stores. Each qubit's evolved (x, y, z)
-    triple is the bare Pauli conjugated by it, so the latest gate sits
-    innermost; ``triples`` computes them on first read.
+    ``prefix`` is all a frame stores; its side gives the qubit count ``n``.
+    Each qubit's evolved (x, y, z) triple is the bare Pauli conjugated by
+    it, so the latest gate sits innermost; ``triples`` computes them on
+    first read.
     """
 
-    n: int
-    t: int
     prefix: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.prefix.shape[0].bit_length() - 1
 
     @cached_property
     def triples(self) -> tuple:
@@ -61,15 +64,14 @@ def init_frame(n: int) -> DescriptorFrame:
         raise BadParams("frame needs at least one qubit")
     if n > MAX_QUBITS:
         raise TooManyQubits(f"{n} qubits exceeds the limit of {MAX_QUBITS}")
-    return DescriptorFrame(n, 0, np.eye(2 ** n, dtype=complex))
+    return DescriptorFrame(np.eye(2 ** n, dtype=complex))
 
 
 def advance(frame: DescriptorFrame, instr: Instruction) -> DescriptorFrame:
     """Extend the tracked prefix by one unitary step."""
     if instr.op != "unitary":
         raise NonUnitaryInstruction(f"descriptors are defined for unitary steps, not {instr.op!r}")
-    prefix = qmath._apply_op(instr.gate.matrix, frame.prefix, instr.targets)
-    return DescriptorFrame(frame.n, frame.t + 1, prefix)
+    return DescriptorFrame(qmath._apply_op(instr.gate.matrix, frame.prefix, instr.targets))
 
 
 @dataclass(frozen=True)

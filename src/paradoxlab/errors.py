@@ -42,11 +42,7 @@ class NonUnitaryInstruction(ParadoxLabError):
 
 
 class InvalidCircuit(ParadoxLabError):
-    """Circuit failed validation; carries the list of problems."""
-
-    def __init__(self, problems):
-        super().__init__("; ".join(problems))
-        self.problems = list(problems)
+    """Circuit failed validation; the message lists the problems, "; "-separated."""
 
 
 class TooManyQubits(ParadoxLabError):

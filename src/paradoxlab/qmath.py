@@ -9,8 +9,9 @@ six qubits, so dense is always fine.
 from __future__ import annotations
 
 import json
+import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from typing import Iterable, Sequence
 
@@ -63,6 +64,10 @@ def is_unitary(u: np.ndarray, atol: float = UNITARY_ATOL) -> bool:
     u = np.asarray(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         return False
+    # A unitary's entries lie in the unit disc; checking that first keeps the
+    # product below from overflowing on a huge entry.
+    if np.max(np.abs(u)) > 1.0 + atol:
+        return False
     return bool(np.max(np.abs(adjoint(u) @ u - np.eye(u.shape[0]))) <= atol)
 
 
@@ -75,17 +80,18 @@ def _qubit_count(dim: int, what: str) -> int:
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Pure state over ``n`` qubits; amplitudes indexed little-endian."""
+    """Pure state; amplitudes indexed little-endian, ``n`` qubits read from their count."""
 
-    n: int
     amplitudes: np.ndarray
+    n: int = field(init=False)
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
         if not np.isfinite(amps).all():
             raise InvalidState("state vector has non-finite amplitudes")
-        if amps.shape != (2 ** self.n,):
-            raise InvalidState(f"expected {2 ** self.n} amplitudes, got {amps.shape}")
+        if amps.ndim != 1:
+            raise InvalidState(f"state vector of shape {amps.shape} is not 1-D")
+        object.__setattr__(self, "n", _qubit_count(amps.shape[0], "state vector"))
         if abs(np.vdot(amps, amps).real - 1.0) > NORM_ATOL:
             raise InvalidState("state vector is not normalized")
         object.__setattr__(self, "amplitudes", amps)
@@ -93,23 +99,23 @@ class StateVector:
     def density(self) -> "DensityMatrix":
         """The pure state's density matrix |psi><psi|."""
         a = self.amplitudes
-        return DensityMatrix(self.n, np.outer(a, a.conj()))
+        return DensityMatrix(np.outer(a, a.conj()))
 
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, trace-one, positive-semidefinite matrix over n qubits."""
+    """Hermitian, trace-one, positive-semidefinite matrix; ``n`` qubits read from its side."""
 
-    n: int
     mat: np.ndarray
+    n: int = field(init=False)
 
     def __post_init__(self):
         mat = np.asarray(self.mat, dtype=complex)
-        dim = 2 ** self.n
         if not np.isfinite(mat).all():
             raise InvalidState("density matrix has non-finite entries")
-        if mat.shape != (dim, dim):
-            raise InvalidState(f"expected {dim}x{dim} matrix, got {mat.shape}")
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise InvalidState(f"density matrix of shape {mat.shape} is not square")
+        object.__setattr__(self, "n", _qubit_count(mat.shape[0], "density matrix"))
         if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_ATOL:
             raise InvalidState("density matrix is not hermitian")
         if abs(np.trace(mat).real - 1.0) > TRACE_ATOL:
@@ -117,11 +123,6 @@ class DensityMatrix:
         if np.min(np.linalg.eigvalsh(mat)) < PSD_FLOOR:
             raise InvalidState("density matrix has a negative eigenvalue")
         object.__setattr__(self, "mat", mat)
-
-    @classmethod
-    def from_matrix(cls, mat: np.ndarray) -> "DensityMatrix":
-        mat = np.asarray(mat, dtype=complex)
-        return cls(_qubit_count(mat.shape[0], "density matrix"), mat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,13 +220,13 @@ def evolve_density(rho: DensityMatrix, u: np.ndarray, targets: Sequence[int]) ->
     if not is_unitary(u):
         raise NonUnitary("operator fails the unitarity check")
     targets = _check_targets(targets, rho.n, u.shape[0])
-    return DensityMatrix(rho.n, _conjugate(u, rho.mat, targets))
+    return DensityMatrix(_conjugate(u, rho.mat, targets))
 
 
 def apply_kraus(rho: DensityMatrix, kraus: KrausSet, targets: Sequence[int]) -> DensityMatrix:
     """Apply a trace-preserving channel given by Kraus operators on ``targets``."""
     targets = _check_targets(targets, rho.n, kraus.dim)
-    return DensityMatrix(rho.n, _kraus_map(kraus.operators, rho.mat, targets))
+    return DensityMatrix(_kraus_map(kraus.operators, rho.mat, targets))
 
 
 def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
@@ -244,7 +245,7 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     out = np.einsum(
         rho.mat.reshape((2,) * (2 * n)), list(range(n)) + cols, kept + [n + a for a in kept]
     )
-    return DensityMatrix(len(keep), out.reshape(2 ** len(keep), -1))
+    return DensityMatrix(out.reshape(2 ** len(keep), -1))
 
 
 def vn_entropy_bits(rho: DensityMatrix) -> float:
@@ -270,21 +271,21 @@ def trace_distance(a, b) -> float:
 def basis_state(n: int, index: int = 0) -> StateVector:
     amps = np.zeros(2 ** n, dtype=complex)
     amps[index] = 1.0
-    return StateVector(n, amps)
+    return StateVector(amps)
 
 
 def maximally_mixed(n: int) -> DensityMatrix:
     dim = 2 ** n
-    return DensityMatrix(n, np.eye(dim, dtype=complex) / dim)
+    return DensityMatrix(np.eye(dim, dtype=complex) / dim)
 
 
 # --- matrix file format ----------------------------------------------------
 
 
 def _whole(value, what: str) -> int:
-    """A count or index read from a file: an int or a whole float, never a bool or string."""
+    """A count or index: any integer (numpy's too) or a whole float, never a bool or string."""
     if isinstance(value, bool) or not (
-        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+        isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
     ):
         raise BadParams(f"{what} {value!r} is not a whole number")
     return int(value)
@@ -337,8 +338,6 @@ def load_unitary(path: str) -> np.ndarray:
         raise DimensionMismatch(f"malformed matrix file: {exc}") from exc
     _qubit_count(dim, "matrix")
     m = entries_to_matrix(dim, entries)
-    # A unitary's entries lie in the unit disc; checking that first keeps the
-    # unitarity check's product from overflowing on a huge entry.
-    if np.max(np.abs(m)) > 1.0 + UNITARY_ATOL or not is_unitary(m):
+    if not is_unitary(m):
         raise NonUnitary(f"matrix in {path} fails the unitarity check")
     return m

@@ -114,11 +114,6 @@ class CycleRecord:
     mutual_info_particle_memory: float
 
 
-def _check_memory(memory_in: DensityMatrix) -> None:
-    if not isinstance(memory_in, DensityMatrix) or memory_in.n != 1:
-        raise BadMemoryState("memory must be a single-qubit density matrix")
-
-
 @lru_cache(maxsize=8)
 def _stages(skip_reset: bool, depolarize_p: float) -> Tuple[Circuit, Circuit, Circuit]:
     """The cycle's observe, stroke and erase stages; built once per setting, shared read-only."""
@@ -134,11 +129,11 @@ def _stages(skip_reset: bool, depolarize_p: float) -> Tuple[Circuit, Circuit, Ci
     return observe, stroke, erase
 
 
-def build_cycle(
-    memory_in: DensityMatrix, skip_reset: bool = False, depolarize_p: float = 1.0
-) -> Circuit:
-    """One engine cycle as a plain circuit on (particle, memory, w1, w0)."""
-    _check_memory(memory_in)
+def build_cycle(skip_reset: bool = False, depolarize_p: float = 1.0) -> Circuit:
+    """One engine cycle as a plain circuit on (particle, memory, w1, w0).
+
+    The incoming memory belongs to the state the circuit runs on, not to the circuit.
+    """
     stages = _stages(skip_reset, depolarize_p)
     return Circuit(4, 0, [instr for stage in stages for instr in stage.instructions])
 
@@ -153,23 +148,23 @@ def run_single_cycle(
     Returns the cycle record (with ``cycle`` set to 1 and no sampled work)
     and the memory state handed to the next cycle.
     """
-    _check_memory(memory_in)
+    if not isinstance(memory_in, DensityMatrix) or memory_in.n != 1:
+        raise BadMemoryState("memory must be a single-qubit density matrix")
     observe, stroke, erase = _stages(skip_reset, depolarize_p)
-    rho = DensityMatrix(4, kron_all([_GROUND, memory_in.mat, _GROUND, _GROUND]))
+    rho = DensityMatrix(kron_all([_GROUND, memory_in.mat, _GROUND, _GROUND]))
     rho = run_density(observe, rho).final_state
     mutual = mutual_information(partial_trace(rho, [PARTICLE, MEMORY]), [0], [1])
     rho = run_density(stroke, rho).final_state
     expected = work_expectation(partial_trace(rho, [W1, W0]))
     pre_entropy = vn_entropy_bits(partial_trace(rho, [MEMORY]))
     memory_out = partial_trace(run_density(erase, rho).final_state, [MEMORY])
-    post_entropy = pre_entropy if skip_reset else vn_entropy_bits(memory_out)
 
     record = CycleRecord(
         cycle=1,
         expected_work=expected,
         sampled_work=None,
         memory_entropy_pre_reset=pre_entropy,
-        memory_entropy_post=post_entropy,
+        memory_entropy_post=vn_entropy_bits(memory_out),
         mutual_info_particle_memory=mutual,
     )
     return record, memory_out
@@ -188,10 +183,9 @@ def _sample_trajectories(cfg: SzilardConfig, shots: int, seed: int) -> List[int]
     for _ in range(cfg.cycles):
         # A blank record gains one unit, a set one loses one.
         totals.append(shots - 2 * int(np.count_nonzero(memory)))
-        if cfg.depolarize_p > 0.0:
-            hit = rng.random(shots) < cfg.depolarize_p
-            coin = rng.integers(0, 2, shots, dtype=np.int8)
-            np.bitwise_xor(memory, coin, out=memory, where=hit)
+        hit = rng.random(shots) < cfg.depolarize_p
+        coin = rng.integers(0, 2, shots, dtype=np.int8)
+        np.bitwise_xor(memory, coin, out=memory, where=hit)
         if not cfg.skip_reset:
             memory[:] = 0
     return totals

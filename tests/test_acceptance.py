@@ -271,7 +271,7 @@ def test_c12_mode_agreement():
     ]
     worst = 0.0
     for protocol, label in pairs:
-        demo = ctc.demo_distribution(label, protocol)
+        demo = run_density(ctc.classical_control_demo(label, protocol)).distribution
         if protocol == "single":
             problem = ctc.distinguisher_problem(label)
         else:

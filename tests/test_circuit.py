@@ -152,6 +152,30 @@ class TestValidate:
         problems = validate(c)
         assert problems and "clbit" in problems[0]
 
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: Circuit(2, 1).x(1.9), "target"),
+            (lambda: Circuit(2, 1).measure(1.2, 0), "target"),
+            (lambda: Circuit(2, 1).measure(1, 0.7), "clbit"),
+            (lambda: Circuit(2).x(True), "target"),
+            (lambda: Circuit(2.5), "n_qubits"),
+            (lambda: Circuit(2, 0.5), "n_clbits"),
+        ],
+    )
+    def test_non_integer_index_rejected(self, build, field):
+        """Indices and counts follow the file format's rule instead of int()'s truncation."""
+        with pytest.raises(BadParams, match=field):
+            build()
+
+    def test_numpy_and_whole_float_indices_accepted(self):
+        c = Circuit(np.int64(2), np.int32(1)).x(np.int64(1)).h(1.0).h(np.uint8(1))
+        c.measure(np.int16(1), np.int8(0))
+        assert (c.n_qubits, c.n_clbits) == (2, 1)
+        assert all(type(t) is int for i in c.instructions for t in i.targets)
+        assert type(c.instructions[-1].clbit) is int
+        assert run_density(c).distribution == pytest.approx({"1": 1.0}, abs=1e-12)
+
     def test_qubit_ceiling(self):
         with pytest.raises(TooManyQubits):
             Circuit(7)
@@ -258,7 +282,7 @@ class TestRunDensity:
                 )
 
     def test_initial_state_override(self):
-        rho = DensityMatrix.from_matrix(np.array([[0.0, 0], [0, 1.0]]))
+        rho = DensityMatrix(np.array([[0.0, 0], [0, 1.0]]))
         c = Circuit(1).x(0)
         r = run_density(c, initial=rho)
         np.testing.assert_allclose(r.final_state.mat, [[1, 0], [0, 0]], atol=1e-12)

@@ -13,7 +13,6 @@ from paradoxlab.ctc import (
     bb84_unitary,
     classical_control_demo,
     consistency_map,
-    demo_distribution,
     distinguisher_problem,
     distinguisher_unitary,
     grandfather_problem,
@@ -26,6 +25,7 @@ from paradoxlab.errors import (
     BadLabel,
     BadParams,
     DimensionMismatch,
+    InvalidState,
     NoConvergence,
     NonUnitary,
     TooManyQubits,
@@ -33,6 +33,7 @@ from paradoxlab.errors import (
 from paradoxlab.qmath import (
     OUTCOME_FLOOR,
     DensityMatrix,
+    StateVector,
     is_unitary,
     maximally_mixed,
     trace_distance,
@@ -80,34 +81,45 @@ class TestLabels:
 class TestProblemValidation:
     def test_unitarity_enforced(self):
         with pytest.raises(NonUnitary):
-            CtcProblem(np.ones((4, 4), dtype=complex), maximally_mixed(1), 1, 1)
+            CtcProblem(np.ones((4, 4), dtype=complex), maximally_mixed(1))
 
     def test_dimension_consistency(self):
-        with pytest.raises(DimensionMismatch):
-            CtcProblem(np.eye(4, dtype=complex), maximally_mixed(2), 1, 1)
-        with pytest.raises(DimensionMismatch):
-            CtcProblem(np.eye(2, dtype=complex), maximally_mixed(1), 1, 1)
+        with pytest.raises(DimensionMismatch, match="not square"):
+            CtcProblem(np.eye(4, 2, dtype=complex), maximally_mixed(1))
+        with pytest.raises(DimensionMismatch, match="power of two"):
+            CtcProblem(np.eye(6, dtype=complex), maximally_mixed(1))
+
+    def test_sizes_derived_from_arrays(self):
+        u = np.eye(8, dtype=complex)
+        p = CtcProblem(u, maximally_mixed(1))
+        assert (p.n_sys, p.n_loop) == (1, 2)
+        p = CtcProblem(u)
+        assert (p.n_sys, p.n_loop) == (0, 3)
+        assert DensityMatrix(np.eye(4) / 4).n == 2
+        assert StateVector(np.eye(8)[5]).n == 3
+        with pytest.raises(InvalidState, match="not square"):
+            DensityMatrix(np.full((2, 4), 0.25))
+        with pytest.raises(InvalidState, match="not 1-D"):
+            StateVector(np.eye(2) / np.sqrt(2))
+        with pytest.raises(DimensionMismatch, match="power of two"):
+            DensityMatrix(np.eye(3) / 3)
+        with pytest.raises(DimensionMismatch, match="power of two"):
+            StateVector(np.ones(3) / np.sqrt(3))
 
     def test_qubit_ceiling_is_the_circuit_limit(self):
-        CtcProblem(np.eye(64, dtype=complex), None, 0, 6)
+        CtcProblem(np.eye(64, dtype=complex))
         with pytest.raises(TooManyQubits, match=r"^problem has 7 qubits, limit is 6$"):
-            CtcProblem(np.eye(128, dtype=complex), None, 0, 7)
+            CtcProblem(np.eye(128, dtype=complex))
 
     def test_loopless_problem_rejected(self):
         with pytest.raises(BadParams):
-            CtcProblem(np.eye(2, dtype=complex), maximally_mixed(1), 1, 0)
-
-    def test_system_state_required_iff_system_qubits(self):
-        with pytest.raises(BadParams):
-            CtcProblem(np.eye(2, dtype=complex), maximally_mixed(1), 0, 1)
-        with pytest.raises(BadParams):
-            CtcProblem(np.eye(4, dtype=complex), None, 1, 1)
+            CtcProblem(np.eye(2, dtype=complex), maximally_mixed(1))
 
 
 class TestConsistencyMap:
     def test_identity_interaction(self):
-        p = CtcProblem(np.eye(4, dtype=complex), maximally_mixed(1), 1, 1)
-        rho = DensityMatrix.from_matrix(oracle.random_density(2, np.random.default_rng(5)))
+        p = CtcProblem(np.eye(4, dtype=complex), maximally_mixed(1))
+        rho = DensityMatrix(oracle.random_density(2, np.random.default_rng(5)))
         out = consistency_map(p, rho)
         assert np.allclose(out.mat, rho.mat, atol=1e-12)
 
@@ -115,8 +127,8 @@ class TestConsistencyMap:
         swap = np.array(
             [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
         )
-        p = CtcProblem(swap, DensityMatrix.from_matrix(np.diag([1.0, 0])), 1, 1)
-        rho = DensityMatrix.from_matrix(oracle.random_density(2, np.random.default_rng(7)))
+        p = CtcProblem(swap, DensityMatrix(np.diag([1.0, 0])))
+        rho = DensityMatrix(oracle.random_density(2, np.random.default_rng(7)))
         out = consistency_map(p, rho)
         assert np.allclose(out.mat, np.diag([1.0, 0]), atol=1e-12)
 
@@ -131,9 +143,9 @@ class TestConsistencyMap:
             n_sys = int(rng.integers(1, 3))
             n_loop = int(rng.integers(1, 3))
             u = oracle.random_unitary(2 ** (n_sys + n_loop), rng)
-            sys_state = DensityMatrix.from_matrix(oracle.random_density(2 ** n_sys, rng))
-            p = CtcProblem(u, sys_state, n_sys, n_loop)
-            rho = DensityMatrix.from_matrix(oracle.random_density(2 ** n_loop, rng))
+            sys_state = DensityMatrix(oracle.random_density(2 ** n_sys, rng))
+            p = CtcProblem(u, sys_state)
+            rho = DensityMatrix(oracle.random_density(2 ** n_loop, rng))
             out = consistency_map(p, rho)  # constructor enforces the invariants
             assert abs(np.trace(out.mat).real - 1.0) <= 1e-10
 
@@ -158,12 +170,10 @@ class TestConsistencyMap:
             joint = rho if sigma is None else np.kron(sigma, rho)
             return oracle.ptrace(u @ joint @ u.conj().T, range(n_loop), n_sys + n_loop)
 
-        p = CtcProblem(
-            u, None if sigma is None else DensityMatrix.from_matrix(sigma), n_sys, n_loop
-        )
+        p = CtcProblem(u, None if sigma is None else DensityMatrix(sigma))
         for _ in range(2):
             rho = oracle.random_density(2 ** n_loop, rng)
-            out = consistency_map(p, DensityMatrix.from_matrix(rho))
+            out = consistency_map(p, DensityMatrix(rho))
             assert np.max(np.abs(out.mat - channel(rho))) <= 1e-12
         if n_loop == 4 and pure:
             return  # the oracle's 256 columns take ~0.5 s here; mixed covers the size
@@ -219,7 +229,7 @@ class TestSolver:
 
     def test_dephasing_loop_keeps_max_entropy(self):
         z = np.diag([1.0, -1.0]).astype(complex)
-        sol = solve_fixed_point(CtcProblem(z, None, 0, 1))
+        sol = solve_fixed_point(CtcProblem(z))
         assert oracle.tdist(sol.rho_loop.mat, np.eye(2) / 2) <= 1e-12
         assert sol.multiplicity_hint == 2
 
@@ -235,7 +245,7 @@ class TestSolver:
 
     def test_eigensolve_fallback(self):
         """A weak partial SWAP mixes too slowly for the iteration budget."""
-        p = CtcProblem(oracle.partial_swap(1, 0.03), state_from_label("0").density(), 1, 1)
+        p = CtcProblem(oracle.partial_swap(1, 0.03), state_from_label("0").density())
         sol = solve_fixed_point(p)
         assert sol.method == "eigensolve"
         assert sol.iterations > 300
@@ -256,7 +266,7 @@ class TestSolver:
         """No loop state is self-consistent to 1e-300; the solve says so."""
         rng = np.random.default_rng(n_loop)
         u = oracle.random_unitary(2 ** (n_loop + 1), rng)
-        p = CtcProblem(u, state_from_label("+").density(), 1, n_loop)
+        p = CtcProblem(u, state_from_label("+").density())
         with pytest.raises(NoConvergence):
             solve_fixed_point(p, tol=1e-300)
 
@@ -283,14 +293,14 @@ def reference_iterate(apply, d, tol):
 def random_loop_problem(n_sys, n_loop, seed):
     rng = np.random.default_rng(seed)
     u = oracle.random_unitary(2 ** (n_sys + n_loop), rng)
-    state = DensityMatrix(n_sys, oracle.random_density(2 ** n_sys, rng)) if n_sys else None
-    return CtcProblem(u, state, n_sys, n_loop)
+    state = DensityMatrix(oracle.random_density(2 ** n_sys, rng)) if n_sys else None
+    return CtcProblem(u, state)
 
 
 def partial_swap_problem(n_loop, angle, seed):
     rng = np.random.default_rng(seed)
-    state = DensityMatrix(1, oracle.random_density(2, rng))
-    return CtcProblem(oracle.partial_swap(n_loop, angle), state, 1, n_loop)
+    state = DensityMatrix(oracle.random_density(2, rng))
+    return CtcProblem(oracle.partial_swap(n_loop, angle), state)
 
 
 class TestStackedPass:
@@ -336,7 +346,7 @@ class TestStackedPass:
 
         monkeypatch.setattr(ctc, "trace_distance", counted("trace_distance", ctc.trace_distance))
         monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
-        p = CtcProblem(oracle.partial_swap(2, 0.3), state_from_label("1").density(), 1, 2)
+        p = CtcProblem(oracle.partial_swap(2, 0.3), state_from_label("1").density())
         sol = solve_fixed_point(p)
         assert sol.iterations == 269
         assert calls["trace_distance"] <= 3
@@ -350,7 +360,7 @@ def weak_loop(n_loop, eps, seed):
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     vals, vecs = np.linalg.eigh((z + z.conj().T) / 2)
     u = (vecs * np.exp(-1j * eps * vals)) @ vecs.conj().T
-    return CtcProblem(u, state_from_label("+").density(), 1, n_loop)
+    return CtcProblem(u, state_from_label("+").density())
 
 
 class TestSlowLoops:
@@ -364,7 +374,7 @@ class TestSlowLoops:
         idle = np.eye(2 ** (n_loop - 1)) / 2 ** (n_loop - 1)
         for label in STATE_LABELS:
             psi = oracle.density(KETS[label])
-            sol = solve_fixed_point(CtcProblem(u, DensityMatrix(1, psi), 1, n_loop))
+            sol = solve_fixed_point(CtcProblem(u, DensityMatrix(psi)))
             assert np.max(np.abs(sol.rho_loop.mat - np.kron(idle, psi))) <= 1e-10
             assert sol.method == "eigensolve"
 
@@ -431,7 +441,7 @@ class TestRunCtc:
             sigma = oracle.density(oracle.random_unitary(2 ** n_sys, rng)[:, 0])
         else:
             sigma = oracle.random_density(2 ** n_sys, rng)
-        p = CtcProblem(u, DensityMatrix.from_matrix(sigma), n_sys, n_loop)
+        p = CtcProblem(u, DensityMatrix(sigma))
         result = run_ctc_circuit(p)
         assert result.distribution == self._reference_readout(p, result.solution.rho_loop)
 
@@ -467,8 +477,8 @@ class TestClassicalControlDemo:
         assert kinds[:3] == ["H", "Z", "X"]
 
     def test_single_distributions(self):
-        assert demo_distribution("0", "single") == pytest.approx({"0": 1.0}, abs=1e-12)
-        assert demo_distribution("-", "single") == pytest.approx({"1": 1.0}, abs=1e-12)
+        assert run_density(classical_control_demo("0", "single")).distribution == pytest.approx({"0": 1.0}, abs=1e-12)
+        assert run_density(classical_control_demo("-", "single")).distribution == pytest.approx({"1": 1.0}, abs=1e-12)
 
     def test_single_rejects_undistinguishable_labels(self):
         for label in ("1", "+"):
@@ -483,7 +493,7 @@ class TestClassicalControlDemo:
 
     @pytest.mark.parametrize("label", STATE_LABELS)
     def test_bb84_distributions(self, label):
-        dist = demo_distribution(label, "bb84")
+        dist = run_density(classical_control_demo(label, "bb84")).distribution
         assert dist[BB84_OUTPUT[label]] == pytest.approx(1.0, abs=1e-9)
 
     def test_mode_agreement(self):
@@ -492,7 +502,7 @@ class TestClassicalControlDemo:
             (label, "bb84") for label in STATE_LABELS
         ]
         for label, protocol in pairs:
-            demo = demo_distribution(label, protocol)
+            demo = run_density(classical_control_demo(label, protocol)).distribution
             if protocol == "single":
                 honest = run_ctc_circuit(dist_problem(label)).distribution
             else:
@@ -518,8 +528,8 @@ class TestNonlinearity:
 
     def test_componentwise_linearity_fails(self):
         """The fixed point of a mixture is not the mixture of fixed points."""
-        mix = DensityMatrix.from_matrix((DIST_FIXED["0"] + DIST_FIXED["1"]) / 2)
-        p = CtcProblem(distinguisher_unitary(), maximally_mixed(1), 1, 1)
+        mix = DensityMatrix((DIST_FIXED["0"] + DIST_FIXED["1"]) / 2)
+        p = CtcProblem(distinguisher_unitary(), maximally_mixed(1))
         sol = solve_fixed_point(p)
         assert oracle.tdist(sol.rho_loop.mat, mix.mat) > 0.05
 

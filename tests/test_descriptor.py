@@ -81,10 +81,6 @@ class TestAdvance:
         for a, b in zip(f0.triples[0], f1.triples[0]):
             assert np.max(np.abs(a - b)) <= 1e-12
 
-    def test_step_counter(self):
-        f = advance_all(init_frame(1), Circuit(1).h(0).z(0))
-        assert f.t == 2
-
     def test_rejects_non_unitary_instruction(self):
         f = init_frame(1)
         instr = Circuit(1).reset(0).instructions[0]

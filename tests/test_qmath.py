@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 import oracle
 from paradoxlab import qmath
+from paradoxlab.circuit import Gate
+from paradoxlab.ctc import CtcProblem
 from paradoxlab.errors import (
     BadParams,
     BadTargets,
@@ -30,7 +33,7 @@ from paradoxlab.qmath import (
 
 
 def dm(mat):
-    return DensityMatrix.from_matrix(np.asarray(mat, dtype=complex))
+    return DensityMatrix(mat)
 
 
 class TestTensor:
@@ -66,7 +69,7 @@ class TestAdjoint:
 class TestStates:
     def test_statevector_norm_checked(self):
         with pytest.raises(InvalidState):
-            StateVector(1, np.array([1.0, 1.0], dtype=complex))
+            StateVector(np.array([1.0, 1.0], dtype=complex))
 
     def test_density_invariants_checked(self):
         with pytest.raises(InvalidState):
@@ -80,8 +83,8 @@ class TestStates:
     @pytest.mark.parametrize(
         "build, error",
         [
-            (lambda bad: StateVector(1, np.full(2, bad)), InvalidState),
-            (lambda bad: DensityMatrix(1, np.full((2, 2), bad)), InvalidState),
+            (lambda bad: StateVector(np.full(2, bad)), InvalidState),
+            (lambda bad: DensityMatrix(np.full((2, 2), bad)), InvalidState),
             (lambda bad: KrausSet((np.full((2, 2), bad),)), NotTracePreserving),
         ],
         ids=["StateVector", "DensityMatrix", "KrausSet"],
@@ -92,7 +95,7 @@ class TestStates:
             build(bad)
 
     def test_from_statevector(self):
-        sv = StateVector(1, oracle.PLUS.copy())
+        sv = StateVector(oracle.PLUS.copy())
         rho = sv.density()
         np.testing.assert_allclose(rho.mat, oracle.density(oracle.PLUS), atol=1e-12)
 
@@ -292,6 +295,24 @@ class TestTraceDistance:
             assert trace_distance(a, b) == pytest.approx(trace_distance(b, a), abs=1e-9)
             assert trace_distance(a, c) <= trace_distance(a, b) + trace_distance(b, c) + 1e-9
             assert trace_distance(a, b) >= -1e-12
+
+
+class TestIsUnitary:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda path: Gate("G", [[1e200, 0], [0, 1]]),
+            lambda path: CtcProblem(np.diag([1e200, 1, 1, 1])),
+            lambda path: qmath.save_unitary(path, np.diag([1e200, 1])),
+        ],
+        ids=["Gate", "CtcProblem", "save_unitary"],
+    )
+    def test_huge_entry_refused_without_overflow(self, build, tmp_path):
+        """Every caller of the check gets its unit-disc screen, not an overflow."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonUnitary):
+                build(str(tmp_path / "huge.json"))
 
 
 class TestMatrixFile:

@@ -1,11 +1,11 @@
 """Seeded robustness check of the command line against malformed input.
 
-Two corpora run through ``cli.main``: structural mutations of a ``ctc
-solve`` matrix file and an ``audit-locality`` circuit file, and token
-mutations of an invocation of every subcommand. Every case must end
-cleanly: no exception escapes, the exit code is 0 or 2, stderr is empty
-exactly when the exit code is 0, and the case finishes within
-``CASE_SECONDS``.
+Three corpora run through ``cli.main``: structural mutations of a ``ctc
+solve`` matrix file and an ``audit-locality`` circuit file, token
+mutations of an invocation of every subcommand, and numerically hard
+``ctc solve`` matrices. Every case must end cleanly: no exception
+escapes, the exit code is 0 or 2, stderr is empty exactly when the exit
+code is 0, and the case finishes within ``CASE_SECONDS``.
 """
 
 from __future__ import annotations
@@ -21,9 +21,10 @@ import time
 import numpy as np
 import pytest
 
+import oracle
 from paradoxlab import cli
 from paradoxlab.circuit import Circuit, circuit_unitary
-from paradoxlab.qmath import matrix_to_entries
+from paradoxlab.qmath import UNITARY_ATOL, matrix_to_entries
 
 SEEDS = (1, 2)
 # A case that takes longer has stalled; the slowest valid one takes well under 0.1 s.
@@ -38,6 +39,10 @@ FILE_VALUES = (
 )
 # Tokens swapped into argv: non-finite, overflowing, negative, empty, enormous.
 ARGV_VALUES = ("nan", "inf", "1e309", "1e30", "-1", "", "9" * 5000)
+# Unitarity defects max|U'U - I|, in units of UNITARY_ATOL, and the exit code each gets.
+EDGE_DEFECTS = ((0.4, 0), (0.9, 0), (1.1, 2), (2.0, 2))
+# Near-identity loop maps: partial SWAP angles, 0 being the identity itself.
+WEAK_ANGLES = (1e-3, 1e-6, 1e-9, 0.0)
 
 BASE_ARGV = (
     ["epr", "--theta", "0.3", "--phi", "0.2", "--shots", "10", "--seed", "1"],
@@ -63,8 +68,8 @@ def _circuit_doc() -> dict:
     return Circuit(3, 1).h(0).ccx(0, 1, 2).rx(0.4, 2).cx(2, 0).to_dict()
 
 
-def run_case(argv) -> str:
-    """The rule ``argv`` breaks, or "" when it ends cleanly."""
+def run_case(argv, codes=(0, 2)) -> str:
+    """The rule ``argv`` breaks, or "" when it ends cleanly with one of ``codes``."""
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
     try:
@@ -73,7 +78,7 @@ def run_case(argv) -> str:
     except Exception as exc:
         return f"raised {type(exc).__name__}: {exc}"
     elapsed = time.perf_counter() - start
-    if code not in (0, 2):
+    if code not in codes:
         return f"exit {code}: {err.getvalue()!r}"
     if (code == 0) != (err.getvalue() == ""):
         return f"exit {code} with stderr {err.getvalue()!r}"
@@ -198,4 +203,29 @@ def test_mutated_argv_end_cleanly(seed, tmp_path):
             problem = run_case(argv)
             if problem:
                 failures.append(f"{_shown(argv)}: {problem}")
+    assert not failures, f"{len(failures)} failing cases, first: {failures[:3]}"
+
+
+def _edge_matrices():
+    """(name, matrix, exit code) for unitaries at the tolerance's edge and near-identity loops."""
+    for factor, code in EDGE_DEFECTS:
+        m = oracle.partial_swap(1, 0.3)
+        # Column 0 holds one unit-modulus entry, so scaling it by s sets (U'U)_00 to s^2.
+        m[0, 0] *= math.sqrt(1 + factor * UNITARY_ATOL)
+        yield f"defect {factor} x UNITARY_ATOL", m, code
+    for n_loop in range(1, 6):
+        for angle in WEAK_ANGLES:
+            yield f"partial SWAP at {angle} on {n_loop} loop qubits", oracle.partial_swap(n_loop, angle), 0
+
+
+def test_numeric_edge_matrices_end_cleanly(tmp_path):
+    path = str(tmp_path / "edge.json")
+    argv = ["ctc", "solve", "--unitary", path, "--system-state", "+"]
+    failures = []
+    for name, m, code in _edge_matrices():
+        with open(path, "w") as fh:
+            json.dump({"dim": len(m), "entries": matrix_to_entries(m)}, fh)
+        problem = run_case(argv, (code,))
+        if problem:
+            failures.append(f"{name}: {problem}")
     assert not failures, f"{len(failures)} failing cases, first: {failures[:3]}"

@@ -35,7 +35,7 @@ from paradoxlab.szilard import (
 def qubit_dm(bit):
     m = np.zeros((2, 2), dtype=complex)
     m[bit, bit] = 1
-    return DensityMatrix(1, m)
+    return DensityMatrix(m)
 
 
 def basis_dm(n, index):
@@ -43,13 +43,12 @@ def basis_dm(n, index):
 
 
 BELL = DensityMatrix(
-    2,
     np.array(
         [[0.5, 0, 0, 0.5], [0, 0, 0, 0], [0, 0, 0, 0], [0.5, 0, 0, 0.5]], dtype=complex
     ),
 )
 
-CLASSICAL_PAIR = DensityMatrix(2, np.diag([0.5, 0, 0, 0.5]).astype(complex))
+CLASSICAL_PAIR = DensityMatrix(np.diag([0.5, 0, 0, 0.5]).astype(complex))
 
 
 class TestWorkExpectation:
@@ -71,7 +70,7 @@ class TestWorkExpectation:
 
 class TestMutualInformation:
     def test_product_state(self):
-        joint = DensityMatrix(2, np.kron(np.eye(2) / 2, np.eye(2) / 2))
+        joint = DensityMatrix(np.kron(np.eye(2) / 2, np.eye(2) / 2))
         assert mutual_information(joint, [0], [1]) == pytest.approx(0.0, abs=1e-9)
 
     def test_classical_correlation(self):
@@ -86,7 +85,7 @@ class TestMutualInformation:
         with pytest.raises(BadPartition):
             mutual_information(BELL, [0], [])
         with pytest.raises(BadPartition):
-            mutual_information(DensityMatrix(2, np.eye(4) / 4), [0], [1, 2])
+            mutual_information(DensityMatrix(np.eye(4) / 4), [0], [1, 2])
 
 
 class TestWeightLogic:
@@ -96,9 +95,8 @@ class TestWeightLogic:
     )
     def test_truth_table(self, particle, memory, weight_index):
         """Blank memory lifts the weight; stale memory drops it."""
-        c = build_cycle(qubit_dm(memory), skip_reset=True, depolarize_p=0.0)
+        c = build_cycle(skip_reset=True, depolarize_p=0.0)
         initial = DensityMatrix(
-            4,
             kron_all(
                 [qubit_dm(particle).mat, qubit_dm(memory).mat, np.diag([1.0, 0]), np.diag([1.0, 0])]
             ),
@@ -111,7 +109,7 @@ class TestWeightLogic:
 
     def test_memory_state_validated(self):
         with pytest.raises(BadMemoryState):
-            build_cycle(maximally_mixed(2))
+            run_single_cycle(maximally_mixed(2))
 
 
 def reference_cycle(memory, skip_reset, p):
@@ -175,7 +173,7 @@ class TestCycleOracle:
     @pytest.mark.parametrize("memory", ORACLE_MEMORIES)
     def test_cycle_matches_oracle(self, memory, p, skip_reset):
         mat = ORACLE_MEMORIES[memory]
-        rec, memory_out = run_single_cycle(DensityMatrix(1, mat), skip_reset, p)
+        rec, memory_out = run_single_cycle(DensityMatrix(mat), skip_reset, p)
         mutual, work, pre, post, want_out = reference_cycle(mat, skip_reset, p)
         assert rec.cycle == 1 and rec.sampled_work is None
         assert rec.mutual_info_particle_memory == pytest.approx(mutual, abs=1e-10)
@@ -230,11 +228,8 @@ class TestCyclesWithoutErasure:
     def test_decorrelation_detaches_particle(self):
         from paradoxlab.qmath import partial_trace
 
-        memory = basis_state(1).density()
-        c = build_cycle(memory, skip_reset=True)
-        initial = DensityMatrix(
-            4, kron_all([np.diag([1.0, 0])] * 4)
-        )
+        c = build_cycle(skip_reset=True)
+        initial = DensityMatrix(kron_all([np.diag([1.0, 0])] * 4))
         final = run_density(c, initial=initial).final_state
         pair = partial_trace(final, [PARTICLE, MEMORY])
         assert mutual_information(pair, [0], [1]) == pytest.approx(0.0, abs=1e-9)
