@@ -2,16 +2,18 @@
 
 A frame is the circuit prefix applied so far, as one unitary. Each
 qubit's descriptor, the images of its three bare Pauli operators under
-that prefix, is computed from it on first read. Where a gate does not
-touch a qubit, its images must stay put; the locality audit checks
-exactly that, numerically, with no shortcuts.
+that prefix, is computed from it on first read. A Pauli has one nonzero
+per row, so it is applied to the prefix as a row permutation times a
+per-row phase; that gives the same numbers, bit for bit, as the general
+kernel. Where a gate does not touch a qubit, its images must stay put;
+the locality audit checks exactly that, numerically, with no shortcuts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Dict, List, Tuple
+from functools import cached_property, lru_cache
+from typing import Callable, Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -31,10 +33,36 @@ AXES = ("x", "y", "z")
 _PAULIS = {ax: make_gate(ax.upper()).matrix for ax in AXES}
 
 
-def _images(prefix: np.ndarray, q: int) -> tuple:
-    """Qubit ``q``'s bare (x, y, z) Paulis conjugated by ``prefix``."""
+@lru_cache(maxsize=None)
+def _pauli_rows(n: int, q: int) -> tuple:
+    """Per axis, ``(perm, phase)`` with ``lift(sigma_q) @ m == m[perm] * phase[:, None]``.
+
+    Row r of the lift reads the one nonzero of the 2x2 Pauli's row for
+    r's bit ``q``: the row of ``m`` with that bit set to the nonzero's
+    column, weighted by its value. The arrays are shared, so read-only;
+    ``MAX_QUBITS`` bounds the cache to a few dozen small entries.
+    """
+    rows = np.arange(2 ** n)
+    bit = (rows >> q) & 1
+    out = []
+    for ax in AXES:
+        sigma = _PAULIS[ax]
+        col = np.argmax(sigma != 0, axis=1)[bit]
+        perm, phase = rows ^ ((bit ^ col) << q), sigma[bit, col]
+        perm.setflags(write=False)
+        phase.setflags(write=False)
+        out.append((perm, phase))
+    return tuple(out)
+
+
+def _images(prefix: np.ndarray, qubits: Iterable[int]) -> tuple:
+    """Per qubit in ``qubits``: its bare (x, y, z) Paulis conjugated by ``prefix``."""
+    n = prefix.shape[0].bit_length() - 1
     pdag = prefix.conj().T
-    return tuple(pdag @ qmath._apply_op(_PAULIS[ax], prefix, [q]) for ax in AXES)
+    return tuple(
+        tuple(pdag @ (prefix[perm] * phase[:, None]) for perm, phase in _pauli_rows(n, q))
+        for q in qubits
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,7 +84,7 @@ class DescriptorFrame:
     @cached_property
     def triples(self) -> tuple:
         """Per qubit: (x image, y image, z image) as full matrices."""
-        return tuple(_images(self.prefix, q) for q in range(self.n))
+        return _images(self.prefix, range(self.n))
 
 
 def init_frame(n: int) -> DescriptorFrame:
@@ -129,7 +157,7 @@ def dependence_probe(
     n = circuits[0].n_qubits
     if not 0 <= qubit < n:
         raise BadTargets(f"qubit {qubit} outside register of {n} qubits")
-    images = [_images(circuit_unitary(c), qubit) for c in circuits]
+    images = [_images(circuit_unitary(c), [qubit])[0] for c in circuits]
     delta = max(float(np.max(np.abs(a - b))) for a, b in zip(*images))
     return delta > DEPENDENCE_ATOL, delta
 
@@ -149,7 +177,7 @@ def expectation(frame: DescriptorFrame, observable: Dict[int, str], initial: Sta
         ax = observable[q]
         if not 0 <= q < frame.n:
             raise BadTargets(f"qubit {q} outside register of {frame.n} qubits")
-        if ax not in _PAULIS:
+        if ax not in AXES:
             raise BadParams(f"axis {ax!r} is not one of x, y, z")
         op = op @ frame.triples[q][AXES.index(ax)]
     val = complex(initial.amplitudes.conj() @ op @ initial.amplitudes)

@@ -5,9 +5,13 @@ import pytest
 
 import oracle
 import util
+from paradoxlab import qmath
 from paradoxlab.circuit import Circuit, run_density, run_statevector
 from paradoxlab.descriptor import (
+    AXES,
+    AuditStep,
     DescriptorFrame,
+    _images,
     advance,
     dependence_probe,
     expectation,
@@ -21,13 +25,39 @@ from paradoxlab.errors import (
     ShapeMismatch,
     TooManyQubits,
 )
-from paradoxlab.qmath import StateVector, basis_state, partial_trace
+from paradoxlab.qmath import LOCALITY_ATOL, StateVector, basis_state, partial_trace
+
+PAULIS = {"x": oracle.X, "y": oracle.Y, "z": oracle.Z}
 
 
 def advance_all(frame: DescriptorFrame, circuit: Circuit) -> DescriptorFrame:
     for instr in circuit.instructions:
         frame = advance(frame, instr)
     return frame
+
+
+def kernel_images(prefix: np.ndarray, q: int) -> list:
+    """Qubit ``q``'s (x, y, z) images with each Pauli applied by the general kernel."""
+    pdag = prefix.conj().T
+    return [pdag @ qmath._apply_op(PAULIS[ax], prefix, [q]) for ax in AXES]
+
+
+def kernel_audit(c: Circuit) -> list:
+    """The locality audit's steps, with every image built through ``kernel_images``."""
+    n = c.n_qubits
+    prefix = np.eye(2 ** n, dtype=complex)
+    before = [kernel_images(prefix, q) for q in range(n)]
+    steps = []
+    for i, instr in enumerate(c.instructions):
+        prefix = qmath._apply_op(instr.gate.matrix, prefix, instr.targets)
+        after = [kernel_images(prefix, q) for q in range(n)]
+        delta = 0.0
+        for q in set(range(n)) - set(instr.targets):
+            for b, a in zip(before[q], after[q]):
+                delta = max(delta, float(np.max(np.abs(a - b))))
+        steps.append(AuditStep(i, delta, delta <= LOCALITY_ATOL))
+        before = after
+    return steps
 
 
 class TestInitFrame:
@@ -117,7 +147,26 @@ class TestAdvance:
                 np.testing.assert_allclose(x @ y, 1j * z, atol=1e-9)
 
 
+class TestPauliImages:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_match_oracle_and_kernel_on_haar_prefixes(self, n):
+        rng = np.random.default_rng(700 + n)
+        prefix = oracle.random_unitary(2 ** n, rng)
+        for q, triple in enumerate(_images(prefix, range(n))):
+            for ax, got, kernel in zip(AXES, triple, kernel_images(prefix, q)):
+                want = prefix.conj().T @ oracle.lift(PAULIS[ax], [q], n) @ prefix
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+                # A Pauli entry is 0, +-1 or +-i, so the kernel's products are exact.
+                assert got.tobytes() == kernel.tobytes()
+
+
 class TestLocalityAudit:
+    def test_steps_equal_kernel_audit_on_six_qubits(self):
+        rng = np.random.default_rng(409)
+        for _ in range(3):
+            c = util.random_unitary_circuit(6, 20, rng)
+            assert list(locality_audit(c).steps) == kernel_audit(c)
+
     def test_empty_circuit(self):
         report = locality_audit(Circuit(2))
         assert report.overall is True and list(report.steps) == []
@@ -225,7 +274,6 @@ class TestExpectation:
     def test_matches_schrodinger_on_random_circuits(self):
         rng = np.random.default_rng(503)
         axes = "xyz"
-        paulis = {"x": oracle.X, "y": oracle.Y, "z": oracle.Z}
         for _ in range(10):
             n = int(rng.integers(1, 5))
             c = util.random_unitary_circuit(n, 10, rng)
@@ -237,14 +285,13 @@ class TestExpectation:
             psi = run_statevector(c).amplitudes
             op = np.eye(2 ** n, dtype=complex)
             for q, ax in sorted(obs.items()):
-                op = op @ oracle.lift(paulis[ax], [q], n)
+                op = op @ oracle.lift(PAULIS[ax], [q], n)
             want = float(np.real(psi.conj() @ op @ psi))
             assert got == pytest.approx(want, abs=1e-9)
 
     def test_marginals_rebuild_reduced_states(self):
         """1/2 (I + sum <sigma> sigma) equals the reduced density matrix."""
         rng = np.random.default_rng(509)
-        paulis = {"x": oracle.X, "y": oracle.Y, "z": oracle.Z}
         for _ in range(5):
             n = int(rng.integers(1, 4))
             c = util.random_unitary_circuit(n, 8, rng)
@@ -252,6 +299,6 @@ class TestExpectation:
             final = run_density(c).final_state
             for q in range(n):
                 acc = np.eye(2, dtype=complex)
-                for ax, m in paulis.items():
+                for ax, m in PAULIS.items():
                     acc = acc + expectation(f, {q: ax}, basis_state(n)) * m
                 np.testing.assert_allclose(acc / 2, partial_trace(final, [q]).mat, atol=1e-9)
