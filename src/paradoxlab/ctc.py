@@ -50,8 +50,6 @@ STATE_LABELS = tuple(_PREPARE)
 
 # Loop registers larger than this skip the superoperator machinery.
 _MAX_EIGEN_LOOP = 4
-# Plain passes before the GMRES fallback; the slowest golden solve takes 269.
-_ITERATION_BUDGET = 300
 
 
 def _prepare(c: Circuit, label: str, q: int) -> Circuit:
@@ -109,8 +107,8 @@ class NonlinearityWitness(NamedTuple):
 class FixedPointSolution:
     rho_loop: DensityMatrix
     residual: float
-    iterations: int
-    method: str
+    iterations: int  # map applications: the start's residual plus one per Krylov step
+    method: str  # always "eigensolve"; bench/spans.py reads it
     multiplicity_hint: int
     entropy_bits: float
 
@@ -172,17 +170,23 @@ def _fresh_zeros(rows: int, cols: int) -> np.ndarray:
 def _gmres_fixed_point(apply: Callable, d: int, tol: float) -> Tuple[np.ndarray, int]:
     """GMRES on (S - I) x = 0 from I/d (Brown & Walker 1997): x, Krylov dimension.
     Corrections stay in the traceless range(S - I), so x is the iterates' Cesaro
-    limit, of trace one.  A Hermitian X travels as the real matrix Re X + Im X."""
+    limit, of trace one.  A Hermitian X travels as the real matrix Re X + Im X.
+    A start that already meets the stopping rule comes back at dimension 0."""
 
     def hermitian(y: np.ndarray) -> np.ndarray:
         return ((1 + 1j) * y.reshape(d, d) + (1 - 1j) * y.reshape(d, d).T) / 2
     def op(y: np.ndarray) -> np.ndarray:
         out = apply(hermitian(y))
         return (out.real + out.imag).reshape(-1) - y
+    def done(estimate: float) -> bool:  # estimate: Frobenius norm of (S - I) x
+        return estimate <= floor or estimate * np.sqrt(d) / 2 <= tol
 
-    r0 = -op(np.eye(d).reshape(-1) / d)
+    start = np.eye(d, dtype=complex) / d
+    r0 = -op(start.real.reshape(-1))
     beta = float(np.linalg.norm(r0))
     floor = d * np.finfo(float).eps * beta  # below the map's rounding: nothing to gain
+    if done(beta):
+        return start, 0
     bound = d * d + 1  # storage is sized once, at the Krylov bound
     basis = _fresh_zeros(bound, d * d)  # rows: orthonormal Krylov basis
     rot = _fresh_zeros(bound, bound)  # Givens product
@@ -203,55 +207,24 @@ def _gmres_fixed_point(apply: Callable, d: int, tol: float) -> Tuple[np.ndarray,
         givens = np.array([[col[k], h_next], [-h_next, col[k]]]) / rho
         rot[k:k + 2, :k + 2] = givens @ rot[k:k + 2, :k + 2]
         tri[:k, k], tri[k, k] = col[:k], rho
-        estimate = beta * abs(rot[k + 1, 0])  # Frobenius norm of (S - I) x
-        if estimate <= floor or estimate * np.sqrt(d) / 2 <= tol:
+        if done(beta * abs(rot[k + 1, 0])):
             y = np.linalg.solve(tri[:k + 1, :k + 1], beta * rot[:k + 1, 0])
-            return np.eye(d) / d + hermitian(y @ basis[:k + 1]), k + 1
+            return start + hermitian(y @ basis[:k + 1]), k + 1
         basis[k + 1] = w / h_next
     raise NoConvergence(f"GMRES exhausted the Krylov space above {tol}")
-
-
-def _iterate(apply: Callable, d: int, tol: float) -> Optional[Tuple[np.ndarray, float, int]]:
-    """Iterate the consistency map from I/d for up to ``_ITERATION_BUDGET``
-    passes: the best candidate, its residual and the pass count once a
-    residual is within ``tol``, or None when the budget runs out.
-
-    Each pass stacks its three candidates (plain iterate, two-step average,
-    running average), maps the stack once and reads the three residuals from
-    one batched ``eigvalsh``; the plain iterate's image is the next iterate.
-    Candidates are compared in that order, so the first of equals wins.
-    """
-    rho = np.eye(d, dtype=complex) / d
-    nxt = apply(rho)
-    running_sum = np.zeros((d, d), dtype=complex)
-    best: Optional[np.ndarray] = None
-    best_residual = np.inf
-    for iterations in range(1, _ITERATION_BUDGET + 1):
-        running_sum += nxt
-        cands = np.stack((nxt, (rho + nxt) / 2, running_sum / iterations))
-        images = apply(cands)
-        residuals = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(images - cands)), axis=-1)
-        for cand, r in zip(cands, residuals):
-            if r < best_residual:
-                best, best_residual = cand, float(r)
-        if best_residual <= tol:
-            return best, best_residual, iterations
-        rho, nxt = nxt, images[0]
-    return None
 
 
 def solve_fixed_point(p: CtcProblem, tol: float = SOLVE_TOL) -> FixedPointSolution:
     """Find a self-consistent loop state.
 
-    Iterates the consistency map from I/d for up to ``_ITERATION_BUDGET``
-    passes, checking the plain iterate, the two-step average, and the
-    running average as one stack per pass (``_iterate``).  A slower loop of
-    any size falls back to GMRES (method ``eigensolve``, ``iterations`` the
-    budget plus the Krylov dimension), which returns the running average's
-    limit: I/d for a unital loop.  NoConvergence means GMRES broke down or
-    stagnated above ``tol``.  Up to 4 loop qubits the superoperator's
-    unit-eigenvalue directions give ``multiplicity_hint`` (else 0) and the
-    answer is projected onto them.
+    Runs matrix-free GMRES on S - I from I/d (``_gmres_fixed_point``), which
+    returns the limit of the running average of the map's iterates: I/d for
+    a unital loop.  ``iterations`` counts the map applications GMRES made,
+    one for the start plus one per Krylov step; ``method`` is always
+    ``eigensolve``.  NoConvergence means GMRES broke down or stagnated above
+    ``tol``.  Up to 4 loop qubits the superoperator's unit-eigenvalue
+    directions give ``multiplicity_hint`` (else 0) and the answer is
+    projected onto them.
     """
     if not (isinstance(tol, float) and 0.0 < tol < np.inf):
         raise BadParams(f"tol must be a positive real, got {tol!r}")
@@ -263,15 +236,10 @@ def solve_fixed_point(p: CtcProblem, tol: float = SOLVE_TOL) -> FixedPointSoluti
     def residual_of(mat: np.ndarray) -> float:
         return trace_distance(apply(mat), mat)
 
-    found = _iterate(apply, d, tol)
-    if found is not None:
-        best, best_residual, iterations = found
-    else:
-        best, krylov_dim = _gmres_fixed_point(apply, d, tol)
-        best_residual = residual_of(best)
-        if best_residual > tol:
-            raise NoConvergence(f"GMRES stagnated at residual {best_residual:.3e}")
-        iterations = _ITERATION_BUDGET + krylov_dim
+    best, krylov_dim = _gmres_fixed_point(apply, d, tol)
+    best_residual = residual_of(best)
+    if best_residual > tol:
+        raise NoConvergence(f"GMRES stagnated at residual {best_residual:.3e}")
 
     multiplicity = 0
     if p.n_loop <= _MAX_EIGEN_LOOP:
@@ -290,8 +258,8 @@ def solve_fixed_point(p: CtcProblem, tol: float = SOLVE_TOL) -> FixedPointSoluti
     return FixedPointSolution(
         rho_loop=rho_star,
         residual=float(residual_of(rho_star.mat)),
-        iterations=iterations,
-        method="eigensolve" if iterations > _ITERATION_BUDGET else "iteration",
+        iterations=1 + krylov_dim,
+        method="eigensolve",
         multiplicity_hint=multiplicity,
         entropy_bits=vn_entropy_bits(rho_star),
     )

@@ -94,7 +94,7 @@ class SzilardConfig:
     depolarize_p: float = 1.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.cycles, int) or self.cycles < 1:
+        if isinstance(self.cycles, bool) or not isinstance(self.cycles, int) or self.cycles < 1:
             raise BadParams(f"cycles must be a positive integer, got {self.cycles!r}")
         if not 0.0 <= self.depolarize_p <= 1.0:
             raise BadProbability(
@@ -198,7 +198,7 @@ def run_cycles(cfg: SzilardConfig, shots: int = 0, seed: int = 0) -> Tuple[Cycle
     trajectory sample is attached to each record; the exact expectation
     values are computed either way.
     """
-    if not isinstance(shots, int) or shots < 0:
+    if isinstance(shots, bool) or not isinstance(shots, int) or shots < 0:
         raise BadParams(f"shots must be a non-negative integer, got {shots!r}")
     memory = basis_state(1).density()
     records: List[CycleRecord] = []

@@ -597,7 +597,7 @@ fixed_point[1][1]  0.5 0
 field              value
 p[1]               1
 residual           0
-iterations         39
+iterations         3
 fixed_point[0][0]  0 0
 fixed_point[0][1]  0 0
 fixed_point[1][0]  0 0
@@ -610,7 +610,7 @@ fixed_point[1][1]  1 0
 field              value
 p[01]              1
 residual           0
-iterations         44
+iterations         3
 fixed_point[0][0]  0 0
 fixed_point[0][1]  0 0
 fixed_point[0][2]  0 0
@@ -635,7 +635,7 @@ fixed_point[3][3]  0 0
 field              value
 p[1]               1
 residual           0
-iterations         269
+iterations         2
 fixed_point[0][0]  0 0
 fixed_point[0][1]  0 0
 fixed_point[0][2]  0 0
@@ -660,7 +660,7 @@ fixed_point[3][3]  0.5 0
 field              value
 p[0]               1
 residual           0
-iterations         301
+iterations         2
 fixed_point[0][0]  0.5 0
 fixed_point[0][1]  0 0
 fixed_point[0][2]  0 0

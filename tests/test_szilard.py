@@ -323,6 +323,14 @@ class TestConfig:
     def test_cycle_count_positive(self):
         with pytest.raises(BadParams):
             SzilardConfig(cycles=0)
+        for flag in (True, False):
+            with pytest.raises(BadParams, match="cycles must be a positive integer"):
+                SzilardConfig(cycles=flag)
+
+    def test_shot_count_non_negative(self):
+        for shots in (-1, True, False):
+            with pytest.raises(BadParams, match="shots must be a non-negative integer"):
+                run_cycles(SzilardConfig(cycles=1), shots=shots)
 
     def test_noise_strength_range(self):
         with pytest.raises(BadProbability):
