@@ -37,12 +37,12 @@ _DISPLAY_FLOOR = SOLVE_TOL
 # Largest `epr sweep` grid (256 x 256): every row is held and rendered at
 # once, so a larger grid is refused before anything is allocated.
 MAX_SWEEP_POINTS = 65536
-# Largest --shots: `szilard` sampling holds ~12 bytes per shot at once.
+# Largest --shots: `szilard --skip-reset` sampling holds ~12 bytes per shot at once.
 MAX_SHOTS = 10_000_000
 # Largest `szilard --cycles`: a repeated memory reuses its record, so rendering
 # and sampling, not the exact ledger, grow with the cycle count.
 MAX_CYCLES = 1000
-# Largest `szilard` --cycles x --shots: sampling draws every shot on every cycle.
+# Largest `szilard` --cycles x --shots: a --skip-reset run draws every shot on every cycle.
 MAX_SHOT_CYCLES = 100_000_000
 # Largest `audit-locality` circuit: the audit takes milliseconds per instruction
 # at six qubits, so a longer file is refused before the audit starts.

@@ -12,7 +12,7 @@ import json
 import numbers
 import sys
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -174,23 +174,51 @@ def _axes(qubits: Sequence[int], n: int) -> list:
     return [n - 1 - q for q in qubits]
 
 
+@lru_cache(maxsize=512)
+def _op_rows(n: int, targets: tuple) -> tuple:
+    """``(col_axes, gather, scatter)`` for applying a 2^k operator to ``targets`` of n qubits.
+
+    Row ``[j, f]`` of ``gather`` is the register row whose target bits hold
+    ``j`` read most significant first (targets[0] on top) and whose other
+    qubits hold ``f``; ``scatter`` reads ``j`` as an operator row instead, so
+    bit p goes to targets[p]. ``col_axes`` transposes an operator reshaped to
+    (2,) * 2k so that its columns follow ``gather``'s order. The arrays are
+    shared, so read-only. Every target tuple of the library's gates (up to
+    three qubits) on up to six qubits is one of 301 keys, each under 2 kB.
+    """
+    k = len(targets)
+    j = np.arange(2 ** k)[:, None]
+    # Register rows with every target bit clear, the other qubits counting up.
+    free = np.arange(2 ** n)
+    for t in targets:
+        free = free[(free >> t) & 1 == 0]
+    gather, scatter = np.tile(free, (2 ** k, 1)), np.tile(free, (2 ** k, 1))
+    for p, t in enumerate(targets):
+        gather |= ((j >> (k - 1 - p)) & 1) << t
+        scatter |= ((j >> p) & 1) << t
+    gather.setflags(write=False)
+    scatter.setflags(write=False)
+    return tuple(range(k)) + tuple(_axes(range(k), 2 * k)), gather, scatter
+
+
 def _apply_op(op: np.ndarray, state: np.ndarray, targets: Sequence[int]) -> np.ndarray:
     """Apply ``op`` to qubits ``targets`` of the 2^n register indexing ``state``'s first axis.
 
     Further axes ride along, so a matrix is left-multiplied by the lift of
     ``op``. targets[p] carries bit p of ``op``'s index; callers check targets.
+    The state's rows are gathered with the target bits on top, multiplied by
+    ``op`` in one ``np.dot`` and scattered back through row indices cached
+    per ``(n, targets)``. Both ``dot`` operands are the ones numpy's tensordot
+    builds for this contraction, in the same memory order, so the result has
+    the same bytes.
     """
-    n = state.shape[0].bit_length() - 1
-    k = len(targets)
-    axes = _axes(targets, n)
-    # Reshaped to (2,) * 2k, op's row bits are its first k axes and its column
-    # bits the last k; contract columns with targets, then put the rows back.
-    out = np.tensordot(
-        op.reshape((2,) * (2 * k)),
-        state.reshape((2,) * n + state.shape[1:]),
-        axes=(_axes(range(k), 2 * k), axes),
-    )
-    return np.moveaxis(out, _axes(range(k), k), axes).reshape(state.shape)
+    col_axes, gather, scatter = _op_rows(state.shape[0].bit_length() - 1, tuple(targets))
+    d = op.shape[0]
+    op_cols = op.reshape((2,) * len(col_axes)).transpose(col_axes).reshape(d, d)
+    prod = np.dot(op_cols, state.take(gather, axis=0).reshape(d, -1))
+    out = np.empty(state.shape, dtype=prod.dtype)
+    out[scatter] = prod.reshape(scatter.shape + state.shape[1:])
+    return out
 
 
 def _conjugate(u: np.ndarray, mat: np.ndarray, targets: Sequence[int]) -> np.ndarray:

@@ -13,6 +13,7 @@ which is the erasure charge the ledger tracks.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
@@ -96,10 +97,9 @@ class SzilardConfig:
     def __post_init__(self) -> None:
         if isinstance(self.cycles, bool) or not isinstance(self.cycles, int) or self.cycles < 1:
             raise BadParams(f"cycles must be a positive integer, got {self.cycles!r}")
-        if not 0.0 <= self.depolarize_p <= 1.0:
-            raise BadProbability(
-                f"depolarize_p must lie in [0, 1], got {self.depolarize_p!r}"
-            )
+        p = self.depolarize_p
+        if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
+            raise BadProbability(f"depolarize_p must lie in [0, 1], got {p!r}")
 
 
 @dataclass(frozen=True)
@@ -175,8 +175,13 @@ def _sample_trajectories(cfg: SzilardConfig, shots: int, seed: int) -> List[int]
 
     Valid because every state the exact run visits is diagonal in the
     computational basis, so the channel reduces to "replace the particle by a
-    fair coin with probability p" and the gates to bit arithmetic.
+    fair coin with probability p" and the gates to bit arithmetic. With the
+    reset on, every cycle starts from a blank record and wins one unit per
+    shot; the coins a cycle draws only reach the record the reset blanks, so
+    such runs draw nothing.
     """
+    if not cfg.skip_reset:
+        return [shots] * cfg.cycles
     rng = np.random.Generator(np.random.PCG64(seed))
     memory = np.zeros(shots, dtype=np.int8)
     totals: List[int] = []
@@ -186,8 +191,6 @@ def _sample_trajectories(cfg: SzilardConfig, shots: int, seed: int) -> List[int]
         hit = rng.random(shots) < cfg.depolarize_p
         coin = rng.integers(0, 2, shots, dtype=np.int8)
         np.bitwise_xor(memory, coin, out=memory, where=hit)
-        if not cfg.skip_reset:
-            memory[:] = 0
     return totals
 
 
@@ -200,6 +203,9 @@ def run_cycles(cfg: SzilardConfig, shots: int = 0, seed: int = 0) -> Tuple[Cycle
     """
     if isinstance(shots, bool) or not isinstance(shots, int) or shots < 0:
         raise BadParams(f"shots must be a non-negative integer, got {shots!r}")
+    # Checked here, not by the generator: a run with the reset on never seeds one.
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise BadParams(f"seed must be a non-negative integer, got {seed!r}")
     memory = basis_state(1).density()
     records: List[CycleRecord] = []
     simulated_from = None

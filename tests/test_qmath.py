@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import warnings
 
@@ -156,6 +157,56 @@ class TestEmbedOperator:
                 op = rng.normal(size=(2 ** k, 2 ** k)) + 1j * rng.normal(size=(2 ** k, 2 ** k))
                 got = qmath.embed_operator(op, targets, n)
                 np.testing.assert_allclose(got, oracle.lift(op, targets, n), atol=1e-12)
+
+
+def tensordot_apply(op, state, targets):
+    """The kernel as one ``np.tensordot`` and an axis move: the byte reference."""
+    n = state.shape[0].bit_length() - 1
+    k = len(targets)
+    axes = [n - 1 - q for q in targets]
+    out = np.tensordot(
+        op.reshape((2,) * (2 * k)),
+        state.reshape((2,) * n + state.shape[1:]),
+        axes=([2 * k - 1 - p for p in range(k)], axes),
+    )
+    return np.moveaxis(out, [k - 1 - p for p in range(k)], axes).reshape(state.shape)
+
+
+class TestApplyOp:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_tensordot_bytes_and_oracle(self, n):
+        rng = np.random.default_rng(100 + n)
+        dim = 2 ** n
+        real = rng.normal(size=(dim, dim))
+        square = real + 1j * rng.normal(size=(dim, dim))
+        states = [
+            rng.normal(size=dim) + 1j * rng.normal(size=dim),
+            real,
+            square,
+            np.asfortranarray(real),
+            np.asfortranarray(square),
+            rng.normal(size=(dim, 2, 3)) + 1j * rng.normal(size=(dim, 2, 3)),
+        ]
+        for k in range(1, min(n, 3) + 1):
+            for targets in itertools.permutations(range(n), k):
+                d = 2 ** k
+                op_re = rng.normal(size=(d, d))
+                for op in (op_re, op_re + 1j * rng.normal(size=(d, d))):
+                    lift = oracle.lift(op, targets, n)
+                    for op_order in "CF":
+                        op = np.asarray(op, order=op_order)
+                        for state in states:
+                            got = qmath._apply_op(op, state, targets)
+                            want = tensordot_apply(op, state, targets)
+                            assert got.dtype == want.dtype and got.shape == want.shape
+                            assert got.tobytes() == want.tobytes(), (targets, op_order, state.shape)
+                            full = (lift @ state.reshape(dim, -1)).reshape(state.shape)
+                            np.testing.assert_allclose(got, full, rtol=0, atol=1e-12)
+
+    def test_cached_rows_are_read_only(self):
+        for rows in qmath._op_rows(3, (2, 0))[1:]:
+            assert not rows.flags.writeable
+            assert sorted(rows.ravel()) == list(range(8))
 
 
 class TestApplyKraus:

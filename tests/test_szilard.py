@@ -287,10 +287,15 @@ class TestTrajectorySampling:
         b = run_cycles(SzilardConfig(cycles=3, skip_reset=True), shots=200, seed=9)
         assert [r.sampled_work for r in a] == [r.sampled_work for r in b]
 
-    # Totals recorded from the sampler that built a per-shot int64 work array.
+    # Totals recorded from the sampler that built a per-shot int64 work array;
+    # the seed 1 and 2 rows from the one that also drew coins with the reset on.
     @pytest.mark.parametrize(
         "seed, skip_reset, p, totals",
         [
+            (1, True, 1.0, [1000, 0, 32, -10, -58, 34]),
+            (1, True, 0.5, [1000, 490, 228, 118, -20, 28]),
+            (2, True, 1.0, [1000, -8, -64, 14, 8, 12]),
+            (2, True, 0.5, [1000, 494, 176, 40, 90, 42]),
             (5, True, 1.0, [1000, 28, -48, -52, 0, 0]),
             (5, True, 0.3, [1000, 708, 494, 350, 284, 194]),
             (5, False, 0.7, [1000] * 6),
@@ -303,6 +308,15 @@ class TestTrajectorySampling:
         cfg = SzilardConfig(cycles=6, skip_reset=skip_reset, depolarize_p=p)
         records = run_cycles(cfg, shots=1000, seed=seed)
         assert [r.sampled_work for r in records] == totals
+
+    @pytest.mark.parametrize("p", [1.0, 0.5])
+    def test_reset_wins_every_shot_without_drawing(self, p, monkeypatch):
+        def no_generator(*args):
+            raise AssertionError("a run with the reset on seeded a generator")
+
+        monkeypatch.setattr(szilard.np.random, "PCG64", no_generator)
+        records = run_cycles(SzilardConfig(cycles=40, depolarize_p=p), shots=2500, seed=7)
+        assert [r.sampled_work for r in records] == [2500] * 40
 
     def test_memory_per_shot(self):
         # ~12 bytes per shot: a float64 draw plus one-byte flags and memory.
@@ -332,9 +346,18 @@ class TestConfig:
             with pytest.raises(BadParams, match="shots must be a non-negative integer"):
                 run_cycles(SzilardConfig(cycles=1), shots=shots)
 
+    def test_seed_non_negative(self):
+        # Refused whether or not the run would seed a generator.
+        for seed in (-1, 1.5, True, False, "1", None):
+            for skip_reset in (False, True):
+                cfg = SzilardConfig(cycles=1, skip_reset=skip_reset)
+                with pytest.raises(BadParams, match="seed must be a non-negative integer"):
+                    run_cycles(cfg, shots=3, seed=seed)
+
     def test_noise_strength_range(self):
-        with pytest.raises(BadProbability):
-            SzilardConfig(cycles=1, depolarize_p=1.5)
+        for p in (1.5, -0.1, float("nan"), True, False, "0.5", None, 0.5j):
+            with pytest.raises(BadProbability, match="depolarize_p must lie in"):
+                SzilardConfig(cycles=1, depolarize_p=p)
 
     def test_partial_noise_still_wins_first_cycle(self):
         """Extracted work depends on the memory being blank, not on the particle."""
