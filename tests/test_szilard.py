@@ -292,16 +292,16 @@ class TestTrajectorySampling:
     @pytest.mark.parametrize(
         "seed, skip_reset, p, totals",
         [
-            (1, True, 1.0, [1000, 0, 32, -10, -58, 34]),
-            (1, True, 0.5, [1000, 490, 228, 118, -20, 28]),
-            (2, True, 1.0, [1000, -8, -64, 14, 8, 12]),
-            (2, True, 0.5, [1000, 494, 176, 40, 90, 42]),
             (5, True, 1.0, [1000, 28, -48, -52, 0, 0]),
             (5, True, 0.3, [1000, 708, 494, 350, 284, 194]),
             (5, False, 0.7, [1000] * 6),
             (2024, True, 1.0, [1000, -10, -60, 2, -36, -44]),
             (2024, True, 0.3, [1000, 686, 506, 338, 258, 190]),
             (2024, False, 0.7, [1000] * 6),
+            (1, True, 1.0, [1000, 0, 32, -10, -58, 34]),
+            (1, True, 0.5, [1000, 490, 228, 118, -20, 28]),
+            (2, True, 1.0, [1000, -8, -64, 14, 8, 12]),
+            (2, True, 0.5, [1000, 494, 176, 40, 90, 42]),
         ],
     )
     def test_pinned_totals(self, seed, skip_reset, p, totals):
