@@ -11,6 +11,7 @@ off the collapsed qubits.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, NamedTuple, Sequence
 
@@ -46,8 +47,11 @@ class EprConfig:
 
     def __post_init__(self):
         for name, value in (("theta", self.theta), ("phi", self.phi)):
-            if not math.isfinite(value):
-                raise BadParams(f"{name} must be finite, got {value}")
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not real or not math.isfinite(value):
+                raise BadParams(f"{name} must be a finite real, got {value!r}")
+        if not isinstance(self.deferred, bool):
+            raise BadParams(f"deferred must be a bool, got {self.deferred!r}")
 
 
 def build_epr_unitary(cfg: EprConfig, include_parity: bool = True) -> Circuit:

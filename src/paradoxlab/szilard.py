@@ -8,7 +8,9 @@ agrees with the particle moves the weight up or down one level.  A blank
 memory always produces an agreeing record (one unit of work out); a stale
 uncorrelated record guesses the side and averages to zero.  Resetting the
 memory restores the blank state and costs the one bit the record carried,
-which is the erasure charge the ledger tracks.
+which is the erasure charge the ledger tracks.  A reset leaves |0><0|
+whatever the memory held, so the engine simulates only the observe and
+stroke stages and hands the next cycle a blank record.
 """
 
 from __future__ import annotations
@@ -97,6 +99,8 @@ class SzilardConfig:
     def __post_init__(self) -> None:
         if isinstance(self.cycles, bool) or not isinstance(self.cycles, int) or self.cycles < 1:
             raise BadParams(f"cycles must be a positive integer, got {self.cycles!r}")
+        if not isinstance(self.skip_reset, bool):
+            raise BadParams(f"skip_reset must be a bool, got {self.skip_reset!r}")
         p = self.depolarize_p
         if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
             raise BadProbability(f"depolarize_p must lie in [0, 1], got {p!r}")
@@ -115,8 +119,8 @@ class CycleRecord:
 
 
 @lru_cache(maxsize=8)
-def _stages(skip_reset: bool, depolarize_p: float) -> Tuple[Circuit, Circuit, Circuit]:
-    """The cycle's observe, stroke and erase stages; built once per setting, shared read-only."""
+def _stages(depolarize_p: float) -> Tuple[Circuit, Circuit]:
+    """The cycle's observe and stroke stages; built once per strength, shared read-only."""
     depolarize = depolarizing_kraus(depolarize_p)
     observe = Circuit(4).channel(depolarize, [PARTICLE]).x(W0)
     observe.cx(PARTICLE, MEMORY)  # record the particle position into the memory
@@ -125,39 +129,31 @@ def _stages(skip_reset: bool, depolarize_p: float) -> Tuple[Circuit, Circuit, Ci
     stroke = Circuit(4).cx(PARTICLE, MEMORY).x(MEMORY).cx(MEMORY, W1).x(MEMORY).cx(MEMORY, W0)
     stroke.cx(PARTICLE, MEMORY)  # unfold, leaving the record in place
     stroke.channel(depolarize, [PARTICLE])  # rethermalize
-    erase = Circuit(4) if skip_reset else Circuit(4).reset(MEMORY)
-    return observe, stroke, erase
-
-
-def build_cycle(skip_reset: bool = False, depolarize_p: float = 1.0) -> Circuit:
-    """One engine cycle as a plain circuit on (particle, memory, w1, w0).
-
-    The incoming memory belongs to the state the circuit runs on, not to the circuit.
-    """
-    stages = _stages(skip_reset, depolarize_p)
-    return Circuit(4, 0, [instr for stage in stages for instr in stage.instructions])
+    return observe, stroke
 
 
 def run_single_cycle(
-    memory_in: DensityMatrix,
-    skip_reset: bool = False,
-    depolarize_p: float = 1.0,
+    memory_in: DensityMatrix, cfg: SzilardConfig = SzilardConfig()
 ) -> Tuple[CycleRecord, DensityMatrix]:
     """Run one cycle from a fresh particle and the given memory state.
 
-    Returns the cycle record (with ``cycle`` set to 1 and no sampled work)
-    and the memory state handed to the next cycle.
+    Reads ``cfg.skip_reset`` and ``cfg.depolarize_p``; ``cfg.cycles`` is not
+    read. Returns the cycle record (with ``cycle`` set to 1 and no sampled
+    work) and the memory state handed to the next cycle: the blank record
+    |0><0| with the reset on, the post-stroke memory without it.
     """
     if not isinstance(memory_in, DensityMatrix) or memory_in.n != 1:
         raise BadMemoryState("memory must be a single-qubit density matrix")
-    observe, stroke, erase = _stages(skip_reset, depolarize_p)
+    observe, stroke = _stages(cfg.depolarize_p)
     rho = DensityMatrix(kron_all([_GROUND, memory_in.mat, _GROUND, _GROUND]))
     rho = run_density(observe, rho).final_state
     mutual = mutual_information(partial_trace(rho, [PARTICLE, MEMORY]), [0], [1])
     rho = run_density(stroke, rho).final_state
     expected = work_expectation(partial_trace(rho, [W1, W0]))
-    pre_entropy = vn_entropy_bits(partial_trace(rho, [MEMORY]))
-    memory_out = partial_trace(run_density(erase, rho).final_state, [MEMORY])
+    memory_out = partial_trace(rho, [MEMORY])
+    pre_entropy = vn_entropy_bits(memory_out)
+    if not cfg.skip_reset:
+        memory_out = basis_state(1).density()
 
     record = CycleRecord(
         cycle=1,
@@ -206,18 +202,16 @@ def run_cycles(cfg: SzilardConfig, shots: int = 0, seed: int = 0) -> Tuple[Cycle
     # Checked here, not by the generator: a run with the reset on never seeds one.
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise BadParams(f"seed must be a non-negative integer, got {seed!r}")
+    totals = _sample_trajectories(cfg, shots, seed) if shots > 0 else [None] * cfg.cycles
     memory = basis_state(1).density()
     records: List[CycleRecord] = []
     simulated_from = None
-    for k in range(1, cfg.cycles + 1):
+    for k, total in enumerate(totals, start=1):
         # A cycle is a deterministic function of its incoming memory, so the
         # same bytes in give the same record and the same memory out.
         incoming = memory.mat.tobytes()
         if incoming != simulated_from:
-            rec, memory = run_single_cycle(memory, cfg.skip_reset, cfg.depolarize_p)
+            rec, memory = run_single_cycle(memory, cfg)
             simulated_from = incoming
-        records.append(replace(rec, cycle=k))
-    if shots > 0:
-        totals = _sample_trajectories(cfg, shots, seed)
-        records = [replace(r, sampled_work=t) for r, t in zip(records, totals)]
+        records.append(replace(rec, cycle=k, sampled_work=total))
     return tuple(records)

@@ -80,6 +80,18 @@ class TestCircuitShape:
         with pytest.raises(BadParams):
             EprConfig(float("nan"), 0.0)
 
+    @pytest.mark.parametrize("bad", ["x", True, None, 0.2j, [0.2]])
+    def test_angle_must_be_a_real_number(self, bad):
+        with pytest.raises(BadParams, match="theta must be a finite real"):
+            EprConfig(bad, 0.2)
+        with pytest.raises(BadParams, match="phi must be a finite real"):
+            EprConfig(0.2, bad)
+
+    @pytest.mark.parametrize("bad", ["no", 0, 1, None])
+    def test_deferred_must_be_a_bool(self, bad):
+        with pytest.raises(BadParams, match="deferred must be a bool"):
+            EprConfig(0.1, 0.2, deferred=bad)
+
 
 class TestCheckDistribution:
     def test_aligned_axes_never_fire(self):

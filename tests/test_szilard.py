@@ -17,14 +17,21 @@ from paradoxlab.errors import (
     BadProbability,
     DimensionMismatch,
 )
-from paradoxlab.qmath import DensityMatrix, basis_state, kron_all, maximally_mixed, trace_distance
+from paradoxlab.qmath import (
+    DensityMatrix,
+    basis_state,
+    kron_all,
+    maximally_mixed,
+    partial_trace,
+    trace_distance,
+)
 from paradoxlab.szilard import (
     MEMORY,
     PARTICLE,
     W0,
     W1,
     SzilardConfig,
-    build_cycle,
+    _stages,
     mutual_information,
     run_cycles,
     run_single_cycle,
@@ -40,6 +47,13 @@ def qubit_dm(bit):
 
 def basis_dm(n, index):
     return basis_state(n, index).density()
+
+
+def run_stages(p, initial):
+    """Runs the cycle's observe then stroke stages; the reset is not part of them."""
+    for stage in _stages(p):
+        initial = run_density(stage, initial=initial).final_state
+    return initial
 
 
 BELL = DensityMatrix(
@@ -95,21 +109,22 @@ class TestWeightLogic:
     )
     def test_truth_table(self, particle, memory, weight_index):
         """Blank memory lifts the weight; stale memory drops it."""
-        c = build_cycle(skip_reset=True, depolarize_p=0.0)
         initial = DensityMatrix(
             kron_all(
                 [qubit_dm(particle).mat, qubit_dm(memory).mat, np.diag([1.0, 0]), np.diag([1.0, 0])]
             ),
         )
-        final = run_density(c, initial=initial).final_state
-        from paradoxlab.qmath import partial_trace
-
+        final = run_stages(0.0, initial)
         weight = partial_trace(final, [W1, W0])
         assert weight.mat[weight_index, weight_index] == pytest.approx(1.0, abs=1e-9)
 
     def test_memory_state_validated(self):
         with pytest.raises(BadMemoryState):
             run_single_cycle(maximally_mixed(2))
+
+    def test_bad_strength_fails_through_the_config(self):
+        with pytest.raises(BadProbability, match="depolarize_p must lie in"):
+            run_single_cycle(basis_dm(1, 0), SzilardConfig(depolarize_p=1.5))
 
 
 def reference_cycle(memory, skip_reset, p):
@@ -173,7 +188,8 @@ class TestCycleOracle:
     @pytest.mark.parametrize("memory", ORACLE_MEMORIES)
     def test_cycle_matches_oracle(self, memory, p, skip_reset):
         mat = ORACLE_MEMORIES[memory]
-        rec, memory_out = run_single_cycle(DensityMatrix(mat), skip_reset, p)
+        cfg = SzilardConfig(skip_reset=skip_reset, depolarize_p=p)
+        rec, memory_out = run_single_cycle(DensityMatrix(mat), cfg)
         mutual, work, pre, post, want_out = reference_cycle(mat, skip_reset, p)
         assert rec.cycle == 1 and rec.sampled_work is None
         assert rec.mutual_info_particle_memory == pytest.approx(mutual, abs=1e-10)
@@ -199,7 +215,7 @@ class TestCyclesWithErasure:
             assert rec.memory_entropy_post == pytest.approx(0.0, abs=1e-9)
 
     def test_erasure_removes_one_bit_from_stale_memory(self):
-        rec, _ = run_single_cycle(maximally_mixed(1), skip_reset=False)
+        rec, _ = run_single_cycle(maximally_mixed(1), SzilardConfig(skip_reset=False))
         assert rec.memory_entropy_pre_reset == pytest.approx(1.0, abs=1e-9)
         assert rec.memory_entropy_post == pytest.approx(0.0, abs=1e-9)
 
@@ -226,11 +242,8 @@ class TestCyclesWithoutErasure:
         assert records[1].mutual_info_particle_memory == pytest.approx(0.0, abs=1e-9)
 
     def test_decorrelation_detaches_particle(self):
-        from paradoxlab.qmath import partial_trace
-
-        c = build_cycle(skip_reset=True)
         initial = DensityMatrix(kron_all([np.diag([1.0, 0])] * 4))
-        final = run_density(c, initial=initial).final_state
+        final = run_stages(1.0, initial)
         pair = partial_trace(final, [PARTICLE, MEMORY])
         assert mutual_information(pair, [0], [1]) == pytest.approx(0.0, abs=1e-9)
 
@@ -253,13 +266,14 @@ class TestRecordReuse:
     @pytest.mark.parametrize("skip_reset", [False, True])
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.7, 1.0])
     def test_ledger_equals_every_cycle_simulated(self, p, skip_reset, monkeypatch):
+        cfg = SzilardConfig(cycles=12, skip_reset=skip_reset, depolarize_p=p)
         memory = basis_state(1).density()
         want = []
         for k in range(1, 13):
-            rec, memory = run_single_cycle(memory, skip_reset, p)
+            rec, memory = run_single_cycle(memory, cfg)
             want.append(replace(rec, cycle=k))
         spy = SimulationSpy(monkeypatch)
-        records = run_cycles(SzilardConfig(cycles=12, skip_reset=skip_reset, depolarize_p=p))
+        records = run_cycles(cfg)
         assert list(records) == want
         # A reused cycle leaves the memory as it was, so the last simulated
         # cycle's output is the ledger's final memory.
@@ -353,6 +367,12 @@ class TestConfig:
                 cfg = SzilardConfig(cycles=1, skip_reset=skip_reset)
                 with pytest.raises(BadParams, match="seed must be a non-negative integer"):
                     run_cycles(cfg, shots=3, seed=seed)
+
+    def test_reset_flag_is_a_bool(self):
+        # "false" is truthy: accepting it would run the engine without erasure.
+        for flag in ("false", 0, 1, None, np.bool_(True)):
+            with pytest.raises(BadParams, match="skip_reset must be a bool"):
+                SzilardConfig(cycles=2, skip_reset=flag)
 
     def test_noise_strength_range(self):
         for p in (1.5, -0.1, float("nan"), True, False, "0.5", None, 0.5j):
