@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -106,7 +106,7 @@ class Instruction:
 
     def __post_init__(self):
         # Checks that need no circuit; target and clbit ranges depend on the
-        # register and are checked by _register_problems.
+        # register and are checked by validate as the instruction is appended.
         targets = tuple(qmath._whole(t, "target") for t in self.targets)
         object.__setattr__(self, "targets", targets)
         if self.clbit is not None:
@@ -122,31 +122,46 @@ class Instruction:
             raise BadTargets("Kraus dimension does not match the target count")
 
 
-@dataclass
 class Circuit:
-    """Instruction list over a fixed register; built once, run read-only."""
+    """Instructions over a fixed register, each checked by ``validate`` as it is
+    appended (those passed in too), so a built circuit is runnable as it stands.
+    The register sizes and ``instructions`` are read-only."""
 
-    n_qubits: int
-    n_clbits: int = 0
-    instructions: list = field(default_factory=list)
-
-    def __post_init__(self):
-        self.n_qubits = qmath._whole(self.n_qubits, "n_qubits")
-        self.n_clbits = qmath._whole(self.n_clbits, "n_clbits")
-        if self.n_qubits > MAX_QUBITS:
-            raise TooManyQubits(f"{self.n_qubits} qubits exceeds the limit of {MAX_QUBITS}")
-        if self.n_qubits < 1:
+    def __init__(self, n_qubits: int, n_clbits: int = 0, instructions: Iterable = ()):
+        self._n_qubits = qmath._whole(n_qubits, "n_qubits")
+        self._n_clbits = qmath._whole(n_clbits, "n_clbits")
+        if self._n_qubits > MAX_QUBITS:
+            raise TooManyQubits(f"{self._n_qubits} qubits exceeds the limit of {MAX_QUBITS}")
+        if self._n_qubits < 1:
             raise InvalidCircuit("circuit needs at least one qubit")
-        if self.n_clbits < 0:
+        if self._n_clbits < 0:
             raise InvalidCircuit("circuit needs a non-negative clbit count")
+        self._instructions = []
+        self._written = set()  # clbits an appended instruction writes
+        for instr in instructions:
+            self._append(instr)
+
+    @property
+    def n_qubits(self) -> int:
+        return self._n_qubits
+
+    @property
+    def n_clbits(self) -> int:
+        return self._n_clbits
+
+    @property
+    def instructions(self) -> tuple:
+        return tuple(self._instructions)
 
     # -- builder helpers ----------------------------------------------------
 
     def _append(self, instr: Instruction) -> "Circuit":
-        problems = _register_problems(self, instr)
+        problems = validate(self, instr)
         if problems:
             raise BadTargets(problems[0])
-        self.instructions.append(instr)
+        self._instructions.append(instr)
+        if instr.clbit is not None:
+            self._written.add(instr.clbit)
         return self
 
     def append_gate(self, gate: Gate, targets: Sequence[int]) -> "Circuit":
@@ -247,8 +262,8 @@ class Circuit:
         return c
 
 
-def _register_problems(c: Circuit, instr: Instruction) -> list:
-    """Targets or clbit of ``instr`` that fall outside ``c``'s registers."""
+def validate(c: Circuit, instr: Instruction) -> list:
+    """Problems with appending ``instr`` to ``c``; empty means it may be appended."""
     problems = [
         f"target {t} outside register of {c.n_qubits} qubits"
         for t in instr.targets
@@ -256,19 +271,8 @@ def _register_problems(c: Circuit, instr: Instruction) -> list:
     ]
     if instr.clbit is not None and not 0 <= instr.clbit < c.n_clbits:
         problems.append(f"clbit {instr.clbit} outside register of {c.n_clbits} bits")
-    return problems
-
-
-def validate(c: Circuit) -> list:
-    """Return a list of problems; empty means the circuit is runnable."""
-    problems = []
-    used_clbits = set()
-    for i, instr in enumerate(c.instructions):
-        problems.extend(f"instruction {i}: {p}" for p in _register_problems(c, instr))
-        if instr.clbit in used_clbits:
-            problems.append(f"instruction {i}: clbit {instr.clbit} written twice")
-        elif instr.clbit is not None:
-            used_clbits.add(instr.clbit)
+    elif instr.clbit in c._written:
+        problems.append(f"instruction {len(c._instructions)}: clbit {instr.clbit} written twice")
     return problems
 
 
@@ -277,7 +281,6 @@ def validate(c: Circuit) -> list:
 
 def run_statevector(c: Circuit) -> StateVector:
     """Evolve |0...0> through a unitary-only circuit."""
-    _require_valid(c)
     return StateVector(circuit_unitary(c)[:, 0])
 
 
@@ -310,7 +313,6 @@ class RunResult:
 
 def run_density(c: Circuit, initial: Optional[DensityMatrix] = None) -> RunResult:
     """Exact density evolution; measurements branch on the joint outcomes."""
-    _require_valid(c)
     n = c.n_qubits
     if initial is None:
         initial = qmath.basis_state(n, 0).density()
@@ -342,12 +344,6 @@ def run_density(c: Circuit, initial: Optional[DensityMatrix] = None) -> RunResul
     return RunResult(distribution, DensityMatrix(mixed))
 
 
-def _require_valid(c: Circuit):
-    problems = validate(c)
-    if problems:
-        raise InvalidCircuit("; ".join(problems))
-
-
 def circuit_unitary(c: Circuit) -> np.ndarray:
     """Full-register matrix of a unitary-only circuit, in time order."""
     u = np.eye(2 ** c.n_qubits, dtype=complex)
@@ -364,8 +360,8 @@ def sample(result: RunResult, shots: int, seed: int = 0) -> dict:
     Uses numpy's PCG64 generator, seeded explicitly, so identical
     invocations reproduce identical counts on any platform.
     """
-    if shots < 0:
-        raise BadParams("shots must be nonnegative")
+    qmath._nonnegative_int(shots, "shots")
+    qmath._nonnegative_int(seed, "seed")
     keys = sorted(result.distribution)
     probs = np.array([result.distribution[k] for k in keys])
     probs = probs / probs.sum()

@@ -18,7 +18,7 @@ from typing import Callable, Dict, Iterable, List, Tuple
 import numpy as np
 
 from . import qmath
-from .circuit import MAX_QUBITS, Circuit, Instruction, _require_valid, circuit_unitary, make_gate
+from .circuit import MAX_QUBITS, Circuit, Instruction, circuit_unitary, make_gate
 from .errors import (
     BadParams,
     BadTargets,
@@ -88,6 +88,7 @@ class DescriptorFrame:
 
 
 def init_frame(n: int) -> DescriptorFrame:
+    n = qmath._whole(n, "qubit count")
     if n < 1:
         raise BadParams("frame needs at least one qubit")
     if n > MAX_QUBITS:
@@ -117,7 +118,6 @@ class AuditReport:
 
 def locality_audit(c: Circuit) -> AuditReport:
     """Advance a frame through ``c`` and bound the off-support drift per step."""
-    _require_valid(c)
     frame = init_frame(c.n_qubits)
     steps: List[AuditStep] = []
     for i, instr in enumerate(c.instructions):
@@ -155,6 +155,7 @@ def dependence_probe(
     ) != _shape_signature(circuits[1]):
         raise ShapeMismatch("the two parameter values produce circuits of different shape")
     n = circuits[0].n_qubits
+    qubit = qmath._whole(qubit, "qubit")
     if not 0 <= qubit < n:
         raise BadTargets(f"qubit {qubit} outside register of {n} qubits")
     images = [_images(circuit_unitary(c), [qubit])[0] for c in circuits]
@@ -173,8 +174,7 @@ def expectation(frame: DescriptorFrame, observable: Dict[int, str], initial: Sta
     if initial.n != frame.n:
         raise BadParams(f"initial state has {initial.n} qubits, frame has {frame.n}")
     op = np.eye(2 ** frame.n, dtype=complex)
-    for q in sorted(observable):
-        ax = observable[q]
+    for q, ax in sorted((qmath._whole(q, "qubit"), ax) for q, ax in observable.items()):
         if not 0 <= q < frame.n:
             raise BadTargets(f"qubit {q} outside register of {frame.n} qubits")
         if ax not in AXES:

@@ -66,13 +66,11 @@ def build_epr_unitary(cfg: EprConfig, include_parity: bool = True) -> Circuit:
 
 
 def build_epr_circuit(cfg: EprConfig) -> Circuit:
-    c = build_epr_unitary(cfg, include_parity=cfg.deferred)
+    unitary = build_epr_unitary(cfg, include_parity=cfg.deferred)
     if cfg.deferred:
-        c.n_clbits = 1
-        return c.measure(CHECK, 0)
+        return Circuit(5, 1, unitary.instructions).measure(CHECK, 0)
     # collapse the records, then run the parity gates off the collapsed qubits
-    c.n_clbits = 3
-    c.measure(ALICE_MEM, 0).measure(BOB_MEM, 1)
+    c = Circuit(5, 3, unitary.instructions).measure(ALICE_MEM, 0).measure(BOB_MEM, 1)
     return c.cx(ALICE_MEM, CHECK).cx(BOB_MEM, CHECK).measure(CHECK, 2)
 
 

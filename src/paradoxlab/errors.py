@@ -42,7 +42,7 @@ class NonUnitaryInstruction(ParadoxLabError):
 
 
 class InvalidCircuit(ParadoxLabError):
-    """Circuit failed validation; the message lists the problems, "; "-separated."""
+    """A circuit's register sizes are invalid."""
 
 
 class TooManyQubits(ParadoxLabError):

@@ -259,7 +259,7 @@ def apply_kraus(rho: DensityMatrix, kraus: KrausSet, targets: Sequence[int]) -> 
 
 def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     """Trace out all qubits not in ``keep``; kept qubits stay in ascending order."""
-    keep = sorted(set(int(q) for q in keep))
+    keep = sorted(set(_whole(q, "kept qubit") for q in keep))
     if not keep:
         raise BadTargets("keep list must be nonempty")
     for q in keep:
@@ -298,6 +298,9 @@ def trace_distance(a, b) -> float:
 
 def basis_state(n: int, index: int = 0) -> StateVector:
     amps = np.zeros(2 ** n, dtype=complex)
+    index = _whole(index, "basis index")
+    if not 0 <= index < amps.size:
+        raise BadParams(f"basis index {index} outside register of {n} qubits")
     amps[index] = 1.0
     return StateVector(amps)
 
@@ -317,6 +320,12 @@ def _whole(value, what: str) -> int:
     ):
         raise BadParams(f"{what} {value!r} is not a whole number")
     return int(value)
+
+
+def _nonnegative_int(value, what: str) -> None:
+    """Refuse a shot count or seed that is not a non-negative ``int`` (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise BadParams(f"{what} must be a non-negative integer, got {value!r}")
 
 
 def _finite(value, what: str):

@@ -32,6 +32,7 @@ from .errors import (
 )
 from .qmath import (
     DensityMatrix,
+    _nonnegative_int,
     basis_state,
     kron_all,
     partial_trace,
@@ -106,6 +107,11 @@ class SzilardConfig:
             raise BadProbability(f"depolarize_p must lie in [0, 1], got {p!r}")
 
 
+def _require_config(cfg) -> None:
+    if not isinstance(cfg, SzilardConfig):
+        raise BadParams(f"cfg must be a SzilardConfig, got {cfg!r}")
+
+
 @dataclass(frozen=True)
 class CycleRecord:
     """Bookkeeping for one engine cycle."""
@@ -144,6 +150,7 @@ def run_single_cycle(
     """
     if not isinstance(memory_in, DensityMatrix) or memory_in.n != 1:
         raise BadMemoryState("memory must be a single-qubit density matrix")
+    _require_config(cfg)
     observe, stroke = _stages(cfg.depolarize_p)
     rho = DensityMatrix(kron_all([_GROUND, memory_in.mat, _GROUND, _GROUND]))
     rho = run_density(observe, rho).final_state
@@ -197,11 +204,10 @@ def run_cycles(cfg: SzilardConfig, shots: int = 0, seed: int = 0) -> Tuple[Cycle
     trajectory sample is attached to each record; the exact expectation
     values are computed either way.
     """
-    if isinstance(shots, bool) or not isinstance(shots, int) or shots < 0:
-        raise BadParams(f"shots must be a non-negative integer, got {shots!r}")
+    _require_config(cfg)
+    _nonnegative_int(shots, "shots")
     # Checked here, not by the generator: a run with the reset on never seeds one.
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise BadParams(f"seed must be a non-negative integer, got {seed!r}")
+    _nonnegative_int(seed, "seed")
     totals = _sample_trajectories(cfg, shots, seed) if shots > 0 else [None] * cfg.cycles
     memory = basis_state(1).density()
     records: List[CycleRecord] = []

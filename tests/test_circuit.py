@@ -18,6 +18,7 @@ from paradoxlab.circuit import (
     sample,
     validate,
 )
+from paradoxlab.descriptor import locality_audit
 from paradoxlab.errors import (
     BadParams,
     BadProbability,
@@ -113,9 +114,10 @@ class TestGates:
 
 class TestValidate:
     def test_clean_circuit(self):
-        c = Circuit(2, 1)
-        c.h(0).cx(0, 1).measure(1, 0)
-        assert validate(c) == []
+        c = Circuit(2, 1).h(0).cx(0, 1)
+        assert validate(c, Instruction("measure", (1,), clbit=0)) == []
+        c.measure(1, 0)
+        assert [i.op for i in c.instructions] == ["unitary", "unitary", "measure"]
 
     def test_repeated_targets_flagged(self):
         with pytest.raises(BadTargets):
@@ -134,23 +136,20 @@ class TestValidate:
             Circuit(1, -3)
 
     def test_raw_out_of_range_instruction_reported(self):
-        c = Circuit(2)
-        c.instructions.append(Circuit(3).x(2).instructions[0])
-        problems = validate(c)
-        assert len(problems) == 1 and "target 2" in problems[0]
-        with pytest.raises(InvalidCircuit):
-            run_density(c)
+        raw = Circuit(3).x(2).instructions[0]
+        assert validate(Circuit(2), raw) == ["target 2 outside register of 2 qubits"]
+        with pytest.raises(BadTargets, match="^target 2 outside register of 2 qubits$"):
+            Circuit(2, 0, [raw])
 
     def test_directly_built_instruction_checked(self):
         with pytest.raises(BadTargets):
             Instruction("unitary", (0, 0), gate=make_gate("CNOT"))
 
     def test_duplicate_clbit_write_reported(self):
-        c = Circuit(2, 1)
-        c.measure(0, 0)
-        c.measure(1, 0)
-        problems = validate(c)
-        assert problems and "clbit" in problems[0]
+        c = Circuit(2, 1).h(0).measure(0, 0)
+        with pytest.raises(BadTargets, match="^instruction 2: clbit 0 written twice$"):
+            c.measure(1, 0)
+        assert len(c.instructions) == 2
 
     @pytest.mark.parametrize(
         "build, field",
@@ -181,6 +180,58 @@ class TestValidate:
             Circuit(7)
         with pytest.raises(InvalidCircuit):
             Circuit(0)
+
+
+class TestFixedRegister:
+    def test_register_sizes_are_read_only(self):
+        c = Circuit(2, 1)
+        for name in ("n_qubits", "n_clbits"):
+            with pytest.raises(AttributeError):
+                setattr(c, name, 3)
+        assert (c.n_qubits, c.n_clbits) == (2, 1)
+
+    def test_instructions_cannot_be_appended_to(self):
+        c = Circuit(1).h(0)
+        assert isinstance(c.instructions, tuple)
+        with pytest.raises(AttributeError):
+            c.instructions.append(c.instructions[0])
+        with pytest.raises(AttributeError):
+            c.instructions = ()
+        assert len(c.instructions) == 1
+
+    def test_constructor_checks_each_instruction(self):
+        first, second = Circuit(2, 1).measure(0, 0).x(1).instructions
+        assert Circuit(2, 1, [first, second]).instructions == (first, second)
+        with pytest.raises(BadTargets, match="^clbit 0 outside register of 0 bits$"):
+            Circuit(2, 0, [second, first])
+        with pytest.raises(BadTargets, match="^instruction 2: clbit 0 written twice$"):
+            Circuit(2, 1, [first, second, first])
+
+    def test_first_duplicate_named_before_a_later_bad_target(self):
+        doc = {
+            "n_qubits": 2,
+            "n_clbits": 2,
+            "instructions": [
+                {"op": "measure", "target": 0, "clbit": 1},
+                {"op": "measure", "target": 1, "clbit": 1},
+                {"op": "measure", "target": 0, "clbit": 1},
+                {"op": "unitary", "kind": "X", "targets": [5]},
+            ],
+        }
+        with pytest.raises(BadTargets, match="^instruction 1: clbit 1 written twice$"):
+            Circuit.from_dict(doc)
+
+    def test_only_appends_are_checked(self, monkeypatch):
+        measured = Circuit(2, 2).h(0).cx(0, 1).measure(0, 0).measure(1, 1)
+        unitary = Circuit(2).h(0).cx(0, 1)
+        seen = []
+        monkeypatch.setattr("paradoxlab.circuit.validate", lambda c, i: seen.append(i) or [])
+        run_density(measured)
+        run_statevector(unitary)
+        locality_audit(unitary)
+        assert seen == []
+        unitary.x(1)
+        assert seen == [unitary.instructions[-1]]
 
 
 class TestStatevector:
@@ -222,8 +273,7 @@ class TestRunDensity:
 
     def test_distribution_sums_to_one(self):
         rng = np.random.default_rng(53)
-        c = util.random_unitary_circuit(3, 10, rng)
-        c.n_clbits = 3
+        c = Circuit(3, 3, util.random_unitary_circuit(3, 10, rng).instructions)
         for q in range(3):
             c.measure(q, q)
         r = run_density(c)
@@ -269,9 +319,9 @@ class TestRunDensity:
         rng = np.random.default_rng(157)
         for _ in range(20):
             n = int(rng.integers(1, 5))
-            c = util.random_unitary_circuit(n, 15, rng)
-            amps = run_statevector(c).amplitudes
-            c.n_clbits = n
+            unitary = util.random_unitary_circuit(n, 15, rng)
+            amps = run_statevector(unitary).amplitudes
+            c = Circuit(n, n, unitary.instructions)
             for q in range(n):
                 c.measure(q, q)
             dist = run_density(c).distribution
@@ -288,11 +338,11 @@ class TestRunDensity:
         np.testing.assert_allclose(r.final_state.mat, [[1, 0], [0, 0]], atol=1e-12)
 
     def test_invalid_circuit_rejected(self):
-        c = Circuit(2, 1)
-        c.instructions.append(Circuit(2, 1).measure(0, 0).instructions[0])
-        c.measure(1, 0)
-        with pytest.raises(InvalidCircuit):
-            run_density(c)
+        first = Circuit(2, 1).measure(0, 0).instructions[0]
+        c = Circuit(2, 1, [first])
+        with pytest.raises(BadTargets, match="^instruction 1: clbit 0 written twice$"):
+            c.measure(1, 0)
+        assert run_density(c).distribution == {"0": 1.0}
 
 
 class TestSample:
@@ -312,6 +362,17 @@ class TestSample:
         assert sum(counts.values()) == 10000
         # 3 sigma for a fair coin over 10^4 draws
         assert abs(counts["0"] - 5000) <= 150
+
+    @pytest.mark.parametrize(
+        "shots, seed, field",
+        [(2.5, 0, "shots"), (True, 0, "shots"), (-1, 0, "shots"), (10, -1, "seed"),
+         (10, 1.5, "seed"), (10, True, "seed"), (10, "1", "seed")],
+    )
+    def test_counts_and_seeds_are_non_negative_integers(self, shots, seed, field):
+        """2.5 shots used to draw 2 and True 1; a bad seed raised numpy's own error."""
+        r = run_density(Circuit(1, 1).h(0).measure(0, 0))
+        with pytest.raises(BadParams, match=f"{field} must be a non-negative integer"):
+            sample(r, shots, seed)
 
 
 class TestDepolarizing:

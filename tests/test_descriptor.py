@@ -20,7 +20,7 @@ from paradoxlab.descriptor import (
 )
 from paradoxlab.errors import (
     BadParams,
-    InvalidCircuit,
+    BadTargets,
     NonUnitaryInstruction,
     ShapeMismatch,
     TooManyQubits,
@@ -84,6 +84,12 @@ class TestInitFrame:
             init_frame(7)
         with pytest.raises(BadParams):
             init_frame(0)
+
+    @pytest.mark.parametrize("n", [2.5, True, "2", None])
+    def test_size_must_be_a_whole_number(self, n):
+        """True used to build a one-qubit frame, and 2.5 a raw TypeError."""
+        with pytest.raises(BadParams, match="qubit count"):
+            init_frame(n)
 
 
 class TestAdvance:
@@ -219,11 +225,8 @@ class TestDependenceProbe:
             rotated = int(rng.integers(n))
 
             def build(theta):
-                c = Circuit(n)
-                c.instructions.extend(before.instructions)
-                c.rx(theta, rotated)
-                c.instructions.extend(after.instructions)
-                return c
+                c = Circuit(n, 0, before.instructions).rx(theta, rotated)
+                return Circuit(n, 0, c.instructions + after.instructions)
 
             qubit = int(rng.integers(n))
             a, b = (float(v) for v in rng.uniform(-np.pi, np.pi, size=2))
@@ -245,6 +248,13 @@ class TestDependenceProbe:
 
         with pytest.raises(ShapeMismatch):
             dependence_probe(build, qubit=0, value_a=0.5, value_b=1.5)
+
+    @pytest.mark.parametrize(
+        "qubit, error", [(1.5, BadParams), (True, BadParams), (2, BadTargets), (-1, BadTargets)]
+    )
+    def test_qubit_must_be_an_index_in_range(self, qubit, error):
+        with pytest.raises(error, match="qubit"):
+            dependence_probe(lambda t: Circuit(2).rx(t, 0), qubit, 0.3, 1.1)
 
 
 class TestExpectation:
@@ -270,6 +280,15 @@ class TestExpectation:
             expectation(init_frame(1), {0: "w"}, basis_state(1))
         with pytest.raises(BadParams):
             expectation(init_frame(1), {}, basis_state(1))
+
+    @pytest.mark.parametrize(
+        "observable, error",
+        [({1.5: "z"}, BadParams), ({True: "z"}, BadParams), ({"0": "z", 1: "x"}, BadParams),
+         ({2: "z"}, BadTargets), ({-1: "z"}, BadTargets)],
+    )
+    def test_qubit_must_be_an_index_in_range(self, observable, error):
+        with pytest.raises(error, match="qubit"):
+            expectation(init_frame(2), observable, basis_state(2))
 
     def test_matches_schrodinger_on_random_circuits(self):
         rng = np.random.default_rng(503)

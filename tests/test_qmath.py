@@ -95,6 +95,15 @@ class TestStates:
         with pytest.raises(error, match="non-finite"):
             build(bad)
 
+    @pytest.mark.parametrize("index", [-1, 4, 7, 1.5, True, "1"])
+    def test_basis_index_must_be_in_range(self, index):
+        """-1 used to give the last basis state and 7 a raw IndexError."""
+        with pytest.raises(BadParams, match="basis index"):
+            qmath.basis_state(2, index)
+
+    def test_basis_state_at_last_index(self):
+        np.testing.assert_array_equal(qmath.basis_state(2, 3.0).amplitudes, [0, 0, 0, 1])
+
     def test_from_statevector(self):
         sv = StateVector(oracle.PLUS.copy())
         rho = sv.density()
@@ -301,6 +310,20 @@ class TestPartialTrace:
     def test_empty_keep_rejected(self):
         with pytest.raises(BadTargets):
             partial_trace(dm(np.eye(2) / 2), [])
+
+    @pytest.mark.parametrize(
+        "keep, error",
+        [([1.5], BadParams), ([True], BadParams), (["1"], BadParams), ([2], BadTargets),
+         ([-1], BadTargets)],
+    )
+    def test_kept_qubit_must_be_an_index_in_range(self, keep, error):
+        """``int()`` used to truncate 1.5 and True to qubit 1."""
+        with pytest.raises(error, match="kept qubit"):
+            partial_trace(dm(np.eye(4) / 4), keep)
+
+    def test_whole_float_kept_qubit_accepted(self):
+        rho = dm(np.kron(oracle.density(oracle.PLUS), oracle.density(oracle.KET1)))
+        np.testing.assert_array_equal(partial_trace(rho, [1.0]).mat, partial_trace(rho, [1]).mat)
 
 
 class TestEntropy:

@@ -368,6 +368,14 @@ class TestConfig:
                 with pytest.raises(BadParams, match="seed must be a non-negative integer"):
                     run_cycles(cfg, shots=3, seed=seed)
 
+    def test_runs_take_a_config(self):
+        memory = basis_state(1).density()
+        for bad in (False, 3, None, {"cycles": 1}):
+            with pytest.raises(BadParams, match="cfg must be a SzilardConfig"):
+                run_single_cycle(memory, bad)
+            with pytest.raises(BadParams, match="cfg must be a SzilardConfig"):
+                run_cycles(bad)
+
     def test_reset_flag_is_a_bool(self):
         # "false" is truthy: accepting it would run the engine without erasure.
         for flag in ("false", 0, 1, None, np.bool_(True)):
