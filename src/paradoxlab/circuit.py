@@ -94,6 +94,10 @@ def make_gate(kind: str, theta: Optional[float] = None) -> Gate:
     return _LIBRARY[kind]
 
 
+# Each op, and the field that must carry its payload.
+_PAYLOAD = {"unitary": "gate", "channel": "kraus", "reset": None, "measure": "clbit"}
+
+
 @dataclass(frozen=True)
 class Instruction:
     """One circuit step: unitary, channel, reset, or measure."""
@@ -107,6 +111,11 @@ class Instruction:
     def __post_init__(self):
         # Checks that need no circuit; target and clbit ranges depend on the
         # register and are checked by validate as the instruction is appended.
+        if not isinstance(self.op, str) or self.op not in _PAYLOAD:
+            raise UnknownKind(f"no instruction op {self.op!r}")
+        payload = _PAYLOAD[self.op]
+        if payload and getattr(self, payload) is None:
+            raise BadParams(f"{self.op} instruction has no {payload}")
         targets = tuple(qmath._whole(t, "target") for t in self.targets)
         object.__setattr__(self, "targets", targets)
         if self.clbit is not None:

@@ -1,24 +1,25 @@
 """Heisenberg-picture tracking of per-qubit Pauli observables.
 
-A frame is the circuit prefix applied so far, as one unitary. Each
-qubit's descriptor, the images of its three bare Pauli operators under
-that prefix, is computed from it on first read. A Pauli has one nonzero
-per row, so it is applied to the prefix as a row permutation times a
-per-row phase; that gives the same numbers, bit for bit, as the general
-kernel. Where a gate does not touch a qubit, its images must stay put;
-the locality audit checks exactly that, numerically, with no shortcuts.
+A frame is the circuit prefix applied so far, as one unitary U. Each
+qubit's descriptor, the images U^dag sigma U of its three bare Pauli
+operators, is computed from it on first read. With A and B the rows of
+U whose bit q is clear and set, and M = A^dag B, qubit q's images are
+X = M + M^dag, Y = -i(M - M^dag) and Z = A^dag A - B^dag B: three
+half-depth products per qubit. Where a gate does not touch a qubit, its
+images must stay put; the locality audit checks exactly that,
+numerically, with no shortcuts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Dict, Iterable, List, Tuple
 
 import numpy as np
 
 from . import qmath
-from .circuit import MAX_QUBITS, Circuit, Instruction, circuit_unitary, make_gate
+from .circuit import MAX_QUBITS, Circuit, Instruction, circuit_unitary
 from .errors import (
     BadParams,
     BadTargets,
@@ -30,39 +31,20 @@ from .qmath import DEPENDENCE_ATOL, LOCALITY_ATOL, StateVector
 
 AXES = ("x", "y", "z")
 
-_PAULIS = {ax: make_gate(ax.upper()).matrix for ax in AXES}
-
-
-@lru_cache(maxsize=None)
-def _pauli_rows(n: int, q: int) -> tuple:
-    """Per axis, ``(perm, phase)`` with ``lift(sigma_q) @ m == m[perm] * phase[:, None]``.
-
-    Row r of the lift reads the one nonzero of the 2x2 Pauli's row for
-    r's bit ``q``: the row of ``m`` with that bit set to the nonzero's
-    column, weighted by its value. The arrays are shared, so read-only;
-    ``MAX_QUBITS`` bounds the cache to a few dozen small entries.
-    """
-    rows = np.arange(2 ** n)
-    bit = (rows >> q) & 1
-    out = []
-    for ax in AXES:
-        sigma = _PAULIS[ax]
-        col = np.argmax(sigma != 0, axis=1)[bit]
-        perm, phase = rows ^ ((bit ^ col) << q), sigma[bit, col]
-        perm.setflags(write=False)
-        phase.setflags(write=False)
-        out.append((perm, phase))
-    return tuple(out)
-
 
 def _images(prefix: np.ndarray, qubits: Iterable[int]) -> tuple:
     """Per qubit in ``qubits``: its bare (x, y, z) Paulis conjugated by ``prefix``."""
-    n = prefix.shape[0].bit_length() - 1
-    pdag = prefix.conj().T
-    return tuple(
-        tuple(pdag @ (prefix[perm] * phase[:, None]) for perm, phase in _pauli_rows(n, q))
-        for q in qubits
-    )
+    d = prefix.shape[0]
+    out = []
+    for q in qubits:
+        # A row index splits into (bits above q, bit q, bits below q).
+        halves = prefix.reshape(-1, 2, 2 ** q, d)
+        a, b = (halves[:, k].reshape(d // 2, d) for k in (0, 1))
+        adag = a.conj().T
+        m = adag @ b
+        mdag = m.conj().T
+        out.append((m + mdag, -1j * (m - mdag), adag @ a - b.conj().T @ b))
+    return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)

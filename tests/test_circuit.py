@@ -145,6 +145,26 @@ class TestValidate:
         with pytest.raises(BadTargets):
             Instruction("unitary", (0, 0), gate=make_gate("CNOT"))
 
+    @pytest.mark.parametrize(
+        "args, kwargs, error, message",
+        [
+            (("bogus", (0,)), {}, UnknownKind, "no instruction op 'bogus'"),
+            ((["measure"], (0,)), {"clbit": 0}, UnknownKind, r"no instruction op \['measure'\]"),
+            (("unitary", (0,)), {}, BadParams, "unitary instruction has no gate"),
+            (
+                ("unitary", (0,)),
+                {"kraus": depolarizing_kraus(0.1)},
+                BadParams,
+                "unitary instruction has no gate",
+            ),
+            (("channel", (0,)), {}, BadParams, "channel instruction has no kraus"),
+            (("measure", (0,)), {}, BadParams, "measure instruction has no clbit"),
+        ],
+    )
+    def test_op_and_payload_checked_when_built(self, args, kwargs, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            Instruction(*args, **kwargs)
+
     def test_duplicate_clbit_write_reported(self):
         c = Circuit(2, 1).h(0).measure(0, 0)
         with pytest.raises(BadTargets, match="^instruction 2: clbit 0 written twice$"):

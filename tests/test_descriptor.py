@@ -5,7 +5,7 @@ import pytest
 
 import oracle
 import util
-from paradoxlab import qmath
+from paradoxlab import descriptor, qmath
 from paradoxlab.circuit import Circuit, run_density, run_statevector
 from paradoxlab.descriptor import (
     AXES,
@@ -162,8 +162,16 @@ class TestPauliImages:
             for ax, got, kernel in zip(AXES, triple, kernel_images(prefix, q)):
                 want = prefix.conj().T @ oracle.lift(PAULIS[ax], [q], n) @ prefix
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-                # A Pauli entry is 0, +-1 or +-i, so the kernel's products are exact.
-                assert got.tobytes() == kernel.tobytes()
+                np.testing.assert_allclose(got, kernel, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_hermitian_and_square_to_identity(self, n):
+        prefix = oracle.random_unitary(2 ** n, np.random.default_rng(720 + n))
+        eye = np.eye(2 ** n)
+        for triple in _images(prefix, range(n)):
+            for image in triple:
+                np.testing.assert_allclose(image, image.conj().T, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(image @ image, eye, rtol=0, atol=1e-12)
 
 
 class TestLocalityAudit:
@@ -171,7 +179,46 @@ class TestLocalityAudit:
         rng = np.random.default_rng(409)
         for _ in range(3):
             c = util.random_unitary_circuit(6, 20, rng)
-            assert list(locality_audit(c).steps) == kernel_audit(c)
+            steps, want = locality_audit(c).steps, kernel_audit(c)
+            assert [(s.instr, s.ok) for s in steps] == [(s.instr, s.ok) for s in want]
+            np.testing.assert_allclose(
+                [s.max_offsupport_delta for s in steps],
+                [s.max_offsupport_delta for s in want],
+                rtol=0,
+                atol=1e-14,
+            )
+
+    def test_off_support_drift_caught(self, monkeypatch):
+        """A step that also rotates an untouched qubit fails by the rotation's size."""
+        theta, drift_step, drifted = 1e-6, 4, 3
+        rng = np.random.default_rng(411)
+        c = util.random_unitary_circuit(4, drift_step, rng).cx(0, 1)
+        c = Circuit(4, 0, [*c.instructions, *util.random_unitary_circuit(4, 4, rng).instructions])
+        rotation = oracle.lift(oracle.rx(theta), [drifted], 4)
+        calls = []
+
+        def drifting_advance(frame, instr):
+            after = advance(frame, instr)
+            calls.append(after.prefix)
+            if len(calls) - 1 == drift_step:
+                return DescriptorFrame(rotation @ after.prefix)
+            return after
+
+        monkeypatch.setattr(descriptor, "advance", drifting_advance)
+        report = locality_audit(c)
+        # Only qubit 3's y and z images move: RX commutes with X.
+        clean = calls[drift_step]
+        want = max(
+            float(np.max(np.abs(clean.conj().T @ (rotation.conj().T @ p @ rotation - p) @ clean)))
+            for p in (oracle.lift(PAULIS[ax], [drifted], 4) for ax in "yz")
+        )
+        # Its largest entry lies between its norm, 2 sin(theta / 2), and that norm over sqrt(16).
+        assert theta / 4 * (1 - 1e-9) <= want <= theta * (1 + 1e-9)
+        step = report.steps[drift_step]
+        assert step.ok is False
+        assert step.max_offsupport_delta == pytest.approx(want, rel=1e-6)
+        assert [s.ok for s in report.steps if s is not step] == [True] * 8
+        assert report.overall is False
 
     def test_empty_circuit(self):
         report = locality_audit(Circuit(2))
