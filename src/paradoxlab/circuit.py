@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -81,7 +82,12 @@ _LIBRARY = {
 
 
 def make_gate(kind: str, theta: Optional[float] = None) -> Gate:
-    """The shared library gate ``kind``; RX, the one parameterized kind, is built per call."""
+    """The shared library gate ``kind``; RX, the one parameterized kind, is built per call.
+
+    ``theta``, when given, must be a finite real (numpy's too), never a bool or string.
+    """
+    if theta is not None:
+        theta = qmath._finite(theta, "theta")
     if kind == "RX":
         if theta is None:
             raise BadParams("RX needs an angle")
@@ -254,9 +260,7 @@ class Circuit:
         for item in doc.get("instructions", []):
             op = item["op"]
             if op == "unitary":
-                theta = item.get("theta")
-                theta = None if theta is None else qmath._finite(theta, "theta")
-                gate = make_gate(item["kind"], theta)
+                gate = make_gate(item["kind"], item.get("theta"))
                 c.append_gate(gate, item["targets"])
             elif op == "channel":
                 dim = qmath._whole(item["dim"], "dim")
@@ -381,7 +385,7 @@ def sample(result: RunResult, shots: int, seed: int = 0) -> dict:
 
 def depolarizing_kraus(p: float) -> KrausSet:
     """Depolarizing channel: rho -> (1 - p) rho + p I/2 at p = 1 fully mixes."""
-    if not 0.0 <= p <= 1.0:
+    if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
         raise BadProbability(f"depolarizing strength {p} outside [0, 1]")
     if p == 0.0:
         return KrausSet((_LIBRARY["I"].matrix,))

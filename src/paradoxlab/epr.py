@@ -91,6 +91,21 @@ class SweepPoint(NamedTuple):
     p_check_one: float
 
 
+def _angles(values, name: str) -> np.ndarray:
+    """A sweep axis as floats: real numbers (numpy's too), all finite, never bools or strings."""
+    try:
+        values = np.asarray(values)
+    except ValueError as exc:  # a ragged nesting
+        raise BadParams(f"{name} must be real numbers: {exc}") from exc
+    if values.dtype.kind not in "iuf":
+        raise BadParams(f"{name} must be real numbers, got {values.dtype} values")
+    values = values.astype(float, copy=False)
+    bad = values[~np.isfinite(values)]
+    if bad.size:
+        raise BadParams(f"{name} must be finite, got {bad[0]}")
+    return values
+
+
 def sweep(thetas: Sequence[float], phis: Sequence[float]) -> List[SweepPoint]:
     """Exact check probabilities over the cartesian angle grid, theta-major.
 
@@ -99,12 +114,7 @@ def sweep(thetas: Sequence[float], phis: Sequence[float]) -> List[SweepPoint]:
     point. Fixed gates go through the shared kernel; an RX with one angle
     per column is cos(a/2) psi - i sin(a/2) X psi.
     """
-    thetas = np.asarray(thetas, dtype=float)
-    phis = np.asarray(phis, dtype=float)
-    for name, values in (("theta", thetas), ("phi", phis)):
-        bad = values[~np.isfinite(values)]
-        if bad.size:
-            raise BadParams(f"{name} must be finite, got {bad[0]}")
+    thetas, phis = _angles(thetas, "theta"), _angles(phis, "phi")
     grid_theta = np.repeat(thetas, phis.size)
     grid_phi = np.tile(phis, thetas.size)
     x = make_gate("X").matrix

@@ -9,6 +9,7 @@ six qubits, so dense is always fine.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import sys
 from dataclasses import dataclass, field
@@ -289,15 +290,25 @@ def _mat_of(state) -> np.ndarray:
 
 def trace_distance(a, b) -> float:
     """Half the trace norm of the difference; accepts DensityMatrix or ndarray."""
-    diff = _mat_of(a) - _mat_of(b)
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
+    a, b = _mat_of(a), _mat_of(b)
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"states of shape {a.shape} and {b.shape} cannot be compared")
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
 
 
 # --- common states ---------------------------------------------------------
 
 
+def _register(n) -> int:
+    """A qubit count: a whole number, not negative."""
+    n = _whole(n, "qubit count")
+    if n < 0:
+        raise BadParams(f"qubit count {n} is negative")
+    return n
+
+
 def basis_state(n: int, index: int = 0) -> StateVector:
-    amps = np.zeros(2 ** n, dtype=complex)
+    amps = np.zeros(2 ** _register(n), dtype=complex)
     index = _whole(index, "basis index")
     if not 0 <= index < amps.size:
         raise BadParams(f"basis index {index} outside register of {n} qubits")
@@ -306,7 +317,7 @@ def basis_state(n: int, index: int = 0) -> StateVector:
 
 
 def maximally_mixed(n: int) -> DensityMatrix:
-    dim = 2 ** n
+    dim = 2 ** _register(n)
     return DensityMatrix(np.eye(dim, dtype=complex) / dim)
 
 
@@ -329,11 +340,14 @@ def _nonnegative_int(value, what: str) -> None:
 
 
 def _finite(value, what: str):
-    """An angle or matrix entry read from a file: a finite int or float, never a bool or string."""
-    # One comparison refuses NaN, infinities and ints too large for a float.
-    if isinstance(value, bool) or not (
-        isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-    ):
+    """An angle or matrix entry: a finite real (numpy's too), never a bool or string."""
+    # One comparison refuses NaN, infinities and ints too large for a float;
+    # other reals, such as numpy's, are compared as floats.
+    if isinstance(value, (int, float)):
+        size = abs(value)
+    else:
+        size = abs(float(value)) if isinstance(value, numbers.Real) else math.inf
+    if isinstance(value, bool) or not size <= sys.float_info.max:
         raise BadParams(f"{what} {value!r} is not a finite number")
     return value
 

@@ -2,27 +2,28 @@
 
 One engine cycle on four qubits: a particle whose position is the working
 medium, a one-qubit demon memory, and a two-qubit unary weight register that
-embodies the extracted work.  The particle is randomized, its position is
-recorded into the memory, and a shift conditioned on whether the record
-agrees with the particle moves the weight up or down one level.  A blank
-memory always produces an agreeing record (one unit of work out); a stale
-uncorrelated record guesses the side and averages to zero.  Resetting the
-memory restores the blank state and costs the one bit the record carried,
-which is the erasure charge the ledger tracks.  A reset leaves |0><0|
-whatever the memory held, so the engine simulates only the observe and
-stroke stages and hands the next cycle a blank record.
+embodies the extracted work.  Each cycle takes a fresh thermal particle,
+records its position into the memory, and shifts the weight up or down one
+level by whether the record agrees with the particle.  A blank memory always
+produces an agreeing record (one unit of work out); a stale uncorrelated
+record guesses the side and averages to zero.  Resetting the memory restores
+the blank state and costs the one bit the record carried, which is the
+erasure charge the ledger tracks.  The two stages, observe and stroke, are
+fixed gate sequences built once at import.  The ledger reads only the weight
+and the memory, and the next cycle brings a fresh particle, so the spent one
+is simply traced out; a reset leaves |0><0| whatever the memory held, so the
+next cycle is handed a blank record.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .circuit import Circuit, depolarizing_kraus, run_density
+from .circuit import Circuit, run_density
 from .errors import (
     BadMemoryState,
     BadParams,
@@ -87,10 +88,10 @@ def mutual_information(
 class SzilardConfig:
     """Engine run parameters.
 
-    ``depolarize_p`` sets the strength of the randomizing channel applied to
-    the particle at the start of each cycle and again after the work stroke;
-    1.0 is the standard engine, 0.0 leaves the particle wherever it was
-    prepared (useful for tracing the logic).
+    ``depolarize_p`` sets the fresh particle's populations, (1 - p/2, p/2):
+    the depolarizing channel of strength p applied to |0>.  1.0 is the standard
+    engine, whose particle is maximally mixed; 0.0 starts every particle at |0>
+    (useful for tracing the logic).
     """
 
     cycles: int = 1
@@ -124,18 +125,14 @@ class CycleRecord:
     mutual_info_particle_memory: float
 
 
-@lru_cache(maxsize=8)
-def _stages(depolarize_p: float) -> Tuple[Circuit, Circuit]:
-    """The cycle's observe and stroke stages; built once per strength, shared read-only."""
-    depolarize = depolarizing_kraus(depolarize_p)
-    observe = Circuit(4).channel(depolarize, [PARTICLE]).x(W0)
-    observe.cx(PARTICLE, MEMORY)  # record the particle position into the memory
-    # Fold the particle onto the record: memory now holds the agreement bit,
-    # 0 when the record matches the particle and the weight should rise.
-    stroke = Circuit(4).cx(PARTICLE, MEMORY).x(MEMORY).cx(MEMORY, W1).x(MEMORY).cx(MEMORY, W0)
-    stroke.cx(PARTICLE, MEMORY)  # unfold, leaving the record in place
-    stroke.channel(depolarize, [PARTICLE])  # rethermalize
-    return observe, stroke
+# The cycle's two stages, built once at import and shared read-only. Observe
+# raises the weight to its start level and records the particle position into
+# the memory.
+_OBSERVE = Circuit(4).x(W0).cx(PARTICLE, MEMORY)
+# Fold the particle onto the record: memory now holds the agreement bit,
+# 0 when the record matches the particle and the weight should rise.
+_STROKE = Circuit(4).cx(PARTICLE, MEMORY).x(MEMORY).cx(MEMORY, W1).x(MEMORY).cx(MEMORY, W0)
+_STROKE.cx(PARTICLE, MEMORY)  # unfold, leaving the record in place
 
 
 def run_single_cycle(
@@ -151,11 +148,12 @@ def run_single_cycle(
     if not isinstance(memory_in, DensityMatrix) or memory_in.n != 1:
         raise BadMemoryState("memory must be a single-qubit density matrix")
     _require_config(cfg)
-    observe, stroke = _stages(cfg.depolarize_p)
-    rho = DensityMatrix(kron_all([_GROUND, memory_in.mat, _GROUND, _GROUND]))
-    rho = run_density(observe, rho).final_state
+    p = cfg.depolarize_p
+    particle = np.diag([1 - p / 2, p / 2]).astype(complex)
+    rho = DensityMatrix(kron_all([particle, memory_in.mat, _GROUND, _GROUND]))
+    rho = run_density(_OBSERVE, rho).final_state
     mutual = mutual_information(partial_trace(rho, [PARTICLE, MEMORY]), [0], [1])
-    rho = run_density(stroke, rho).final_state
+    rho = run_density(_STROKE, rho).final_state
     expected = work_expectation(partial_trace(rho, [W1, W0]))
     memory_out = partial_trace(rho, [MEMORY])
     pre_entropy = vn_entropy_bits(memory_out)
@@ -177,8 +175,8 @@ def _sample_trajectories(cfg: SzilardConfig, shots: int, seed: int) -> List[int]
     """Classical per-shot unraveling of the engine.
 
     Valid because every state the exact run visits is diagonal in the
-    computational basis, so the channel reduces to "replace the particle by a
-    fair coin with probability p" and the gates to bit arithmetic. With the
+    computational basis, so the fresh particle reduces to "a fair coin with
+    probability p, else 0" and the gates to bit arithmetic. With the
     reset on, every cycle starts from a blank record and wins one unit per
     shot; the coins a cycle draws only reach the record the reset blanks, so
     such runs draw nothing.

@@ -12,6 +12,8 @@ import math
 from functools import lru_cache
 
 import numpy as np
+
+import oracle
 from conftest import record_acceptance
 
 from paradoxlab import ctc, epr, szilard
@@ -26,7 +28,6 @@ from paradoxlab.descriptor import (
 )
 from paradoxlab.qmath import (
     basis_state,
-    embed_operator,
     maximally_mixed,
     partial_trace,
     save_unitary,
@@ -109,7 +110,7 @@ def test_c03_locality_audit_and_picture_equivalence():
         psi = run_statevector(circuit).amplitudes
         op = np.eye(2**n, dtype=complex)
         for q in sorted(observable):
-            op = op @ embed_operator(_PAULI[observable[q]], [q], n)
+            op = op @ oracle.lift(_PAULI[observable[q]], [q], n)
         direct = float((psi.conj() @ op @ psi).real)
         worst_exp = max(worst_exp, abs(tracked - direct))
     ok = worst_drift <= 1e-10 and worst_exp <= 1e-9

@@ -5,7 +5,8 @@ solve`` matrix file and an ``audit-locality`` circuit file, token
 mutations of an invocation of every subcommand, and numerically hard
 ``ctc solve`` matrices. Every case must end cleanly: no exception
 escapes, the exit code is 0 or 2, stderr is empty exactly when the exit
-code is 0, and the case finishes within ``CASE_SECONDS``.
+code is 0, and the case finishes within ``CASE_SECONDS``. The library's
+entry points refuse bad arguments with a ``ParadoxLabError`` of their own.
 """
 
 from __future__ import annotations
@@ -22,9 +23,16 @@ import numpy as np
 import pytest
 
 import oracle
-from paradoxlab import cli
-from paradoxlab.circuit import Circuit, circuit_unitary
-from paradoxlab.qmath import UNITARY_ATOL, matrix_to_entries
+from paradoxlab import cli, epr
+from paradoxlab.circuit import Circuit, circuit_unitary, depolarizing_kraus, make_gate
+from paradoxlab.errors import BadParams, BadProbability, DimensionMismatch
+from paradoxlab.qmath import (
+    UNITARY_ATOL,
+    basis_state,
+    matrix_to_entries,
+    maximally_mixed,
+    trace_distance,
+)
 
 SEEDS = (1, 2)
 # A case that takes longer has stalled; the slowest valid one takes well under 0.1 s.
@@ -229,3 +237,40 @@ def test_numeric_edge_matrices_end_cleanly(tmp_path):
         if problem:
             failures.append(f"{name}: {problem}")
     assert not failures, f"{len(failures)} failing cases, first: {failures[:3]}"
+
+
+# Library calls that used to raise a raw Python error, a misleading one, or
+# nothing, and the ParadoxLabError each must raise instead.
+BAD_CALLS = {
+    "RX at inf": (lambda: make_gate("RX", math.inf), BadParams),
+    "RX at nan": (lambda: make_gate("RX", math.nan), BadParams),
+    "RX at a string": (lambda: make_gate("RX", "0.3"), BadParams),
+    "RX at True": (lambda: make_gate("RX", True), BadParams),
+    "depolarizing at True": (lambda: depolarizing_kraus(True), BadProbability),
+    "basis state of -1 qubits": (lambda: basis_state(-1), BadParams),
+    "basis state of 1.5 qubits": (lambda: basis_state(1.5), BadParams),
+    "basis state of True qubits": (lambda: basis_state(True), BadParams),
+    "mixed state of -1 qubits": (lambda: maximally_mixed(-1), BadParams),
+    "mixed state of 1.5 qubits": (lambda: maximally_mixed(1.5), BadParams),
+    "mixed state of True qubits": (lambda: maximally_mixed(True), BadParams),
+    "distance across sizes": (
+        lambda: trace_distance(maximally_mixed(1), maximally_mixed(2)),
+        DimensionMismatch,
+    ),
+    "sweep over a string": (lambda: epr.sweep(["a"], [0.1]), BadParams),
+    "sweep over a complex": (lambda: epr.sweep([1j], [0.1]), BadParams),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CALLS)
+def test_library_refuses_bad_arguments(case):
+    call, error = BAD_CALLS[case]
+    with pytest.raises(error):
+        call()
+
+
+def test_library_takes_numpy_reals():
+    for theta in (np.float64(0.3), np.float32(0.3), np.int64(1)):
+        assert make_gate("RX", theta).theta == float(theta)
+    assert maximally_mixed(2.0).n == 2
+    assert len(epr.sweep(np.float32([0.1, 0.2]), np.arange(3))) == 6

@@ -8,7 +8,7 @@ import pytest
 
 import oracle
 
-from paradoxlab import szilard
+from paradoxlab import qmath, szilard
 from paradoxlab.circuit import run_density
 from paradoxlab.errors import (
     BadMemoryState,
@@ -26,12 +26,11 @@ from paradoxlab.qmath import (
     trace_distance,
 )
 from paradoxlab.szilard import (
-    MEMORY,
-    PARTICLE,
     W0,
     W1,
     SzilardConfig,
-    _stages,
+    _OBSERVE,
+    _STROKE,
     mutual_information,
     run_cycles,
     run_single_cycle,
@@ -49,9 +48,9 @@ def basis_dm(n, index):
     return basis_state(n, index).density()
 
 
-def run_stages(p, initial):
+def run_stages(initial):
     """Runs the cycle's observe then stroke stages; the reset is not part of them."""
-    for stage in _stages(p):
+    for stage in (_OBSERVE, _STROKE):
         initial = run_density(stage, initial=initial).final_state
     return initial
 
@@ -114,7 +113,7 @@ class TestWeightLogic:
                 [qubit_dm(particle).mat, qubit_dm(memory).mat, np.diag([1.0, 0]), np.diag([1.0, 0])]
             ),
         )
-        final = run_stages(0.0, initial)
+        final = run_stages(initial)
         weight = partial_trace(final, [W1, W0])
         assert weight.mat[weight_index, weight_index] == pytest.approx(1.0, abs=1e-9)
 
@@ -241,11 +240,23 @@ class TestCyclesWithoutErasure:
         records = run_cycles(SzilardConfig(cycles=2, skip_reset=True))
         assert records[1].mutual_info_particle_memory == pytest.approx(0.0, abs=1e-9)
 
-    def test_decorrelation_detaches_particle(self):
-        initial = DensityMatrix(kron_all([np.diag([1.0, 0])] * 4))
-        final = run_stages(1.0, initial)
-        pair = partial_trace(final, [PARTICLE, MEMORY])
-        assert mutual_information(pair, [0], [1]) == pytest.approx(0.0, abs=1e-9)
+
+class TestCycleWork:
+    @pytest.mark.parametrize("p", [0.0, 0.37, 1.0])
+    def test_cycle_runs_unitary_stages_only(self, p, monkeypatch):
+        """A cycle is its eight gates, each one kernel application per side; no Kraus map."""
+        calls = {"_apply_op": 0, "_kraus_map": 0}
+        for name in calls:
+
+            def counted(*args, _name=name, _real=getattr(qmath, name)):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(qmath, name, counted)
+        run_single_cycle(basis_dm(1, 0), SzilardConfig(depolarize_p=p))
+        assert calls == {"_apply_op": 16, "_kraus_map": 0}
+        for stage in (_OBSERVE, _STROKE):
+            assert {instr.op for instr in stage.instructions} == {"unitary"}
 
 
 class SimulationSpy:
