@@ -48,7 +48,8 @@ from .qmath import (
 _PREPARE = {"0": "", "1": "x", "+": "h", "-": "hz"}
 STATE_LABELS = tuple(_PREPARE)
 
-# Loop registers larger than this skip the superoperator machinery.
+# Loop registers larger than this skip the dense SVD of the real d^2 x d^2
+# loop matrix (256 x 256 at 4 loop qubits) and so the null-space polish.
 _MAX_EIGEN_LOOP = 4
 
 
@@ -161,6 +162,28 @@ def _to_state(mat: np.ndarray) -> Optional[np.ndarray]:
     return (vecs * vals) @ adjoint(vecs)
 
 
+def _hermitian(y: np.ndarray, d: int) -> np.ndarray:
+    """The Hermitian d x d matrix X stored as the real vector y = vec(Re X + Im X).
+    Re X is symmetric and Im X antisymmetric, so the storage is an isometry."""
+    m = y.reshape(d, d)
+    return ((1 + 1j) * m + (1 - 1j) * m.T) / 2
+
+
+def _real_superoperator(kraus: Sequence[np.ndarray], d: int) -> np.ndarray:
+    """The loop map in GMRES's coordinates: the real d^2 x d^2 matrix R with
+    R vec(Re X + Im X) = vec(Re S(X) + Im S(X)) for every Hermitian X.
+
+    S is the row-major superoperator, vec(K X K') = kron(K, K*) vec(X).  R is
+    C.real + C.imag for C = ((1+i) S + (1-i) S[:, swap]) / 2, which equals
+    S.real + S.imag[:, swap], the form that rounds each entry once.  S - I is
+    the complexification of R - I, so the two have the same singular values
+    and R - I's null space holds the loop's Hermitian fixed points.
+    """
+    s = sum(np.kron(k, k.conj()) for k in kraus)
+    swap = np.arange(d * d).reshape(d, d).T.reshape(-1)  # vec index of the transpose
+    return s.real + s.imag[:, swap]
+
+
 def _fresh_zeros(rows: int, cols: int) -> np.ndarray:
     """Float zeros on a new anonymous mapping. Pages no step writes never become
     resident; np.zeros on recycled heap memory would clear, and so touch, them all."""
@@ -173,10 +196,8 @@ def _gmres_fixed_point(apply: Callable, d: int, tol: float) -> Tuple[np.ndarray,
     limit, of trace one.  A Hermitian X travels as the real matrix Re X + Im X.
     A start that already meets the stopping rule comes back at dimension 0."""
 
-    def hermitian(y: np.ndarray) -> np.ndarray:
-        return ((1 + 1j) * y.reshape(d, d) + (1 - 1j) * y.reshape(d, d).T) / 2
     def op(y: np.ndarray) -> np.ndarray:
-        out = apply(hermitian(y))
+        out = apply(_hermitian(y, d))
         return (out.real + out.imag).reshape(-1) - y
     def done(estimate: float) -> bool:  # estimate: Frobenius norm of (S - I) x
         return estimate <= floor or estimate * np.sqrt(d) / 2 <= tol
@@ -209,7 +230,7 @@ def _gmres_fixed_point(apply: Callable, d: int, tol: float) -> Tuple[np.ndarray,
         tri[:k, k], tri[k, k] = col[:k], rho
         if done(beta * abs(rot[k + 1, 0])):
             y = np.linalg.solve(tri[:k + 1, :k + 1], beta * rot[:k + 1, 0])
-            return start + hermitian(y @ basis[:k + 1]), k + 1
+            return start + _hermitian(y @ basis[:k + 1], d), k + 1
         basis[k + 1] = w / h_next
     raise NoConvergence(f"GMRES exhausted the Krylov space above {tol}")
 
@@ -222,9 +243,10 @@ def solve_fixed_point(p: CtcProblem, tol: float = SOLVE_TOL) -> FixedPointSoluti
     a unital loop.  ``iterations`` counts the map applications GMRES made,
     one for the start plus one per Krylov step; ``method`` is always
     ``eigensolve``.  NoConvergence means GMRES broke down or stagnated above
-    ``tol``.  Up to 4 loop qubits the superoperator's unit-eigenvalue
-    directions give ``multiplicity_hint`` (else 0) and the answer is
-    projected onto them.
+    ``tol``.  Up to 4 loop qubits a float64 SVD of R - I, with R the map's
+    real matrix in GMRES's Re X + Im X coordinates (``_real_superoperator``),
+    finds the fixed subspace: its dimension is ``multiplicity_hint`` (else 0)
+    and the answer is projected onto it.
     """
     if not (isinstance(tol, float) and 0.0 < tol < np.inf):
         raise BadParams(f"tol must be a positive real, got {tol!r}")
@@ -243,14 +265,12 @@ def solve_fixed_point(p: CtcProblem, tol: float = SOLVE_TOL) -> FixedPointSoluti
 
     multiplicity = 0
     if p.n_loop <= _MAX_EIGEN_LOOP:
-        # Row-major vec(K rho K') = kron(K, K*) vec(rho).
-        s = sum(np.kron(k, k.conj()) for k in kraus)
-        _, sig, vh = np.linalg.svd(s - np.eye(d * d))
-        null_basis = vh[sig <= NULL_ATOL].conj().T  # columns span the fixed subspace
-        multiplicity = null_basis.shape[1]
+        _, sig, vh = np.linalg.svd(_real_superoperator(kraus, d) - np.eye(d * d))
+        null_rows = vh[sig <= NULL_ATOL]  # rows span the fixed subspace
+        multiplicity = len(null_rows)
         if multiplicity:
-            refined = null_basis @ (adjoint(null_basis) @ best.reshape(-1))
-            state = _to_state(refined.reshape(d, d))
+            y = (best.real + best.imag).reshape(-1)
+            state = _to_state(_hermitian(null_rows.T @ (null_rows @ y), d))
             if state is not None and residual_of(state) <= best_residual:
                 best = state
 

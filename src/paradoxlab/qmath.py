@@ -40,7 +40,7 @@ LOCALITY_ATOL = 1e-10  # largest off-support change of a Pauli image in a local 
 DEPENDENCE_ATOL = 1e-9  # Pauli images further apart than this depend on the parameter
 EXPECTATION_IMAG_ATOL = 1e-9  # largest imaginary part of a Pauli-product expectation
 SOLVE_TOL = 1e-12  # default loop fixed-point residual; smaller magnitudes print as 0
-NULL_ATOL = 1e-9  # loop S - I singular values, projected-state traces: this small is 0
+NULL_ATOL = 1e-9  # singular values of the real loop matrix R - I, projected-state traces: this small is 0
 OUTCOME_FLOOR = 1e-12  # loop readout probabilities at or below this are dropped
 
 

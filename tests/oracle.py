@@ -133,17 +133,31 @@ def partial_swap(n_loop, angle):
     return np.cos(angle) * np.eye(2 ** n) - 1j * np.sin(angle) * swap
 
 
+def superoperator(u, sigma, n_loop):
+    """The loop superoperator S, written entry by entry from
+    rho -> tr_sys[U (sigma x rho) U'] in row-major vec."""
+    d = 2 ** n_loop
+    blocks = u.reshape(sigma.shape[0], d, sigma.shape[0], d)
+    return np.einsum("sial,ab,sjbm->ijlm", blocks, sigma, blocks.conj()).reshape(d * d, d * d)
+
+
+def fixed_space(u, sigma, n_loop):
+    """Orthonormal columns spanning the loop's fixed space: the right singular
+    vectors of the complex S - I whose singular values are at most 1e-9."""
+    s = superoperator(u, sigma, n_loop)
+    _, sig, vh = np.linalg.svd(s - np.eye(len(s)))
+    return vh[sig <= 1e-9].conj().T
+
+
 def cesaro_limit(u, sigma, n_loop):
     """Limit of the running average of loop iterates from I/d, by dense linear algebra.
 
-    The loop superoperator S is written entry by entry from
-    rho -> tr_sys[U (sigma x rho) U'] in row-major vec. With right null
-    vectors N and left null vectors L of S - I, the spectral projection onto
-    the fixed space along range(S - I) is N (L'N)^-1 L', applied to vec(I/d).
+    With right null vectors N and left null vectors L of S - I (``superoperator``),
+    the spectral projection onto the fixed space along range(S - I) is
+    N (L'N)^-1 L', applied to vec(I/d).
     """
     d = 2 ** n_loop
-    blocks = u.reshape(sigma.shape[0], d, sigma.shape[0], d)
-    s = np.einsum("sial,ab,sjbm->ijlm", blocks, sigma, blocks.conj()).reshape(d * d, d * d)
+    s = superoperator(u, sigma, n_loop)
     left, sig, vh = np.linalg.svd(s - np.eye(d * d))
     null = sig <= 1e-9
     n_right, n_left = vh[null].conj().T, left[:, null]

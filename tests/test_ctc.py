@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracle
+from paradoxlab import ctc
 from paradoxlab.circuit import Circuit, run_density
 from paradoxlab.ctc import (
     STATE_LABELS,
@@ -31,6 +32,7 @@ from paradoxlab.errors import (
 )
 from paradoxlab.qmath import (
     OUTCOME_FLOOR,
+    SOLVE_TOL,
     DensityMatrix,
     StateVector,
     is_unitary,
@@ -285,6 +287,73 @@ def partial_swap_problem(n_loop, angle, seed):
     rng = np.random.default_rng(seed)
     state = DensityMatrix(oracle.random_density(2, rng))
     return CtcProblem(oracle.partial_swap(n_loop, angle), state)
+
+
+def _sigma(p):
+    return p.system_state.mat if p.n_sys else np.ones((1, 1))
+
+
+# Loops with a known number of fixed directions, for the real-form null space.
+FIXED_SPACE_PROBLEMS = {
+    "grandfather": (grandfather_problem, 2),
+    "identity on 2 loop qubits": (lambda: CtcProblem(np.eye(8), state_from_label("+").density()), 16),
+    "Z dephasing": (lambda: CtcProblem(np.diag([1.0, -1.0])), 2),
+    **{f"partial SWAP at 0.3 on {n} loop qubits": (
+        lambda n=n: CtcProblem(oracle.partial_swap(n, 0.3), state_from_label("+").density()),
+        4 ** (n - 1)) for n in range(1, 5)},
+    **{f"Haar on {n} loop qubits": (lambda n=n: random_loop_problem(1, n, [7, n]), 1)
+       for n in range(1, 5)},
+}
+
+
+class TestRealForm:
+    """The null space comes from the map's real matrix in GMRES's coordinates,
+    y = vec(Re X + Im X) for a Hermitian X."""
+
+    @pytest.mark.parametrize("n_loop", range(1, 5))
+    @pytest.mark.parametrize("kind", ["haar", "partial swap"])
+    def test_real_matrix_is_the_map_in_gmres_coordinates(self, kind, n_loop):
+        if kind == "haar":
+            p = random_loop_problem(1, n_loop, [3, n_loop])
+        else:
+            p = partial_swap_problem(n_loop, 0.3, n_loop)
+        d = 2 ** n_loop
+        r = ctc._real_superoperator(ctc._loop_kraus(p), d)
+        s = oracle.superoperator(p.u, _sigma(p), n_loop)
+        rng = np.random.default_rng(n_loop)
+        for _ in range(3):
+            z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            x = z + z.conj().T
+            image = (s @ x.reshape(-1)).reshape(d, d)
+            expect = (image.real + image.imag).reshape(-1)
+            assert np.max(np.abs(r @ (x.real + x.imag).reshape(-1) - expect)) <= 1e-12
+
+    @pytest.mark.parametrize("name", FIXED_SPACE_PROBLEMS)
+    def test_fixed_space_matches_complex_svd(self, name):
+        """multiplicity_hint and the polished answer against a complex SVD of S - I."""
+        make, count = FIXED_SPACE_PROBLEMS[name]
+        p = make()
+        d = 2 ** p.n_loop
+        null = oracle.fixed_space(p.u, _sigma(p), p.n_loop)
+        best, _ = ctc._gmres_fixed_point(ctc._loop_map(ctc._loop_kraus(p)), d, SOLVE_TOL)
+        polished = (null @ (null.conj().T @ best.reshape(-1))).reshape(d, d)
+        polished = (polished + polished.conj().T) / 2
+        sol = solve_fixed_point(p)
+        assert sol.multiplicity_hint == null.shape[1] == count
+        assert np.max(np.abs(sol.rho_loop.mat - polished / np.trace(polished))) <= 1e-12
+
+    def test_null_space_svd_is_real(self, monkeypatch):
+        """The one SVD a solve runs is a float64 d^2 x d^2 matrix, not the complex S - I."""
+        seen = []
+        svd = np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            seen.append((a.dtype, a.shape))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        solve_fixed_point(random_loop_problem(1, 3, [3, 3]))
+        assert seen == [(np.dtype(np.float64), (64, 64))]
 
 
 class TestStackedPass:

@@ -16,9 +16,9 @@ def copy_src(dest: Path) -> Path:
     return dest / "src" / "paradoxlab" / "cli.py"
 
 
-def replay_engine_against(checkout: Path) -> subprocess.CompletedProcess:
+def replay_against(checkout: Path, workload: str = "engine") -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, str(REPLAY), "--seeds", "1", "--workloads", "engine",
+        [sys.executable, str(REPLAY), "--seeds", "1", "--workloads", workload,
          "--against", str(checkout)],
         capture_output=True, text=True, timeout=120,
     )
@@ -26,7 +26,7 @@ def replay_engine_against(checkout: Path) -> subprocess.CompletedProcess:
 
 def test_unchanged_copy_replays_identically(tmp_path):
     copy_src(tmp_path)
-    run = replay_engine_against(tmp_path)
+    run = replay_against(tmp_path)
     assert run.returncode == 0, run.stdout + run.stderr
     lines = run.stdout.splitlines()
     # One fingerprint per invocation of the 80-invocation round, then the verdict.
@@ -44,10 +44,30 @@ def test_mutated_render_fails_the_replay(tmp_path):
     cli.write_text(text.replace(render, render.replace("_render", "_unmutated_render")) + (
         "\n\n" + render + '    return _unmutated_render(inv, payload, headers, rows) + "\\n"\n'
     ))
-    run = replay_engine_against(tmp_path)
+    run = replay_against(tmp_path)
     assert run.returncode == 1, run.stdout + run.stderr
     lines = run.stdout.splitlines()
     # The first invocation already differs: its argv, then the stdout diff.
     assert lines[1].startswith("replay: engine-1-000 differs: paradoxlab szilard ")
     assert "--- this/stdout" in lines and "+++ against/stdout" in lines
     assert "+" in lines
+
+
+def test_changed_error_message_fails_the_corpus_replay(tmp_path):
+    copy_src(tmp_path)
+    qmath = tmp_path / "src" / "paradoxlab" / "qmath.py"
+    text = qmath.read_text()
+    message = 'f"malformed matrix file: {exc}"'
+    assert text.count(message) == 1
+    qmath.write_text(text.replace(message, 'f"malformed matrix file {exc}"'))
+    run = replay_against(tmp_path, "robustness")
+    assert run.returncode == 1, run.stdout + run.stderr
+    lines = run.stdout.splitlines()
+    # A mutated matrix file without its dim differs first, in its stderr.
+    differs = [line for line in lines if " differs: " in line]
+    assert len(differs) == 1, lines[-5:]
+    assert differs[0].startswith("replay: robustness-files-1-")
+    assert "paradoxlab ctc solve --unitary <work>/robustness/files-1-" in differs[0]
+    assert "--- this/stderr" in lines and "+++ against/stderr" in lines
+    assert "-usage error: --unitary: malformed matrix file: 'dim'" in lines
+    assert "+usage error: --unitary: malformed matrix file 'dim'" in lines

@@ -2,16 +2,19 @@
 
 Run from anywhere; it plays the ``src/`` next to this directory:
 
-    python tools/replay.py                        # seeds 1 and 2, all four workloads
+    python tools/replay.py                        # seeds 1 and 2, every workload and the corpus
     python tools/replay.py --seeds 3 --workloads engine
     python tools/replay.py --seeds 1 2 --against ../other-checkout
 
 Every invocation of ``bench/inputs.make_round`` for the chosen workloads and
 seeds goes through ``paradoxlab.cli.main`` in one process, with one BLAS
-thread. The input files are written once, into a temporary work directory,
-and the path of that directory is replaced by ``<work>`` in every output
-before it is read. One line is printed per invocation: its id, its exit
-code, and the sha256 of its stdout and of its stderr.
+thread. The workload ``robustness`` is the 1,280 cases of the robustness
+corpus (``tests/corpus.py``), which carries its own seeds and is played once
+whatever ``--seeds`` says. The input files are written once, into a
+temporary work directory, and the path of that directory is replaced by
+``<work>`` in every output before it is read. One line is printed per
+invocation: its id, its exit code, and the sha256 of its stdout and of its
+stderr.
 
 ``--against PATH`` then plays the same invocations, on the same input files,
 on the ``src/`` of the checkout at PATH, in a child process of its own. At the
@@ -44,7 +47,8 @@ from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 INPUTS = ROOT / "bench" / "inputs.py"
-WORKLOADS = ("sweep", "engine", "heisenberg", "loops")
+CORPUS = "robustness"
+WORKLOADS = ("sweep", "engine", "heisenberg", "loops", CORPUS)
 WORK_TOKEN = "<work>"
 INVOCATIONS_FILE = "invocations.json"
 
@@ -72,11 +76,23 @@ def play(cli, invocations, work: str):
                err.getvalue().replace(work, WORK_TOKEN))
 
 
+def load_corpus() -> types.ModuleType:
+    """``tests/corpus.py``, which imports ``oracle`` from beside it."""
+    sys.path.append(str(ROOT / "tests"))
+    return importlib.import_module("corpus")
+
+
 def make_rounds(workloads, seeds, work: Path, save_unitary):
     """Every invocation of every round, each round's input files in a directory of its own."""
     inputs = load_inputs()
     invocations = []
     for workload in workloads:
+        if workload == CORPUS:
+            corpus_dir = work / CORPUS
+            corpus_dir.mkdir()
+            invocations += [{"id": f"{CORPUS}-{case.id}", "argv": case.argv}
+                            for case in load_corpus().corpus(corpus_dir)]
+            continue
         for seed in seeds:
             round_dir = work / f"{workload}-{seed}"
             round_dir.mkdir()
