@@ -41,6 +41,10 @@ class NonUnitaryInstruction(ParadoxLabError):
     """Raised where only unitary instructions are allowed."""
 
 
+class NotAPermutation(ParadoxLabError):
+    """A circuit that must permute basis states has a unitary that does not."""
+
+
 class InvalidCircuit(ParadoxLabError):
     """A circuit's register sizes are invalid."""
 

@@ -266,20 +266,30 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     for q in keep:
         if not 0 <= q < rho.n:
             raise BadTargets(f"kept qubit {q} outside register of {rho.n} qubits")
-    n = rho.n
+    return DensityMatrix(_partial_trace(rho.mat, keep))
+
+
+def _partial_trace(mat: np.ndarray, keep: Sequence[int]) -> np.ndarray:
+    """``partial_trace`` of a 2^n square array; ``keep`` is ascending, distinct and in range."""
+    n = mat.shape[0].bit_length() - 1
     # Label each axis of the (2,) * 2n reshape by its position; a traced
     # qubit's column axis reuses its row label, so einsum sums that diagonal.
     kept = sorted(_axes(keep, n))
     cols = [n + a if a in kept else a for a in range(n)]
     out = np.einsum(
-        rho.mat.reshape((2,) * (2 * n)), list(range(n)) + cols, kept + [n + a for a in kept]
+        mat.reshape((2,) * (2 * n)), list(range(n)) + cols, kept + [n + a for a in kept]
     )
-    return DensityMatrix(out.reshape(2 ** len(keep), -1))
+    return out.reshape(2 ** len(keep), -1)
 
 
 def vn_entropy_bits(rho: DensityMatrix) -> float:
     """Von Neumann entropy in bits; eigenvalues at or below 1e-12 contribute 0."""
-    vals = np.linalg.eigvalsh(rho.mat)
+    return _vn_entropy_bits(rho.mat)
+
+
+def _vn_entropy_bits(mat: np.ndarray) -> float:
+    """``vn_entropy_bits`` of a hermitian array, which is not checked to be a state."""
+    vals = np.linalg.eigvalsh(mat)
     vals = vals[vals > ENTROPY_EIG_FLOOR]
     return float(-np.sum(vals * np.log2(vals)))
 

@@ -9,43 +9,49 @@ produces an agreeing record (one unit of work out); a stale uncorrelated
 record guesses the side and averages to zero.  Resetting the memory restores
 the blank state and costs the one bit the record carried, which is the
 erasure charge the ledger tracks.  The two stages, observe and stroke, are
-fixed gate sequences built once at import.  The ledger reads only the weight
-and the memory, and the next cycle brings a fresh particle, so the spent one
-is simply traced out; a reset leaves |0><0| whatever the memory held, so the
-next cycle is handed a blank record.
+fixed circuits of X and CX gates, so each is reversible logic: its unitary
+is a permutation P of the 16 basis states.  At import each stage's P is read
+from its circuit's unitary and kept as a row and column gather, and a stage
+maps rho to P rho P^T by indexing alone.  That moves entries without any
+arithmetic, so it is exact for every rho, not only for the diagonal states
+a run visits.  A permutation of a valid state is valid and so is its partial
+trace, so the cycle carries plain arrays and builds a checked state only for
+the memory it hands out.  The ledger reads only the weight and the memory,
+and the next cycle brings a fresh particle, so the spent one is simply
+traced out; a reset leaves |0><0| whatever the memory held, so the next
+cycle is handed a blank record.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .circuit import Circuit, run_density
+from .circuit import Circuit, circuit_unitary
 from .errors import (
     BadMemoryState,
     BadParams,
     BadPartition,
     BadProbability,
     DimensionMismatch,
+    NotAPermutation,
 )
 from .qmath import (
     DensityMatrix,
     _nonnegative_int,
+    _partial_trace,
+    _vn_entropy_bits,
     basis_state,
-    kron_all,
-    partial_trace,
-    vn_entropy_bits,
 )
 
 PARTICLE = 0
 MEMORY = 1
 W1 = 2
 W0 = 3
-
-_GROUND = np.diag([1.0, 0.0]).astype(complex)
 
 # Unary weight ladder: local index bits are (w1, w0), energy is the bit sum,
 # and the cycle starts from |01> so one level of headroom exists either way.
@@ -59,8 +65,11 @@ def work_expectation(weight_state: DensityMatrix) -> float:
         raise DimensionMismatch(
             f"weight register has 2 qubits, got a {weight_state.n}-qubit state"
         )
-    energy = float(np.real(np.trace(weight_state.mat @ _ENERGY)))
-    return energy - _START_ENERGY
+    return _work(weight_state.mat)
+
+
+def _work(weight: np.ndarray) -> float:
+    return float(np.real(np.trace(weight @ _ENERGY))) - _START_ENERGY
 
 
 def mutual_information(
@@ -78,10 +87,14 @@ def mutual_information(
         raise BadPartition(
             f"parts {a} and {b} do not split a {joint.n}-qubit state"
         )
-    s_a = vn_entropy_bits(partial_trace(joint, a))
-    s_b = vn_entropy_bits(partial_trace(joint, b))
-    s_ab = vn_entropy_bits(joint)
-    return max(0.0, s_a + s_b - s_ab)
+    return _mutual_information(joint.mat, sorted(a), sorted(b))
+
+
+def _mutual_information(joint: np.ndarray, part_a: list, part_b: list) -> float:
+    """``mutual_information`` of an array; the parts are ascending and split its qubits."""
+    s_a = _vn_entropy_bits(_partial_trace(joint, part_a))
+    s_b = _vn_entropy_bits(_partial_trace(joint, part_b))
+    return max(0.0, s_a + s_b - _vn_entropy_bits(joint))
 
 
 @dataclass(frozen=True)
@@ -135,6 +148,40 @@ _STROKE = Circuit(4).cx(PARTICLE, MEMORY).x(MEMORY).cx(MEMORY, W1).x(MEMORY).cx(
 _STROKE.cx(PARTICLE, MEMORY)  # unfold, leaving the record in place
 
 
+def _stage_gather(stage: Circuit) -> tuple:
+    """Read-only ``np.ix_`` pair with ``rho[pair]`` = U rho U^dag for ``stage``'s unitary U.
+
+    U must be exactly a 0/1 permutation matrix: row a holds one nonzero
+    entry, a 1 in column ``src[a]``, and every column is hit once. Then
+    (U rho U^dag)[a, b] = rho[src[a], src[b]].
+    """
+    u = circuit_unitary(stage)
+    rows, src = np.nonzero(u)
+    dim = u.shape[0]
+    one_per_row = np.array_equal(rows, np.arange(dim)) and bool((u[rows, src] == 1).all())
+    if not (one_per_row and set(src.tolist()) == set(range(dim))):
+        raise NotAPermutation("a Szilard stage's unitary is not a permutation of the basis states")
+    pair = np.ix_(src, src)
+    for index in pair:
+        index.setflags(write=False)
+    return pair
+
+
+_OBSERVE_GATHER = _stage_gather(_OBSERVE)
+_STROKE_GATHER = _stage_gather(_STROKE)
+
+
+@cache
+def _blank() -> DensityMatrix:
+    """The blank record |0><0| a reset hands on, shared read-only.
+
+    Built on first use, so that importing the package runs no eigensolver.
+    """
+    blank = basis_state(1).density()
+    blank.mat.setflags(write=False)
+    return blank
+
+
 def run_single_cycle(
     memory_in: DensityMatrix, cfg: SzilardConfig = SzilardConfig()
 ) -> Tuple[CycleRecord, DensityMatrix]:
@@ -150,22 +197,23 @@ def run_single_cycle(
     _require_config(cfg)
     p = cfg.depolarize_p
     particle = np.diag([1 - p / 2, p / 2]).astype(complex)
-    rho = DensityMatrix(kron_all([particle, memory_in.mat, _GROUND, _GROUND]))
-    rho = run_density(_OBSERVE, rho).final_state
-    mutual = mutual_information(partial_trace(rho, [PARTICLE, MEMORY]), [0], [1])
-    rho = run_density(_STROKE, rho).final_state
-    expected = work_expectation(partial_trace(rho, [W1, W0]))
-    memory_out = partial_trace(rho, [MEMORY])
-    pre_entropy = vn_entropy_bits(memory_out)
-    if not cfg.skip_reset:
-        memory_out = basis_state(1).density()
+    # The weight starts at |00>, so only the block of the low two qubits is nonzero.
+    rho = np.zeros((16, 16), dtype=complex)
+    rho[:4, :4] = np.kron(memory_in.mat, particle)
+    rho = rho[_OBSERVE_GATHER]
+    mutual = _mutual_information(_partial_trace(rho, [PARTICLE, MEMORY]), [0], [1])
+    rho = rho[_STROKE_GATHER]
+    expected = _work(_partial_trace(rho, [W1, W0]))
+    memory = _partial_trace(rho, [MEMORY])
+    pre_entropy = _vn_entropy_bits(memory)
+    memory_out = DensityMatrix(memory) if cfg.skip_reset else _blank()
 
     record = CycleRecord(
         cycle=1,
         expected_work=expected,
         sampled_work=None,
         memory_entropy_pre_reset=pre_entropy,
-        memory_entropy_post=vn_entropy_bits(memory_out),
+        memory_entropy_post=_vn_entropy_bits(memory_out.mat),
         mutual_info_particle_memory=mutual,
     )
     return record, memory_out
@@ -207,7 +255,7 @@ def run_cycles(cfg: SzilardConfig, shots: int = 0, seed: int = 0) -> Tuple[Cycle
     # Checked here, not by the generator: a run with the reset on never seeds one.
     _nonnegative_int(seed, "seed")
     totals = _sample_trajectories(cfg, shots, seed) if shots > 0 else [None] * cfg.cycles
-    memory = basis_state(1).density()
+    memory = _blank()
     records: List[CycleRecord] = []
     simulated_from = None
     for k, total in enumerate(totals, start=1):

@@ -347,6 +347,35 @@ class TestEntropy:
             assert a == pytest.approx(b, abs=1e-9)
 
 
+def random_pure_density(dim, rng):
+    ket = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return oracle.density(ket / np.linalg.norm(ket))
+
+
+class TestArrayCores:
+    """The unvalidated array cores under ``partial_trace`` and ``vn_entropy_bits``."""
+
+    @pytest.mark.parametrize("make", [oracle.random_density, random_pure_density])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_cores_match_oracle_for_every_keep_set(self, n, make):
+        raw = make(2 ** n, np.random.default_rng(60 + n))
+        assert qmath._vn_entropy_bits(raw) == pytest.approx(oracle.entropy_bits(raw), abs=1e-12)
+        for size in range(1, n + 1):
+            for keep in itertools.combinations(range(n), size):
+                got = qmath._partial_trace(raw, list(keep))
+                want = oracle.ptrace(raw, keep, n)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+                assert qmath._vn_entropy_bits(got) == pytest.approx(
+                    oracle.entropy_bits(want), abs=1e-12
+                )
+
+    def test_public_functions_wrap_the_cores(self):
+        raw = oracle.random_density(8, np.random.default_rng(3))
+        got = partial_trace(dm(raw), [2, 0, 2])
+        assert got.mat.tobytes() == qmath._partial_trace(raw, [0, 2]).tobytes()
+        assert vn_entropy_bits(dm(raw)) == qmath._vn_entropy_bits(raw)
+
+
 class TestTraceDistance:
     def test_identical_states(self):
         rho = dm(np.eye(2) / 2)

@@ -9,13 +9,14 @@ import pytest
 import oracle
 
 from paradoxlab import qmath, szilard
-from paradoxlab.circuit import run_density
+from paradoxlab.circuit import Circuit, run_density
 from paradoxlab.errors import (
     BadMemoryState,
     BadParams,
     BadPartition,
     BadProbability,
     DimensionMismatch,
+    NotAPermutation,
 )
 from paradoxlab.qmath import (
     DensityMatrix,
@@ -30,7 +31,9 @@ from paradoxlab.szilard import (
     W1,
     SzilardConfig,
     _OBSERVE,
+    _OBSERVE_GATHER,
     _STROKE,
+    _STROKE_GATHER,
     mutual_information,
     run_cycles,
     run_single_cycle,
@@ -174,10 +177,12 @@ def reference_cycle(memory, skip_reset, p):
     return mutual, work, pre, s(memory_out), memory_out
 
 
+# Complex non-diagonal memories as well as the diagonal ones the CLI visits:
+# the stages' gathers must be exact for any state.
 ORACLE_MEMORIES = {
     "blank": oracle.density(oracle.KET0),
     "mixed": np.eye(2, dtype=complex) / 2,
-    **{f"random{k}": oracle.random_density(2, np.random.default_rng(k)) for k in range(3)},
+    **{f"random{k}": oracle.random_density(2, np.random.default_rng(k)) for k in range(20)},
 }
 
 
@@ -241,10 +246,26 @@ class TestCyclesWithoutErasure:
         assert records[1].mutual_info_particle_memory == pytest.approx(0.0, abs=1e-9)
 
 
+# Both stages are their own inverses; this 3-cycle of basis states is not,
+# so a gather read the wrong way round fails on it.
+CYCLE = Circuit(4).cx(0, 1).cx(1, 0)
+
+
 class TestCycleWork:
+    def test_stage_gathers_match_the_density_runner(self):
+        """Each stage's gather gives the density runner's bytes on random non-diagonal states."""
+        stages = ((_OBSERVE, _OBSERVE_GATHER), (_STROKE, _STROKE_GATHER),
+                  (CYCLE, szilard._stage_gather(CYCLE)))
+        rng = np.random.default_rng(26)
+        for _ in range(200):
+            rho = oracle.random_density(16, rng)
+            for stage, gather in stages:
+                want = run_density(stage, DensityMatrix(rho)).final_state.mat
+                assert rho[gather].tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("p", [0.0, 0.37, 1.0])
     def test_cycle_runs_unitary_stages_only(self, p, monkeypatch):
-        """A cycle is its eight gates, each one kernel application per side; no Kraus map."""
+        """A cycle is its two unitary stages, each one gather; no kernel call, no Kraus map."""
         calls = {"_apply_op": 0, "_kraus_map": 0}
         for name in calls:
 
@@ -254,9 +275,26 @@ class TestCycleWork:
 
             monkeypatch.setattr(qmath, name, counted)
         run_single_cycle(basis_dm(1, 0), SzilardConfig(depolarize_p=p))
-        assert calls == {"_apply_op": 16, "_kraus_map": 0}
+        assert calls == {"_apply_op": 0, "_kraus_map": 0}
         for stage in (_OBSERVE, _STROKE):
             assert {instr.op for instr in stage.instructions} == {"unitary"}
+
+    def test_gathers_are_read_only(self):
+        for gather in (_OBSERVE_GATHER, _STROKE_GATHER):
+            for index in gather:
+                assert not index.flags.writeable
+
+    @pytest.mark.parametrize(
+        "stage",
+        [
+            Circuit(4).h(0),  # mixes basis states
+            Circuit(4).z(1),  # a -1 entry: a signed permutation
+            Circuit(4).rx(np.pi, 2),  # -i X up to rounding: not exactly 0/1
+        ],
+    )
+    def test_a_stage_that_does_not_permute_is_refused(self, stage):
+        with pytest.raises(NotAPermutation, match="not a permutation of the basis states"):
+            szilard._stage_gather(stage)
 
 
 class SimulationSpy:

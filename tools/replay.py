@@ -5,6 +5,7 @@ Run from anywhere; it plays the ``src/`` next to this directory:
     python tools/replay.py                        # seeds 1 and 2, every workload and the corpus
     python tools/replay.py --seeds 3 --workloads engine
     python tools/replay.py --seeds 1 2 --against ../other-checkout
+    python tools/replay.py --against ../other-checkout --expect-diff tools/expected-diff.txt
 
 Every invocation of ``bench/inputs.make_round`` for the chosen workloads and
 seeds goes through ``paradoxlab.cli.main`` in one process, with one BLAS
@@ -22,6 +23,14 @@ first invocation whose exit code, stdout or stderr differs, the replay
 prints that invocation's argv with a line diff and exits 1; otherwise it
 exits 0. So a change that is meant to keep the program's output keeps the
 output contract exactly when this replay passes against its parent.
+
+A change that is meant to alter some outputs lists their ids in a file, one
+per line (``#`` starts a comment), and passes it with ``--expect-diff FILE``.
+The replay then compares every invocation, printing a line diff for each one
+that differs, and passes only when the ids that differ are exactly the
+listed ones. It fails, naming the ids, on a difference that is not listed,
+on a listed id whose output did not change, and on a listed id that was not
+played.
 """
 
 import os
@@ -135,12 +144,42 @@ def child(src: Path, work: Path) -> int:
     return 0
 
 
+def read_expected(path: Path) -> set:
+    """The invocation ids listed in ``path``: one per line, ``#`` to the end of a line ignored."""
+    ids = set()
+    for line in path.read_text().splitlines():
+        ids.update(line.split("#", 1)[0].split())
+    return ids
+
+
+def verdict(played: list, differing: list, expected: set, against) -> bool:
+    """Print the replay's verdict; true when the ids that differ are exactly ``expected``."""
+    failures = [
+        ("not listed but differ", [i for i in differing if i not in expected]),
+        ("listed but unchanged", [i for i in played if i in expected and i not in differing]),
+        ("listed but not played", sorted(expected - set(played))),
+    ]
+    failures = [(what, ids) for what, ids in failures if ids]
+    for what, ids in failures:
+        print(f"replay: {what}: {' '.join(ids)}")
+    if failures:
+        return False
+    if expected:
+        print(f"replay: {len(played)} invocations against {against}: "
+              f"the {len(expected)} listed differ, every other is identical")
+    else:
+        print(f"replay: {len(played)} invocations identical against {against}")
+    return True
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
     parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     parser.add_argument("--against", type=Path, metavar="PATH",
                         help="a checkout whose src/ must give the same outputs")
+    parser.add_argument("--expect-diff", type=Path, metavar="FILE",
+                        help="ids of the invocations whose output must differ, one per line")
     # The child process's entry: play the work directory's invocations on SRC.
     parser.add_argument("--child", nargs=2, type=Path, metavar=("SRC", "WORK"),
                         help=argparse.SUPPRESS)
@@ -151,6 +190,9 @@ def main(argv=None) -> int:
     other_src = None if args.against is None else args.against / "src"
     if other_src is not None and not (other_src / "paradoxlab").is_dir():
         parser.error(f"--against: no src/paradoxlab under {args.against}")
+    if args.expect_diff is not None and other_src is None:
+        parser.error("--expect-diff needs --against")
+    expected = set() if args.expect_diff is None else read_expected(args.expect_diff)
     cli = import_cli(ROOT / "src")
     from paradoxlab.qmath import save_unitary
 
@@ -168,13 +210,16 @@ def main(argv=None) -> int:
                 print(f"replay: the child process on {other_src} exited {other.returncode}")
                 return 1
             theirs = [tuple(json.loads(line)) for line in other.stdout.splitlines()]
+        differing = []
         for k, record in enumerate(ours):
             print(fingerprint(record))
             if theirs is not None and record != theirs[k]:
+                differing.append(record[0])
                 report_difference(invocations[k], record, theirs[k], str(work))
-                return 1
-        if theirs is not None:
-            print(f"replay: {len(ours)} invocations identical against {args.against}")
+                if args.expect_diff is None:
+                    return 1
+        if theirs is not None and not verdict([r[0] for r in ours], differing, expected, args.against):
+            return 1
     return 0
 
 
