@@ -44,8 +44,8 @@ MAX_SHOTS = 10_000_000
 MAX_CYCLES = 1000
 # Largest `szilard` --cycles x --shots: a --skip-reset run draws every shot on every cycle.
 MAX_SHOT_CYCLES = 100_000_000
-# Largest `audit-locality` circuit: the audit takes milliseconds per instruction
-# at six qubits, so a longer file is refused before the audit starts.
+# Largest `audit-locality` circuit: the audit takes about a millisecond per
+# instruction at six qubits, so a longer file is refused before the audit starts.
 MAX_AUDIT_INSTRUCTIONS = 1000
 
 Row = Tuple[object, ...]

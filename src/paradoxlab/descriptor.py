@@ -4,10 +4,18 @@ A frame is the circuit prefix applied so far, as one unitary U. Each
 qubit's descriptor, the images U^dag sigma U of its three bare Pauli
 operators, is computed from it on first read. With A and B the rows of
 U whose bit q is clear and set, and M = A^dag B, qubit q's images are
-X = M + M^dag, Y = -i(M - M^dag) and Z = A^dag A - B^dag B: three
-half-depth products per qubit. Where a gate does not touch a qubit, its
-images must stay put; the locality audit checks exactly that,
-numerically, with no shortcuts.
+X = M + M^dag, Y = -i(M - M^dag) and Z = A^dag A - B^dag B. Z is taken
+as (A - B)^dag (A + B) - (M - M^dag), which is the same operator, so a
+qubit costs two half-depth products.
+
+Where a gate does not touch a qubit, its images must stay put; the
+locality audit checks exactly that, numerically, with no shortcuts. A
+step computes only the images it compares: those of the qubits off its
+support, before and after it. It compares M - M^dag in place of Y, whose
+entries are the same numbers swapped and negated. An after-image serves
+as the next step's before-image; one the previous step did not compute,
+because its gate touched that qubit, is computed from the previous
+prefix, so no image is computed twice.
 """
 
 from __future__ import annotations
@@ -32,18 +40,24 @@ from .qmath import DEPENDENCE_ATOL, LOCALITY_ATOL, StateVector
 AXES = ("x", "y", "z")
 
 
+def _parts(prefix: np.ndarray, q: int) -> tuple:
+    """Qubit ``q``'s (X, M - M^dag, Z) under ``prefix``, from two half-depth products."""
+    d = prefix.shape[0]
+    # A row index splits into (bits above q, bit q, bits below q).
+    halves = prefix.reshape(-1, 2, 2 ** q, d)
+    a, b = (halves[:, k].reshape(d // 2, d) for k in (0, 1))
+    m = a.conj().T @ b
+    mdag = m.conj().T
+    anti = m - mdag
+    return m + mdag, anti, (a - b).conj().T @ (a + b) - anti
+
+
 def _images(prefix: np.ndarray, qubits: Iterable[int]) -> tuple:
     """Per qubit in ``qubits``: its bare (x, y, z) Paulis conjugated by ``prefix``."""
-    d = prefix.shape[0]
     out = []
     for q in qubits:
-        # A row index splits into (bits above q, bit q, bits below q).
-        halves = prefix.reshape(-1, 2, 2 ** q, d)
-        a, b = (halves[:, k].reshape(d // 2, d) for k in (0, 1))
-        adag = a.conj().T
-        m = adag @ b
-        mdag = m.conj().T
-        out.append((m + mdag, -1j * (m - mdag), adag @ a - b.conj().T @ b))
+        x, anti, z = _parts(prefix, q)
+        out.append((x, -1j * anti, z))
     return tuple(out)
 
 
@@ -99,20 +113,25 @@ class AuditReport:
 
 
 def locality_audit(c: Circuit) -> AuditReport:
-    """Advance a frame through ``c`` and bound the off-support drift per step."""
+    """Advance a frame through ``c`` and bound the off-support drift per step.
+
+    A step whose drift is not finite fails.
+    """
     frame = init_frame(c.n_qubits)
+    before: Dict[int, tuple] = {}
     steps: List[AuditStep] = []
     for i, instr in enumerate(c.instructions):
         after = advance(frame, instr)
-        support = set(instr.targets)
-        delta = 0.0
-        for q in range(c.n_qubits):
-            if q in support:
-                continue
-            for before_m, after_m in zip(frame.triples[q], after.triples[q]):
-                delta = max(delta, float(np.max(np.abs(after_m - before_m))))
+        off = [q for q in range(c.n_qubits) if q not in instr.targets]
+        now = {q: _parts(after.prefix, q) for q in off}
+        drifts = [0.0]
+        for q in off:
+            was = before[q] if q in before else _parts(frame.prefix, q)
+            drifts += [abs(a - b).max() for b, a in zip(was, now[q])]
+        # np.max, unlike the builtin max, keeps a NaN.
+        delta = float(np.max(drifts))
         steps.append(AuditStep(i, delta, delta <= LOCALITY_ATOL))
-        frame = after
+        before, frame = now, after
     return AuditReport(tuple(steps), all(s.ok for s in steps))
 
 

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from paradoxlab.descriptor import (
     AuditStep,
     DescriptorFrame,
     _images,
+    _parts,
     advance,
     dependence_probe,
     expectation,
@@ -165,6 +169,23 @@ class TestPauliImages:
                 np.testing.assert_allclose(got, kernel, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", range(1, 7))
+    def test_y_is_minus_i_times_the_antihermitian_part(self, n):
+        """The audit compares M - M^dag for Y; their differences' moduli agree bit for bit."""
+        rng = np.random.default_rng(740 + n)
+        prefixes = [oracle.random_unitary(2 ** n, rng) for _ in range(2)]
+        rows = np.arange(2 ** n)
+        for q in range(n):
+            antis = []
+            for prefix in prefixes:
+                a, b = (prefix[rows[(rows >> q & 1) == bit]] for bit in (0, 1))
+                m = a.conj().T @ b
+                antis.append(m - m.conj().T)
+                assert _parts(prefix, q)[1].tobytes() == antis[-1].tobytes()
+                assert _images(prefix, [q])[0][1].tobytes() == (-1j * antis[-1]).tobytes()
+            ys = [_images(prefix, [q])[0][1] for prefix in prefixes]
+            assert np.abs(ys[1] - ys[0]).tobytes() == np.abs(antis[1] - antis[0]).tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 7))
     def test_hermitian_and_square_to_identity(self, n):
         prefix = oracle.random_unitary(2 ** n, np.random.default_rng(720 + n))
         eye = np.eye(2 ** n)
@@ -174,51 +195,146 @@ class TestPauliImages:
                 np.testing.assert_allclose(image @ image, eye, rtol=0, atol=1e-12)
 
 
+def assert_audit_matches_kernel(n: int, seed: int, circuits: int) -> None:
+    rng = np.random.default_rng(seed)
+    for _ in range(circuits):
+        c = util.random_unitary_circuit(n, 20, rng)
+        steps, want = locality_audit(c).steps, kernel_audit(c)
+        assert [(s.instr, s.ok) for s in steps] == [(s.instr, s.ok) for s in want]
+        np.testing.assert_allclose(
+            [s.max_offsupport_delta for s in steps],
+            [s.max_offsupport_delta for s in want],
+            rtol=0,
+            atol=1e-14,
+        )
+
+
+def assert_drift_caught(monkeypatch, c: Circuit, drift_step: int) -> None:
+    """Qubit 3 of ``c`` drifts by RX(1e-6) at ``drift_step``; that step alone must fail."""
+    theta, drifted = 1e-6, 3
+    assert drifted not in c.instructions[drift_step].targets
+    rotation = oracle.lift(oracle.rx(theta), [drifted], 4)
+    calls = []
+
+    def drifting_advance(frame, instr):
+        after = advance(frame, instr)
+        calls.append(after.prefix)
+        if len(calls) - 1 == drift_step:
+            return DescriptorFrame(rotation @ after.prefix)
+        return after
+
+    monkeypatch.setattr(descriptor, "advance", drifting_advance)
+    report = locality_audit(c)
+    # Only qubit 3's y and z images move: RX commutes with X.
+    clean = calls[drift_step]
+    want = max(
+        float(np.max(np.abs(clean.conj().T @ (rotation.conj().T @ p @ rotation - p) @ clean)))
+        for p in (oracle.lift(PAULIS[ax], [drifted], 4) for ax in "yz")
+    )
+    # Its largest entry lies between its norm, 2 sin(theta / 2), and that norm over sqrt(16).
+    assert theta / 4 * (1 - 1e-9) <= want <= theta * (1 + 1e-9)
+    step = report.steps[drift_step]
+    assert step.ok is False
+    assert step.max_offsupport_delta == pytest.approx(want, rel=1e-6)
+    assert [s.ok for s in report.steps if s is not step] == [True] * (len(c.instructions) - 1)
+    assert report.overall is False
+
+
+def recorded_audit(monkeypatch, c: Circuit, alter=lambda frame, q, parts: parts) -> tuple:
+    """The audit of ``c`` and how often it computes each (frame, qubit) image.
+
+    Frame k follows k steps. ``alter(k, q, parts)`` may replace an image
+    triple before the audit compares it.
+    """
+    frames, computed = [], Counter()
+
+    def recording_init(n):
+        frames.append(init_frame(n).prefix)
+        return DescriptorFrame(frames[-1])
+
+    def recording_advance(frame, instr):
+        after = advance(frame, instr)
+        frames.append(after.prefix)
+        return after
+
+    def counting_parts(prefix, q):
+        k = next(k for k, p in enumerate(frames) if p is prefix)
+        computed[k, q] += 1
+        return alter(k, q, _parts(prefix, q))
+
+    monkeypatch.setattr(descriptor, "init_frame", recording_init)
+    monkeypatch.setattr(descriptor, "advance", recording_advance)
+    monkeypatch.setattr(descriptor, "_parts", counting_parts)
+    return locality_audit(c), computed
+
+
 class TestLocalityAudit:
     def test_steps_equal_kernel_audit_on_six_qubits(self):
-        rng = np.random.default_rng(409)
-        for _ in range(3):
-            c = util.random_unitary_circuit(6, 20, rng)
-            steps, want = locality_audit(c).steps, kernel_audit(c)
-            assert [(s.instr, s.ok) for s in steps] == [(s.instr, s.ok) for s in want]
-            np.testing.assert_allclose(
-                [s.max_offsupport_delta for s in steps],
-                [s.max_offsupport_delta for s in want],
-                rtol=0,
-                atol=1e-14,
-            )
+        assert_audit_matches_kernel(6, seed=409, circuits=3)
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_steps_equal_kernel_audit_on_fewer_qubits(self, n):
+        assert_audit_matches_kernel(n, seed=409 + n, circuits=3)
 
     def test_off_support_drift_caught(self, monkeypatch):
         """A step that also rotates an untouched qubit fails by the rotation's size."""
-        theta, drift_step, drifted = 1e-6, 4, 3
+        drift_step = 4
         rng = np.random.default_rng(411)
         c = util.random_unitary_circuit(4, drift_step, rng).cx(0, 1)
         c = Circuit(4, 0, [*c.instructions, *util.random_unitary_circuit(4, 4, rng).instructions])
-        rotation = oracle.lift(oracle.rx(theta), [drifted], 4)
-        calls = []
+        assert_drift_caught(monkeypatch, c, drift_step)
 
-        def drifting_advance(frame, instr):
+    def test_drift_caught_on_a_qubit_the_previous_gate_touched(self, monkeypatch):
+        """The drifted qubit's before-image is not carried over but computed afresh."""
+        c = Circuit(4).h(0).cx(2, 1).rx(0.3, 2).ch(1, 3).cx(0, 1)
+        tail = util.random_unitary_circuit(4, 4, np.random.default_rng(412))
+        c = Circuit(4, 0, [*c.instructions, *tail.instructions])
+        assert 3 in c.instructions[3].targets
+        assert_drift_caught(monkeypatch, c, drift_step=4)
+
+    def test_non_finite_drift_fails(self, monkeypatch):
+        """A NaN difference fails its step; it must not drop out of the maximum."""
+
+        def poisoning_advance(frame, instr):
             after = advance(frame, instr)
-            calls.append(after.prefix)
-            if len(calls) - 1 == drift_step:
-                return DescriptorFrame(rotation @ after.prefix)
+            after.prefix[0, 0] = np.nan
             return after
 
-        monkeypatch.setattr(descriptor, "advance", drifting_advance)
-        report = locality_audit(c)
-        # Only qubit 3's y and z images move: RX commutes with X.
-        clean = calls[drift_step]
-        want = max(
-            float(np.max(np.abs(clean.conj().T @ (rotation.conj().T @ p @ rotation - p) @ clean)))
-            for p in (oracle.lift(PAULIS[ax], [drifted], 4) for ax in "yz")
-        )
-        # Its largest entry lies between its norm, 2 sin(theta / 2), and that norm over sqrt(16).
-        assert theta / 4 * (1 - 1e-9) <= want <= theta * (1 + 1e-9)
-        step = report.steps[drift_step]
-        assert step.ok is False
-        assert step.max_offsupport_delta == pytest.approx(want, rel=1e-6)
-        assert [s.ok for s in report.steps if s is not step] == [True] * 8
+        monkeypatch.setattr(descriptor, "advance", poisoning_advance)
+        report = locality_audit(Circuit(3).h(0).cx(0, 1).x(2))
+        assert [s.ok for s in report.steps] == [False] * 3
+        assert all(math.isnan(s.max_offsupport_delta) for s in report.steps)
         assert report.overall is False
+
+    def test_computes_each_compared_image_once_and_no_other(self, monkeypatch):
+        """Frame k's images are those of the qubits off step k-1's or step k's support."""
+        rng = np.random.default_rng(413)
+        fixed = Circuit(4).cx(0, 1).h(1).x(3).ccx(0, 1, 2).swap(2, 3).h(2).rx(0.2, 0)
+        for c in [fixed, *(util.random_unitary_circuit(n, 15, rng) for n in (2, 3, 5, 6))]:
+            _, computed = recorded_audit(monkeypatch, c)
+            want = {
+                (k + side, q)
+                for k, instr in enumerate(c.instructions)
+                for q in set(range(c.n_qubits)) - set(instr.targets)
+                for side in (0, 1)
+            }
+            assert set(computed) == want
+            assert set(computed.values()) == {1}
+        # Qubit 1 is on the CNOT's and the H's support: frame 1 has no image of it.
+        assert (1, 1) not in recorded_audit(monkeypatch, fixed)[1]
+
+    @pytest.mark.parametrize("image", range(3))
+    def test_drift_in_any_one_image_caught(self, monkeypatch, image):
+        """X, M - M^dag and Z are each compared: a shift of one image alone fails its step."""
+        eps = 1e-6
+
+        def shift(k, q, parts):
+            # Qubit 2's images after the CNOT; the X gate that follows touches qubit 2.
+            return tuple(p + eps if (k, q, i) == (2, 2, image) else p for i, p in enumerate(parts))
+
+        report, _ = recorded_audit(monkeypatch, Circuit(3).h(0).cx(0, 1).x(2).rx(0.4, 1), shift)
+        assert report.steps[1].max_offsupport_delta == pytest.approx(eps, rel=1e-9)
+        assert [s.ok for s in report.steps] == [True, False, True, True]
 
     def test_empty_circuit(self):
         report = locality_audit(Circuit(2))
