@@ -1,15 +1,14 @@
-"""Gate library, circuit IR, and the two reference backends.
+"""Gate library, circuit IR of unitaries and measurements, and its runners.
 
-The density backend is the primary one: measurements branch the state
-and the exact joint outcome distribution is accumulated, never sampled.
-Sampling is a separate seeded post-process over that distribution.
+The density runner branches the state on each measurement and accumulates
+the exact joint outcome distribution, never sampling it. Sampling is a
+separate seeded post-process over that distribution.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -17,17 +16,17 @@ import numpy as np
 
 from .errors import (
     BadParams,
-    BadProbability,
     BadTargets,
     DimensionMismatch,
     InvalidCircuit,
+    InvalidState,
     NonUnitary,
     NonUnitaryInstruction,
     TooManyQubits,
     UnknownKind,
 )
 from . import qmath
-from .qmath import DensityMatrix, KrausSet, StateVector
+from .qmath import DensityMatrix
 
 MAX_QUBITS = 6
 
@@ -101,17 +100,17 @@ def make_gate(kind: str, theta: Optional[float] = None) -> Gate:
 
 
 # Each op, and the field that must carry its payload.
-_PAYLOAD = {"unitary": "gate", "channel": "kraus", "reset": None, "measure": "clbit"}
+_PAYLOAD = {"unitary": "gate", "measure": "clbit"}
 
 
 @dataclass(frozen=True)
 class Instruction:
-    """One circuit step: unitary, channel, reset, or measure."""
+    """One circuit step: a unitary gate on its targets, or a measurement of one
+    qubit into a clbit."""
 
     op: str
     targets: tuple
     gate: Optional[Gate] = None
-    kraus: Optional[KrausSet] = None
     clbit: Optional[int] = None
 
     def __post_init__(self):
@@ -120,7 +119,7 @@ class Instruction:
         if not isinstance(self.op, str) or self.op not in _PAYLOAD:
             raise UnknownKind(f"no instruction op {self.op!r}")
         payload = _PAYLOAD[self.op]
-        if payload and getattr(self, payload) is None:
+        if getattr(self, payload) is None:
             raise BadParams(f"{self.op} instruction has no {payload}")
         targets = tuple(qmath._whole(t, "target") for t in self.targets)
         object.__setattr__(self, "targets", targets)
@@ -128,13 +127,10 @@ class Instruction:
             object.__setattr__(self, "clbit", qmath._whole(self.clbit, "clbit"))
         if len(set(targets)) != len(targets):
             raise BadTargets(f"repeated target in {targets}")
-        if self.op == "unitary":
-            if len(targets) != self.gate.arity:
-                raise BadTargets(
-                    f"{self.gate.kind} expects {self.gate.arity} targets, got {len(targets)}"
-                )
-        elif self.op == "channel" and self.kraus.dim != 2 ** len(targets):
-            raise BadTargets("Kraus dimension does not match the target count")
+        if self.op == "unitary" and len(targets) != self.gate.arity:
+            raise BadTargets(
+                f"{self.gate.kind} expects {self.gate.arity} targets, got {len(targets)}"
+            )
 
 
 class Circuit:
@@ -212,12 +208,6 @@ class Circuit:
     def ccx(self, c1, c2, target):
         return self.append_gate(make_gate("CCX"), [c1, c2, target])
 
-    def channel(self, kraus: KrausSet, targets: Sequence[int]) -> "Circuit":
-        return self._append(Instruction("channel", targets, kraus=kraus))
-
-    def reset(self, q) -> "Circuit":
-        return self._append(Instruction("reset", (q,)))
-
     def measure(self, q, clbit) -> "Circuit":
         return self._append(Instruction("measure", (q,), clbit=clbit))
 
@@ -235,17 +225,6 @@ class Circuit:
                     doc["theta"] = instr.gate.theta
                 doc["targets"] = list(instr.targets)
                 out.append(doc)
-            elif instr.op == "channel":
-                out.append(
-                    {
-                        "op": "channel",
-                        "dim": instr.kraus.dim,
-                        "operators": [qmath.matrix_to_entries(k) for k in instr.kraus.operators],
-                        "targets": list(instr.targets),
-                    }
-                )
-            elif instr.op == "reset":
-                out.append({"op": "reset", "target": instr.targets[0]})
             else:
                 out.append({"op": "measure", "target": instr.targets[0], "clbit": instr.clbit})
         return {"n_qubits": self.n_qubits, "n_clbits": self.n_clbits, "instructions": out}
@@ -262,12 +241,6 @@ class Circuit:
             if op == "unitary":
                 gate = make_gate(item["kind"], item.get("theta"))
                 c.append_gate(gate, item["targets"])
-            elif op == "channel":
-                dim = qmath._whole(item["dim"], "dim")
-                ops = tuple(qmath.entries_to_matrix(dim, e) for e in item["operators"])
-                c.channel(KrausSet(ops), item["targets"])
-            elif op == "reset":
-                c.reset(item["target"])
             elif op == "measure":
                 c.measure(item["target"], item["clbit"])
             else:
@@ -292,27 +265,16 @@ def validate(c: Circuit, instr: Instruction) -> list:
 # -- backends ----------------------------------------------------------------
 
 
-def run_statevector(c: Circuit) -> StateVector:
-    """Evolve |0...0> through a unitary-only circuit."""
-    return StateVector(circuit_unitary(c)[:, 0])
-
-
 _PROJ = (
     np.array([[1, 0], [0, 0]], dtype=complex),
     np.array([[0, 0], [0, 1]], dtype=complex),
 )
 
-_RESET_KRAUS = (_PROJ[0], np.array([[0, 1], [0, 0]], dtype=complex))
-
 
 def apply_instruction(mat: np.ndarray, instr: Instruction) -> np.ndarray:
-    """Apply a non-measuring instruction to an unvalidated density-matrix array."""
+    """Apply a unitary instruction to an unvalidated density-matrix array."""
     if instr.op == "unitary":
         return qmath._conjugate(instr.gate.matrix, mat, instr.targets)
-    if instr.op == "channel":
-        return qmath._kraus_map(instr.kraus.operators, mat, instr.targets)
-    if instr.op == "reset":
-        return qmath._kraus_map(_RESET_KRAUS, mat, instr.targets)
     raise NonUnitaryInstruction("measurement must be handled by the branch runner")
 
 
@@ -329,6 +291,8 @@ def run_density(c: Circuit, initial: Optional[DensityMatrix] = None) -> RunResul
     n = c.n_qubits
     if initial is None:
         initial = qmath.basis_state(n, 0).density()
+    elif not isinstance(initial, DensityMatrix):
+        raise InvalidState(f"initial state must be a DensityMatrix, not {type(initial).__name__}")
     elif initial.n != n:
         raise BadTargets(f"initial state has {initial.n} qubits, circuit has {n}")
     # Branch states are plain arrays; only the returned state is validated.
@@ -381,14 +345,3 @@ def sample(result: RunResult, shots: int, seed: int = 0) -> dict:
     rng = np.random.Generator(np.random.PCG64(seed))
     counts = rng.multinomial(shots, probs)
     return {k: int(v) for k, v in zip(keys, counts)}
-
-
-def depolarizing_kraus(p: float) -> KrausSet:
-    """Depolarizing channel: rho -> (1 - p) rho + p I/2 at p = 1 fully mixes."""
-    if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
-        raise BadProbability(f"depolarizing strength {p} outside [0, 1]")
-    if p == 0.0:
-        return KrausSet((_LIBRARY["I"].matrix,))
-    i, x, y, z = (_LIBRARY[k].matrix for k in "IXYZ")
-    q = math.sqrt(p / 4)
-    return KrausSet((math.sqrt(1 - 3 * p / 4) * i, q * x, q * y, q * z))

@@ -31,6 +31,7 @@ from .circuit import MAX_QUBITS, Circuit, Instruction, circuit_unitary
 from .errors import (
     BadParams,
     BadTargets,
+    InvalidState,
     NonUnitaryInstruction,
     ShapeMismatch,
     TooManyQubits,
@@ -148,7 +149,8 @@ def dependence_probe(
     """Compare one qubit's evolved triple under two parameter values.
 
     ``build`` must return circuits of identical shape (same ops, kinds
-    and targets) for both values; only gate angles may differ.
+    and targets) for both values; only gate angles may differ. A
+    difference that is not finite raises ``InvalidState``.
     """
     circuits = [build(float(v)) for v in (value_a, value_b)]
     if circuits[0].n_qubits != circuits[1].n_qubits or _shape_signature(
@@ -160,7 +162,10 @@ def dependence_probe(
     if not 0 <= qubit < n:
         raise BadTargets(f"qubit {qubit} outside register of {n} qubits")
     images = [_images(circuit_unitary(c), [qubit])[0] for c in circuits]
-    delta = max(float(np.max(np.abs(a - b))) for a, b in zip(*images))
+    # np.max, unlike the builtin max, keeps a NaN.
+    delta = float(np.max([abs(a - b).max() for a, b in zip(*images)]))
+    if not np.isfinite(delta):
+        raise InvalidState(f"qubit {qubit}'s images differ by {delta} between the two values")
     return delta > DEPENDENCE_ATOL, delta
 
 

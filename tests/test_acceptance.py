@@ -17,7 +17,7 @@ import oracle
 from conftest import record_acceptance
 
 from paradoxlab import ctc, epr, szilard
-from paradoxlab.circuit import Circuit, run_density, run_statevector
+from paradoxlab.circuit import Circuit, circuit_unitary, run_density
 from paradoxlab.cli import execute, parse
 from paradoxlab.descriptor import (
     AXES,
@@ -107,7 +107,7 @@ def test_c03_locality_audit_and_picture_equivalence():
         chosen = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
         observable = {int(q): AXES[int(rng.integers(3))] for q in chosen}
         tracked = expectation(frame, observable, basis_state(n))
-        psi = run_statevector(circuit).amplitudes
+        psi = circuit_unitary(circuit)[:, 0]
         op = np.eye(2**n, dtype=complex)
         for q in sorted(observable):
             op = op @ oracle.lift(_PAULI[observable[q]], [q], n)

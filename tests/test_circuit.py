@@ -10,18 +10,16 @@ from paradoxlab.circuit import (
     Gate,
     Instruction,
     RunResult,
+    apply_instruction,
     circuit_unitary,
-    depolarizing_kraus,
     make_gate,
     run_density,
-    run_statevector,
     sample,
     validate,
 )
 from paradoxlab.descriptor import locality_audit
 from paradoxlab.errors import (
     BadParams,
-    BadProbability,
     BadTargets,
     DimensionMismatch,
     InvalidCircuit,
@@ -152,13 +150,9 @@ class TestValidate:
             (("bogus", (0,)), {}, UnknownKind, "no instruction op 'bogus'"),
             ((["measure"], (0,)), {"clbit": 0}, UnknownKind, r"no instruction op \['measure'\]"),
             (("unitary", (0,)), {}, BadParams, "unitary instruction has no gate"),
-            (
-                ("unitary", (0,)),
-                {"kraus": depolarizing_kraus(0.1)},
-                BadParams,
-                "unitary instruction has no gate",
-            ),
-            (("channel", (0,)), {}, BadParams, "channel instruction has no kraus"),
+            # The circuit format holds unitaries and measurements only.
+            (("reset", (0,)), {}, UnknownKind, "no instruction op 'reset'"),
+            (("channel", (0,)), {}, UnknownKind, "no instruction op 'channel'"),
             (("measure", (0,)), {}, BadParams, "measure instruction has no clbit"),
         ],
     )
@@ -248,7 +242,7 @@ class TestFixedRegister:
         seen = []
         monkeypatch.setattr("paradoxlab.circuit.validate", lambda c, i: seen.append(i) or [])
         run_density(measured)
-        run_statevector(unitary)
+        circuit_unitary(unitary)
         locality_audit(unitary)
         assert seen == []
         unitary.x(1)
@@ -256,29 +250,27 @@ class TestFixedRegister:
 
 
 class TestStatevector:
+    """The state a unitary circuit makes of |0...0> is its unitary's first column."""
+
     def test_hadamard(self):
-        sv = run_statevector(Circuit(1).h(0))
-        np.testing.assert_allclose(sv.amplitudes, [SQ2, SQ2], atol=1e-12)
+        psi = circuit_unitary(Circuit(1).h(0))[:, 0]
+        np.testing.assert_allclose(psi, [SQ2, SQ2], atol=1e-12)
 
     def test_bell_pair(self):
-        sv = run_statevector(Circuit(2).h(0).cx(0, 1))
-        np.testing.assert_allclose(sv.amplitudes, [SQ2, 0, 0, SQ2], atol=1e-12)
+        psi = circuit_unitary(Circuit(2).h(0).cx(0, 1))[:, 0]
+        np.testing.assert_allclose(psi, [SQ2, 0, 0, SQ2], atol=1e-12)
 
     def test_rejects_measurement(self):
         c = Circuit(1, 1).h(0).measure(0, 0)
         with pytest.raises(NonUnitaryInstruction):
-            run_statevector(c)
-
-    def test_rejects_reset(self):
-        with pytest.raises(NonUnitaryInstruction):
-            run_statevector(Circuit(1).reset(0))
+            circuit_unitary(c)
 
     def test_matches_oracle_on_random_circuits(self):
         rng = np.random.default_rng(101)
         for _ in range(10):
             n = int(rng.integers(1, 5))
             c = util.random_unitary_circuit(n, 12, rng)
-            got = run_statevector(c).amplitudes
+            got = circuit_unitary(c)[:, 0]
             want = np.zeros(2 ** n, dtype=complex)
             want[0] = 1
             for instr in c.instructions:
@@ -305,31 +297,6 @@ class TestRunDensity:
         r = run_density(c)
         assert r.distribution == {"10": 1.0}
 
-    def test_reset_clears_mixed_qubit(self):
-        c = Circuit(1)
-        c.channel(depolarizing_kraus(1.0), [0])
-        c.reset(0)
-        r = run_density(c)
-        np.testing.assert_allclose(r.final_state.mat, [[1, 0], [0, 0]], atol=1e-12)
-
-    def test_reset_idempotent(self):
-        rng = np.random.default_rng(71)
-        for _ in range(5):
-            base = util.random_unitary_circuit(2, 6, rng)
-            once = Circuit(2, 0, list(base.instructions))
-            once.reset(0)
-            twice = Circuit(2, 0, list(base.instructions))
-            twice.reset(0).reset(0)
-            a = run_density(once).final_state
-            b = run_density(twice).final_state
-            assert np.max(np.abs(a.mat - b.mat)) <= 1e-12
-
-    def test_depolarized_half_of_bell(self):
-        c = Circuit(2).h(0).cx(0, 1)
-        c.channel(depolarizing_kraus(1.0), [0])
-        r = run_density(c)
-        np.testing.assert_allclose(r.final_state.mat, np.eye(4) / 4, atol=1e-12)
-
     def test_reduced_states_of_bell(self):
         r = run_density(Circuit(2).h(0).cx(0, 1))
         for q in range(2):
@@ -341,7 +308,7 @@ class TestRunDensity:
         for _ in range(20):
             n = int(rng.integers(1, 5))
             unitary = util.random_unitary_circuit(n, 15, rng)
-            amps = run_statevector(unitary).amplitudes
+            amps = circuit_unitary(unitary)[:, 0]
             c = Circuit(n, n, unitary.instructions)
             for q in range(n):
                 c.measure(q, q)
@@ -357,6 +324,15 @@ class TestRunDensity:
         c = Circuit(1).x(0)
         r = run_density(c, initial=rho)
         np.testing.assert_allclose(r.final_state.mat, [[1, 0], [0, 0]], atol=1e-12)
+
+    def test_initial_state_of_another_size_rejected(self):
+        with pytest.raises(BadTargets, match="^initial state has 2 qubits, circuit has 1$"):
+            run_density(Circuit(1).x(0), initial=maximally_mixed(2))
+
+    def test_measurement_is_not_a_plain_step(self):
+        measure = Circuit(1, 1).measure(0, 0).instructions[0]
+        with pytest.raises(NonUnitaryInstruction):
+            apply_instruction(np.eye(2) / 2, measure)
 
     def test_invalid_circuit_rejected(self):
         first = Circuit(2, 1).measure(0, 0).instructions[0]
@@ -396,37 +372,6 @@ class TestSample:
             sample(r, shots, seed)
 
 
-class TestDepolarizing:
-    def test_probability_range(self):
-        with pytest.raises(BadProbability):
-            depolarizing_kraus(-0.1)
-        with pytest.raises(BadProbability):
-            depolarizing_kraus(1.1)
-
-    def test_zero_strength_is_identity(self):
-        ks = depolarizing_kraus(0.0)
-        assert len(ks.operators) == 1
-        np.testing.assert_allclose(ks.operators[0], np.eye(2), atol=1e-15)
-
-    def test_full_strength_mixes_any_state(self):
-        rng = np.random.default_rng(211)
-        ks = depolarizing_kraus(1.0)
-        for _ in range(5):
-            c = Circuit(1)
-            c.rx(float(rng.uniform(0, np.pi)), 0)
-            c.channel(ks, [0])
-            r = run_density(c)
-            np.testing.assert_allclose(r.final_state.mat, np.eye(2) / 2, atol=1e-12)
-
-    def test_partial_strength_interpolates(self):
-        p = 0.3
-        c = Circuit(1).x(0)
-        c.channel(depolarizing_kraus(p), [0])
-        r = run_density(c)
-        want = (1 - p) * np.diag([0.0, 1.0]) + p * np.eye(2) / 2
-        np.testing.assert_allclose(r.final_state.mat, want, atol=1e-12)
-
-
 def rx_doc(theta):
     """One-qubit circuit document holding a single RX at ``theta``."""
     return {
@@ -439,8 +384,6 @@ class TestSerialization:
     def build(self):
         c = Circuit(3, 2)
         c.h(0).rx(0.3, 1).cx(0, 2).ch(2, 1).swap(0, 1).ccx(0, 1, 2)
-        c.channel(depolarizing_kraus(0.25), [2])
-        c.reset(1)
         c.measure(0, 0).measure(2, 1)
         return c
 
@@ -478,7 +421,14 @@ class TestSerialization:
         [
             ("n_qubits", {"n_qubits": 2.9}),
             ("n_clbits", {"n_qubits": 1, "n_clbits": 0.5}),
-            ("target", {"n_qubits": 2, "instructions": [{"op": "reset", "target": 1.9}]}),
+            (
+                "target",
+                {
+                    "n_qubits": 2,
+                    "n_clbits": 1,
+                    "instructions": [{"op": "measure", "target": 1.9, "clbit": 0}],
+                },
+            ),
             (
                 "clbit",
                 {
@@ -488,17 +438,10 @@ class TestSerialization:
                 },
             ),
             (
-                "dim",
+                "target",
                 {
-                    "n_qubits": 1,
-                    "instructions": [
-                        {
-                            "op": "channel",
-                            "dim": 2.5,
-                            "operators": [[[1, 0], [0, 0], [0, 0], [1, 0]]],
-                            "targets": [0],
-                        }
-                    ],
+                    "n_qubits": 2,
+                    "instructions": [{"op": "unitary", "kind": "X", "targets": [1.5]}],
                 },
             ),
             # Strings and booleans are not numbers, though int() converts them.
@@ -530,20 +473,6 @@ class TestSerialization:
             ("theta", rx_doc(True)),
             ("theta", rx_doc("0.3")),
             ("theta", rx_doc(float("nan"))),
-            (
-                "entry real part",
-                {
-                    "n_qubits": 1,
-                    "instructions": [
-                        {
-                            "op": "channel",
-                            "dim": 2,
-                            "operators": [[[True, 0], [0, 0], [0, 0], [1, 0]]],
-                            "targets": [0],
-                        }
-                    ],
-                },
-            ),
         ],
     )
     def test_fractional_number_rejected(self, field, doc):
@@ -563,6 +492,20 @@ class TestSerialization:
     def test_integer_angle_accepted(self):
         assert Circuit.from_dict(rx_doc(1)).instructions[0].gate.theta == 1.0
 
+    @pytest.mark.parametrize(
+        "step",
+        [
+            {"op": "channel", "dim": 2, "operators": [[[1, 0], [0, 0], [0, 0], [1, 0]]],
+             "targets": [0]},
+            {"op": "reset", "target": 0},
+        ],
+        ids=["channel", "reset"],
+    )
+    def test_non_unitary_op_refused_at_load(self, step):
+        """The format holds unitaries and measurements only; other ops are unknown."""
+        with pytest.raises(UnknownKind, match=f"^no instruction op '{step['op']}'$"):
+            Circuit.from_dict({"n_qubits": 1, "instructions": [step]})
+
 
 class TestCircuitUnitary:
     def test_composes_in_time_order(self):
@@ -572,4 +515,4 @@ class TestCircuitUnitary:
 
     def test_rejects_non_unitary_ops(self):
         with pytest.raises(NonUnitaryInstruction):
-            circuit_unitary(Circuit(1).reset(0))
+            circuit_unitary(Circuit(1, 1).measure(0, 0))

@@ -351,6 +351,15 @@ class TestAuditCommand:
         with pytest.raises(UsageError):
             execute(parse(["audit-locality", "--circuit", str(path)]))
 
+    @pytest.mark.parametrize("op", ["channel", "reset"])
+    def test_non_unitary_op_refused_at_load(self, op, tmp_path, capsys):
+        path = tmp_path / f"{op}.json"
+        path.write_text(f'{{"n_qubits": 1, "instructions": [{{"op": "{op}", "target": 0}}]}}')
+        assert main(["audit-locality", "--circuit", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.err == f"usage error: --circuit: no instruction op '{op}'\n"
+        assert out.out == ""
+
     def test_oversized_circuit_refused_before_audit(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "long.json"
         c = Circuit(1)
@@ -536,7 +545,7 @@ class TestMain:
             (
                 "audit-locality --circuit",
                 '{"n_qubits": 1, "instructions": [{"op": "channel", "dim": 2, '
-                '"operators": [[[1e200, 0], [0, 0], [0, 0], [1, 0]]], "targets": [0]}]}',
+                '"operators": [[[1, 0], [0, 0], [0, 0], [1, 0]]], "targets": [0]}]}',
             ),
         ],
         ids=[
@@ -558,7 +567,7 @@ class TestMain:
             "deeply-nested-unitary",
             "deeply-nested-circuit",
             "overflowing-unitary-entry",
-            "overflowing-kraus-entry",
+            "channel-op",
         ],
     )
     def test_malformed_input_file_is_usage_error(self, command, text, tmp_path, capsys):

@@ -9,7 +9,7 @@ import pytest
 import oracle
 import util
 from paradoxlab import descriptor, qmath
-from paradoxlab.circuit import Circuit, run_density, run_statevector
+from paradoxlab.circuit import Circuit, circuit_unitary, run_density
 from paradoxlab.descriptor import (
     AXES,
     AuditStep,
@@ -25,6 +25,7 @@ from paradoxlab.descriptor import (
 from paradoxlab.errors import (
     BadParams,
     BadTargets,
+    InvalidState,
     NonUnitaryInstruction,
     ShapeMismatch,
     TooManyQubits,
@@ -123,7 +124,7 @@ class TestAdvance:
 
     def test_rejects_non_unitary_instruction(self):
         f = init_frame(1)
-        instr = Circuit(1).reset(0).instructions[0]
+        instr = Circuit(1, 1).measure(0, 0).instructions[0]
         with pytest.raises(NonUnitaryInstruction):
             advance(f, instr)
 
@@ -352,7 +353,7 @@ class TestLocalityAudit:
 
     def test_rejects_non_unitary_circuit(self):
         with pytest.raises(NonUnitaryInstruction):
-            locality_audit(Circuit(1).reset(0))
+            locality_audit(Circuit(1, 1).measure(0, 0))
 
 
 class TestDependenceProbe:
@@ -419,6 +420,19 @@ class TestDependenceProbe:
         with pytest.raises(error, match="qubit"):
             dependence_probe(lambda t: Circuit(2).rx(t, 0), qubit, 0.3, 1.1)
 
+    @pytest.mark.parametrize("qubit", [0, 1])
+    def test_non_finite_difference_refused(self, monkeypatch, qubit):
+        """A NaN difference must not drop out of the maximum and read as no dependence."""
+
+        def poisoned_unitary(c):
+            u = circuit_unitary(c)
+            u[0, 0] = np.nan
+            return u
+
+        monkeypatch.setattr(descriptor, "circuit_unitary", poisoned_unitary)
+        with pytest.raises(InvalidState, match=f"qubit {qubit}'s images differ by nan"):
+            dependence_probe(lambda t: Circuit(2).rx(t, 0).cx(0, 1), qubit, 0.3, 1.1)
+
 
 class TestExpectation:
     def test_initial_z_on_ground_state(self):
@@ -464,7 +478,7 @@ class TestExpectation:
             qubits = sorted(rng.choice(n, size=size, replace=False))
             obs = {int(q): axes[int(rng.integers(3))] for q in qubits}
             got = expectation(f, obs, basis_state(n))
-            psi = run_statevector(c).amplitudes
+            psi = circuit_unitary(c)[:, 0]
             op = np.eye(2 ** n, dtype=complex)
             for q, ax in sorted(obs.items()):
                 op = op @ oracle.lift(PAULIS[ax], [q], n)

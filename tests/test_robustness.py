@@ -21,8 +21,8 @@ import pytest
 
 import corpus
 from paradoxlab import cli, epr
-from paradoxlab.circuit import depolarizing_kraus, make_gate
-from paradoxlab.errors import BadParams, BadProbability, DimensionMismatch
+from paradoxlab.circuit import Circuit, make_gate, run_density
+from paradoxlab.errors import BadParams, DimensionMismatch, InvalidState
 from paradoxlab.qmath import basis_state, maximally_mixed, trace_distance
 
 # A case that takes longer has stalled; the slowest valid one takes well under 0.1 s.
@@ -101,7 +101,7 @@ BAD_CALLS = {
     "RX at nan": (lambda: make_gate("RX", math.nan), BadParams),
     "RX at a string": (lambda: make_gate("RX", "0.3"), BadParams),
     "RX at True": (lambda: make_gate("RX", True), BadParams),
-    "depolarizing at True": (lambda: depolarizing_kraus(True), BadProbability),
+    "density run from an array": (lambda: run_density(Circuit(1), np.eye(2) / 2), InvalidState),
     "basis state of -1 qubits": (lambda: basis_state(-1), BadParams),
     "basis state of 1.5 qubits": (lambda: basis_state(1.5), BadParams),
     "basis state of True qubits": (lambda: basis_state(True), BadParams),
