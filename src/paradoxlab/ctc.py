@@ -30,7 +30,6 @@ from .errors import (
     TooManyQubits,
 )
 from .qmath import (
-    NULL_ATOL,
     OUTCOME_FLOOR,
     SOLVE_TOL,
     DensityMatrix,
@@ -47,10 +46,6 @@ from .qmath import (
 # Gates that prepare each labelled state from |0>, applied in order.
 _PREPARE = {"0": "", "1": "x", "+": "h", "-": "hz"}
 STATE_LABELS = tuple(_PREPARE)
-
-# Loop registers larger than this skip the dense SVD of the real d^2 x d^2
-# loop matrix (256 x 256 at 4 loop qubits) and so the null-space polish.
-_MAX_EIGEN_LOOP = 4
 
 
 def _prepare(c: Circuit, label: str, q: int) -> Circuit:
@@ -110,7 +105,6 @@ class FixedPointSolution:
     residual: float
     iterations: int  # map applications: the start's residual plus one per Krylov step
     method: str  # always "eigensolve"; bench/spans.py reads it
-    multiplicity_hint: int
     entropy_bits: float
 
 
@@ -150,15 +144,13 @@ def consistency_map(p: CtcProblem, rho_loop: DensityMatrix) -> DensityMatrix:
     return DensityMatrix((out + adjoint(out)) / 2)
 
 
-def _to_state(mat: np.ndarray) -> Optional[np.ndarray]:
-    """Hermitize, clip negative weight, renormalize; None if trace vanishes."""
+def _to_state(mat: np.ndarray) -> np.ndarray:
+    """Hermitize, clip negative weight, renormalize.  Only GMRES's answer comes
+    here; its trace is one, and the clipped weights sum to at least that."""
     h = (mat + adjoint(mat)) / 2
     vals, vecs = np.linalg.eigh(h)
     vals = np.clip(vals, 0.0, None)
-    total = float(np.sum(vals))
-    if total <= NULL_ATOL:
-        return None
-    vals /= total
+    vals /= np.sum(vals)
     return (vecs * vals) @ adjoint(vecs)
 
 
@@ -167,21 +159,6 @@ def _hermitian(y: np.ndarray, d: int) -> np.ndarray:
     Re X is symmetric and Im X antisymmetric, so the storage is an isometry."""
     m = y.reshape(d, d)
     return ((1 + 1j) * m + (1 - 1j) * m.T) / 2
-
-
-def _real_superoperator(kraus: Sequence[np.ndarray], d: int) -> np.ndarray:
-    """The loop map in GMRES's coordinates: the real d^2 x d^2 matrix R with
-    R vec(Re X + Im X) = vec(Re S(X) + Im S(X)) for every Hermitian X.
-
-    S is the row-major superoperator, vec(K X K') = kron(K, K*) vec(X).  R is
-    C.real + C.imag for C = ((1+i) S + (1-i) S[:, swap]) / 2, which equals
-    S.real + S.imag[:, swap], the form that rounds each entry once.  S - I is
-    the complexification of R - I, so the two have the same singular values
-    and R - I's null space holds the loop's Hermitian fixed points.
-    """
-    s = sum(np.kron(k, k.conj()) for k in kraus)
-    swap = np.arange(d * d).reshape(d, d).T.reshape(-1)  # vec index of the transpose
-    return s.real + s.imag[:, swap]
 
 
 def _fresh_zeros(rows: int, cols: int) -> np.ndarray:
@@ -243,44 +220,29 @@ def solve_fixed_point(p: CtcProblem, tol: float = SOLVE_TOL) -> FixedPointSoluti
     a unital loop.  ``iterations`` counts the map applications GMRES made,
     one for the start plus one per Krylov step; ``method`` is always
     ``eigensolve``.  NoConvergence means GMRES broke down or stagnated above
-    ``tol``.  Up to 4 loop qubits a float64 SVD of R - I, with R the map's
-    real matrix in GMRES's Re X + Im X coordinates (``_real_superoperator``),
-    finds the fixed subspace: its dimension is ``multiplicity_hint`` (else 0)
-    and the answer is projected onto it.
+    ``tol``.  ``tol`` bounds a trace distance, and no two states are more
+    than 1 apart, so it must lie below 1 to decide anything.
     """
-    if not (isinstance(tol, float) and 0.0 < tol < np.inf):
-        raise BadParams(f"tol must be a positive real, got {tol!r}")
+    if not (isinstance(tol, float) and 0.0 < tol < 1.0):
+        raise BadParams(f"tol must be a positive real below 1, got {tol!r}")
 
-    kraus = _loop_kraus(p)
-    apply = _loop_map(kraus)
+    apply = _loop_map(_loop_kraus(p))
     d = 2 ** p.n_loop
 
     def residual_of(mat: np.ndarray) -> float:
         return trace_distance(apply(mat), mat)
 
-    best, krylov_dim = _gmres_fixed_point(apply, d, tol)
-    best_residual = residual_of(best)
-    if best_residual > tol:
-        raise NoConvergence(f"GMRES stagnated at residual {best_residual:.3e}")
+    x, krylov_dim = _gmres_fixed_point(apply, d, tol)
+    residual = residual_of(x)
+    if residual > tol:
+        raise NoConvergence(f"GMRES stagnated at residual {residual:.3e}")
 
-    multiplicity = 0
-    if p.n_loop <= _MAX_EIGEN_LOOP:
-        _, sig, vh = np.linalg.svd(_real_superoperator(kraus, d) - np.eye(d * d))
-        null_rows = vh[sig <= NULL_ATOL]  # rows span the fixed subspace
-        multiplicity = len(null_rows)
-        if multiplicity:
-            y = (best.real + best.imag).reshape(-1)
-            state = _to_state(_hermitian(null_rows.T @ (null_rows @ y), d))
-            if state is not None and residual_of(state) <= best_residual:
-                best = state
-
-    rho_star = DensityMatrix(_to_state(best))
+    rho_star = DensityMatrix(_to_state(x))
     return FixedPointSolution(
         rho_loop=rho_star,
         residual=float(residual_of(rho_star.mat)),
         iterations=1 + krylov_dim,
         method="eigensolve",
-        multiplicity_hint=multiplicity,
         entropy_bits=vn_entropy_bits(rho_star),
     )
 

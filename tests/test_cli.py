@@ -295,6 +295,15 @@ class TestCtcCommands:
         )
         assert payload["distribution"] == {"1": 1.0}
 
+    def test_solve_tol_of_one_or_more_refused(self, tmp_path, capsys):
+        """A trace-distance residual of 1 or more accepts every state."""
+        path = tmp_path / "u.json"
+        save_unitary(str(path), np.array([[0, 1], [1, 0]], dtype=complex))
+        assert main(["ctc", "solve", "--unitary", str(path), "--tol", "1e30"]) == 2
+        out = capsys.readouterr()
+        assert out.err == "error: tol must be a positive real below 1, got 1e+30\n"
+        assert out.out == ""
+
     def test_solve_missing_file(self, tmp_path):
         with pytest.raises(UsageError):
             execute(parse(["ctc", "solve", "--unitary", str(tmp_path / "no.json")]))

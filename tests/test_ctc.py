@@ -157,7 +157,7 @@ class TestConsistencyMap:
            for pure in (True, False)],
     )
     def test_matches_oracle_channel(self, n_sys, n_loop, pure):
-        """Map values and fixed-direction count against tr_sys[U (sigma x rho) U']."""
+        """Map values against tr_sys[U (sigma x rho) U']."""
         rng = np.random.default_rng([n_sys, n_loop, int(bool(pure))])
         u = oracle.random_unitary(2 ** (n_sys + n_loop), rng)
         if n_sys == 0:
@@ -176,16 +176,6 @@ class TestConsistencyMap:
             rho = oracle.random_density(2 ** n_loop, rng)
             out = consistency_map(p, DensityMatrix(rho))
             assert np.max(np.abs(out.mat - channel(rho))) <= 1e-12
-        if n_loop == 4 and pure:
-            return  # the oracle's 256 columns take ~0.5 s here; mixed covers the size
-        d = 2 ** n_loop
-        s = np.zeros((d * d, d * d), dtype=complex)
-        for j in range(d * d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[j // d, j % d] = 1.0
-            s[:, j] = channel(unit).reshape(-1)
-        sig = np.linalg.svd(s - np.eye(d * d), compute_uv=False)
-        assert solve_fixed_point(p).multiplicity_hint == int(np.sum(sig <= 1e-9))
 
     def test_wrong_loop_size(self):
         with pytest.raises(DimensionMismatch):
@@ -211,7 +201,6 @@ class TestSolver:
         sol = solve_fixed_point(dist_problem(label))
         assert oracle.tdist(sol.rho_loop.mat, DIST_FIXED[label]) <= 1e-10
         assert sol.residual <= 1e-12
-        assert sol.multiplicity_hint == 1
         assert (sol.method, sol.iterations) == ("eigensolve", 3)
 
     def test_self_consistency_invariant(self):
@@ -225,7 +214,6 @@ class TestSolver:
         sol = solve_fixed_point(grandfather_problem())
         assert oracle.tdist(sol.rho_loop.mat, np.eye(2) / 2) <= 1e-12
         assert sol.residual <= 1e-12
-        assert sol.multiplicity_hint == 2
         assert sol.entropy_bits == pytest.approx(1.0, abs=1e-9)
         # I/2 is its own image: returned before any Krylov step, not divided by
         # its zero residual.
@@ -235,7 +223,6 @@ class TestSolver:
         z = np.diag([1.0, -1.0]).astype(complex)
         sol = solve_fixed_point(CtcProblem(z))
         assert oracle.tdist(sol.rho_loop.mat, np.eye(2) / 2) <= 1e-12
-        assert sol.multiplicity_hint == 2
         assert sol.iterations == 1
 
     @pytest.mark.parametrize("label", STATE_LABELS)
@@ -246,7 +233,6 @@ class TestSolver:
         expect[idx, idx] = 1.0
         assert oracle.tdist(sol.rho_loop.mat, expect) <= 1e-8
         assert sol.residual <= 1e-10
-        assert sol.multiplicity_hint == 1
 
     def test_eigensolve_fallback(self):
         """A weak partial SWAP mixes too slowly for plain iteration; GMRES
@@ -262,8 +248,8 @@ class TestSolver:
         assert sol.entropy_bits == pytest.approx(0.0, abs=1e-9)
 
     def test_bad_solver_params(self):
-        for tol in (0.0, float("inf"), float("nan")):
-            with pytest.raises(BadParams, match="tol must be a positive real"):
+        for tol in (0.0, 1.0, 1e30, float("inf"), float("nan")):
+            with pytest.raises(BadParams, match="tol must be a positive real below 1"):
                 solve_fixed_point(dist_problem("0"), tol=tol)
 
     @pytest.mark.parametrize("n_loop", [2, 5])
@@ -293,7 +279,7 @@ def _sigma(p):
     return p.system_state.mat if p.n_sys else np.ones((1, 1))
 
 
-# Loops with a known number of fixed directions, for the real-form null space.
+# Loops with a known number of fixed directions, one or many.
 FIXED_SPACE_PROBLEMS = {
     "grandfather": (grandfather_problem, 2),
     "identity on 2 loop qubits": (lambda: CtcProblem(np.eye(8), state_from_label("+").density()), 16),
@@ -307,53 +293,23 @@ FIXED_SPACE_PROBLEMS = {
 
 
 class TestRealForm:
-    """The null space comes from the map's real matrix in GMRES's coordinates,
-    y = vec(Re X + Im X) for a Hermitian X."""
-
-    @pytest.mark.parametrize("n_loop", range(1, 5))
-    @pytest.mark.parametrize("kind", ["haar", "partial swap"])
-    def test_real_matrix_is_the_map_in_gmres_coordinates(self, kind, n_loop):
-        if kind == "haar":
-            p = random_loop_problem(1, n_loop, [3, n_loop])
-        else:
-            p = partial_swap_problem(n_loop, 0.3, n_loop)
-        d = 2 ** n_loop
-        r = ctc._real_superoperator(ctc._loop_kraus(p), d)
-        s = oracle.superoperator(p.u, _sigma(p), n_loop)
-        rng = np.random.default_rng(n_loop)
-        for _ in range(3):
-            z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            x = z + z.conj().T
-            image = (s @ x.reshape(-1)).reshape(d, d)
-            expect = (image.real + image.imag).reshape(-1)
-            assert np.max(np.abs(r @ (x.real + x.imag).reshape(-1) - expect)) <= 1e-12
+    """GMRES solves in the real coordinates y = vec(Re X + Im X) of a Hermitian
+    X, and its own answer already lies in the loop's fixed space, which a
+    complex SVD of S - I finds, also where that space has many directions."""
 
     @pytest.mark.parametrize("name", FIXED_SPACE_PROBLEMS)
     def test_fixed_space_matches_complex_svd(self, name):
-        """multiplicity_hint and the polished answer against a complex SVD of S - I."""
+        """The answer equals its projection onto the oracle's fixed space."""
         make, count = FIXED_SPACE_PROBLEMS[name]
         p = make()
         d = 2 ** p.n_loop
         null = oracle.fixed_space(p.u, _sigma(p), p.n_loop)
         best, _ = ctc._gmres_fixed_point(ctc._loop_map(ctc._loop_kraus(p)), d, SOLVE_TOL)
-        polished = (null @ (null.conj().T @ best.reshape(-1))).reshape(d, d)
-        polished = (polished + polished.conj().T) / 2
+        projected = (null @ (null.conj().T @ best.reshape(-1))).reshape(d, d)
+        projected = (projected + projected.conj().T) / 2
         sol = solve_fixed_point(p)
-        assert sol.multiplicity_hint == null.shape[1] == count
-        assert np.max(np.abs(sol.rho_loop.mat - polished / np.trace(polished))) <= 1e-12
-
-    def test_null_space_svd_is_real(self, monkeypatch):
-        """The one SVD a solve runs is a float64 d^2 x d^2 matrix, not the complex S - I."""
-        seen = []
-        svd = np.linalg.svd
-
-        def spy(a, *args, **kwargs):
-            seen.append((a.dtype, a.shape))
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", spy)
-        solve_fixed_point(random_loop_problem(1, 3, [3, 3]))
-        assert seen == [(np.dtype(np.float64), (64, 64))]
+        assert null.shape[1] == count
+        assert np.max(np.abs(sol.rho_loop.mat - projected / np.trace(projected))) <= 1e-12
 
 
 class TestStackedPass:
