@@ -19,7 +19,6 @@ from .errors import (
     BadTargets,
     DimensionMismatch,
     InvalidCircuit,
-    InvalidState,
     NonUnitary,
     NonUnitaryInstruction,
     TooManyQubits,
@@ -290,10 +289,9 @@ def run_density(c: Circuit, initial: Optional[DensityMatrix] = None) -> RunResul
     """Exact density evolution; measurements branch on the joint outcomes."""
     n = c.n_qubits
     if initial is None:
-        initial = qmath.basis_state(n, 0).density()
-    elif not isinstance(initial, DensityMatrix):
-        raise InvalidState(f"initial state must be a DensityMatrix, not {type(initial).__name__}")
-    elif initial.n != n:
+        initial = qmath.basis_state(n, 0)
+    qmath._require_state(initial, "initial state")
+    if initial.n != n:
         raise BadTargets(f"initial state has {initial.n} qubits, circuit has {n}")
     # Branch states are plain arrays; only the returned state is validated.
     branches = [(1.0, initial.mat, (0,) * c.n_clbits)]

@@ -357,7 +357,7 @@ def _cmd_ctc_solve(inv: argparse.Namespace):
     if inv.system_state is not None:
         if u.shape[0] < 4:
             raise UsageError("--system-state: the unitary must act on at least two qubits")
-        system = ctc.state_from_label(inv.system_state).density()
+        system = ctc.state_from_label(inv.system_state)
     with _input_file("--unitary"):
         problem = ctc.CtcProblem(u, system)
     return _ctc_report(problem, inv.tol)

@@ -33,8 +33,8 @@ from .qmath import (
     OUTCOME_FLOOR,
     SOLVE_TOL,
     DensityMatrix,
-    StateVector,
     _qubit_count,
+    _require_state,
     adjoint,
     is_unitary,
     kron_all,
@@ -55,11 +55,12 @@ def _prepare(c: Circuit, label: str, q: int) -> Circuit:
     return c
 
 
-def state_from_label(label: str) -> StateVector:
-    """One of the four standard single-qubit states by its text label."""
+def state_from_label(label: str) -> DensityMatrix:
+    """One of the four standard single-qubit states by its text label, as |psi><psi|."""
     if label not in _PREPARE:
         raise BadLabel(f"unknown state label {label!r}, expected one of 0 1 + -")
-    return StateVector(circuit_unitary(_prepare(Circuit(1), label, 0))[:, 0])
+    ket = circuit_unitary(_prepare(Circuit(1), label, 0))[:, 0]
+    return DensityMatrix(np.outer(ket, ket.conj()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,7 +84,10 @@ class CtcProblem:
         n_total = _qubit_count(u.shape[0], "interaction")
         if n_total > MAX_QUBITS:
             raise TooManyQubits(f"problem has {n_total} qubits, limit is {MAX_QUBITS}")
-        n_sys = 0 if self.system_state is None else self.system_state.n
+        n_sys = 0
+        if self.system_state is not None:
+            _require_state(self.system_state, "system state")
+            n_sys = self.system_state.n
         if n_total <= n_sys:
             raise BadParams(f"a {n_total}-qubit interaction leaves no loop qubit")
         if not is_unitary(u):
@@ -302,14 +306,12 @@ def bb84_unitary() -> np.ndarray:
 
 
 def distinguisher_problem(label: str) -> CtcProblem:
-    sys_state = state_from_label(label).density()
-    return CtcProblem(distinguisher_unitary(), sys_state)
+    return CtcProblem(distinguisher_unitary(), state_from_label(label))
 
 
 def bb84_problem(label: str) -> CtcProblem:
     ground = np.diag([1.0, 0.0]).astype(complex)
-    psi = state_from_label(label).density()
-    sys_state = DensityMatrix(kron_all([psi.mat, ground]))
+    sys_state = DensityMatrix(kron_all([state_from_label(label).mat, ground]))
     return CtcProblem(bb84_unitary(), sys_state)
 
 

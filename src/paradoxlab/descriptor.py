@@ -36,7 +36,7 @@ from .errors import (
     ShapeMismatch,
     TooManyQubits,
 )
-from .qmath import DEPENDENCE_ATOL, LOCALITY_ATOL, StateVector
+from .qmath import DEPENDENCE_ATOL, LOCALITY_ATOL, DensityMatrix
 
 AXES = ("x", "y", "z")
 
@@ -169,14 +169,18 @@ def dependence_probe(
     return delta > DEPENDENCE_ATOL, delta
 
 
-def expectation(frame: DescriptorFrame, observable: Dict[int, str], initial: StateVector) -> float:
+def expectation(
+    frame: DescriptorFrame, observable: Dict[int, str], initial: DensityMatrix
+) -> float:
     """Expectation of a product of evolved per-qubit Pauli axes.
 
     ``observable`` maps qubit index to one of 'x', 'y', 'z'; the value is
-    taken in ``initial`` against the frame's evolved operators.
+    Re tr(rho O) for the state ``initial`` and the product O of the frame's
+    evolved operators, pure or mixed alike.
     """
     if not observable:
         raise BadParams("observable must name at least one qubit")
+    qmath._require_state(initial, "initial state")
     if initial.n != frame.n:
         raise BadParams(f"initial state has {initial.n} qubits, frame has {frame.n}")
     op = np.eye(2 ** frame.n, dtype=complex)
@@ -186,7 +190,7 @@ def expectation(frame: DescriptorFrame, observable: Dict[int, str], initial: Sta
         if ax not in AXES:
             raise BadParams(f"axis {ax!r} is not one of x, y, z")
         op = op @ frame.triples[q][AXES.index(ax)]
-    val = complex(initial.amplitudes.conj() @ op @ initial.amplitudes)
+    val = complex(np.trace(initial.mat @ op))
     if abs(val.imag) > qmath.EXPECTATION_IMAG_ATOL:
         raise BadParams(f"observable expectation has imaginary residue {val.imag}")
     return float(val.real)

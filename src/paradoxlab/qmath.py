@@ -79,30 +79,6 @@ def _qubit_count(dim: int, what: str) -> int:
 
 
 @dataclass(frozen=True, eq=False)
-class StateVector:
-    """Pure state; amplitudes indexed little-endian, ``n`` qubits read from their count."""
-
-    amplitudes: np.ndarray
-    n: int = field(init=False)
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if not np.isfinite(amps).all():
-            raise InvalidState("state vector has non-finite amplitudes")
-        if amps.ndim != 1:
-            raise InvalidState(f"state vector of shape {amps.shape} is not 1-D")
-        object.__setattr__(self, "n", _qubit_count(amps.shape[0], "state vector"))
-        if abs(np.vdot(amps, amps).real - 1.0) > NORM_ATOL:
-            raise InvalidState("state vector is not normalized")
-        object.__setattr__(self, "amplitudes", amps)
-
-    def density(self) -> "DensityMatrix":
-        """The pure state's density matrix |psi><psi|."""
-        a = self.amplitudes
-        return DensityMatrix(np.outer(a, a.conj()))
-
-
-@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, trace-one, positive-semidefinite matrix; ``n`` qubits read from its side."""
 
@@ -123,6 +99,12 @@ class DensityMatrix:
         if np.min(np.linalg.eigvalsh(mat)) < PSD_FLOOR:
             raise InvalidState("density matrix has a negative eigenvalue")
         object.__setattr__(self, "mat", mat)
+
+
+def _require_state(state, what: str) -> None:
+    """Refuse anything but a ``DensityMatrix`` where a public function reads one."""
+    if not isinstance(state, DensityMatrix):
+        raise InvalidState(f"{what} must be a DensityMatrix, not {type(state).__name__}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,6 +241,7 @@ def apply_kraus(rho: DensityMatrix, kraus: KrausSet, targets: Sequence[int]) -> 
 
 def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     """Trace out all qubits not in ``keep``; kept qubits stay in ascending order."""
+    _require_state(rho, "state")
     keep = sorted(set(_whole(q, "kept qubit") for q in keep))
     if not keep:
         raise BadTargets("keep list must be nonempty")
@@ -283,6 +266,7 @@ def _partial_trace(mat: np.ndarray, keep: Sequence[int]) -> np.ndarray:
 
 def vn_entropy_bits(rho: DensityMatrix) -> float:
     """Von Neumann entropy in bits; eigenvalues at or below 1e-12 contribute 0."""
+    _require_state(rho, "state")
     return _vn_entropy_bits(rho.mat)
 
 
@@ -316,13 +300,15 @@ def _register(n) -> int:
     return n
 
 
-def basis_state(n: int, index: int = 0) -> StateVector:
-    amps = np.zeros(2 ** _register(n), dtype=complex)
+def basis_state(n: int, index: int = 0) -> DensityMatrix:
+    """The computational basis state |index><index| of ``n`` qubits."""
+    dim = 2 ** _register(n)
     index = _whole(index, "basis index")
-    if not 0 <= index < amps.size:
+    if not 0 <= index < dim:
         raise BadParams(f"basis index {index} outside register of {n} qubits")
-    amps[index] = 1.0
-    return StateVector(amps)
+    mat = np.zeros((dim, dim), dtype=complex)
+    mat[index, index] = 1.0
+    return DensityMatrix(mat)
 
 
 def maximally_mixed(n: int) -> DensityMatrix:

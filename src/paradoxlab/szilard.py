@@ -44,6 +44,7 @@ from .qmath import (
     DensityMatrix,
     _nonnegative_int,
     _partial_trace,
+    _require_state,
     _vn_entropy_bits,
     basis_state,
 )
@@ -61,6 +62,7 @@ _START_ENERGY = 1.0
 
 def work_expectation(weight_state: DensityMatrix) -> float:
     """Expected work stored in the weight register relative to its start level."""
+    _require_state(weight_state, "weight state")
     if weight_state.n != 2:
         raise DimensionMismatch(
             f"weight register has 2 qubits, got a {weight_state.n}-qubit state"
@@ -80,6 +82,7 @@ def mutual_information(
     ``part_a`` and ``part_b`` must be disjoint and together cover every qubit
     of ``joint``.
     """
+    _require_state(joint, "joint state")
     a = list(part_a)
     b = list(part_b)
     everything = sorted(a + b)
@@ -177,7 +180,7 @@ def _blank() -> DensityMatrix:
 
     Built on first use, so that importing the package runs no eigensolver.
     """
-    blank = basis_state(1).density()
+    blank = basis_state(1)
     blank.mat.setflags(write=False)
     return blank
 

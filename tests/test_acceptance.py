@@ -151,8 +151,8 @@ def test_c04_no_signalling():
 
 
 def test_c05_engine_with_erasure():
-    memory = basis_state(1).density()
-    ground = basis_state(1).density()
+    memory = basis_state(1)
+    ground = basis_state(1)
     worst_work = 0.0
     worst_td = 0.0
     for _ in range(5):

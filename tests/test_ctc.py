@@ -34,7 +34,6 @@ from paradoxlab.qmath import (
     OUTCOME_FLOOR,
     SOLVE_TOL,
     DensityMatrix,
-    StateVector,
     is_unitary,
     maximally_mixed,
     trace_distance,
@@ -71,8 +70,8 @@ class TestLabels:
     def test_all_four_states(self):
         assert STATE_LABELS == ("0", "1", "+", "-")
         for label in STATE_LABELS:
-            vec = state_from_label(label).amplitudes
-            assert np.allclose(vec, KETS[label], atol=1e-12)
+            rho = state_from_label(label).mat
+            assert np.allclose(rho, oracle.density(KETS[label]), atol=1e-12)
 
     def test_unknown_label(self):
         with pytest.raises(BadLabel):
@@ -97,15 +96,10 @@ class TestProblemValidation:
         p = CtcProblem(u)
         assert (p.n_sys, p.n_loop) == (0, 3)
         assert DensityMatrix(np.eye(4) / 4).n == 2
-        assert StateVector(np.eye(8)[5]).n == 3
         with pytest.raises(InvalidState, match="not square"):
             DensityMatrix(np.full((2, 4), 0.25))
-        with pytest.raises(InvalidState, match="not 1-D"):
-            StateVector(np.eye(2) / np.sqrt(2))
         with pytest.raises(DimensionMismatch, match="power of two"):
             DensityMatrix(np.eye(3) / 3)
-        with pytest.raises(DimensionMismatch, match="power of two"):
-            StateVector(np.ones(3) / np.sqrt(3))
 
     def test_qubit_ceiling_is_the_circuit_limit(self):
         CtcProblem(np.eye(64, dtype=complex))
@@ -237,7 +231,7 @@ class TestSolver:
     def test_eigensolve_fallback(self):
         """A weak partial SWAP mixes too slowly for plain iteration; GMRES
         solves it in one Krylov step, two map applications in all."""
-        p = CtcProblem(oracle.partial_swap(1, 0.03), state_from_label("0").density())
+        p = CtcProblem(oracle.partial_swap(1, 0.03), state_from_label("0"))
         sol = solve_fixed_point(p)
         assert (sol.method, sol.iterations) == ("eigensolve", 2)
         assert oracle.tdist(sol.rho_loop.mat, DIST_FIXED["0"]) <= 1e-10
@@ -257,7 +251,7 @@ class TestSolver:
         """No loop state is self-consistent to 1e-300; the solve says so."""
         rng = np.random.default_rng(n_loop)
         u = oracle.random_unitary(2 ** (n_loop + 1), rng)
-        p = CtcProblem(u, state_from_label("+").density())
+        p = CtcProblem(u, state_from_label("+"))
         with pytest.raises(NoConvergence):
             solve_fixed_point(p, tol=1e-300)
 
@@ -282,10 +276,10 @@ def _sigma(p):
 # Loops with a known number of fixed directions, one or many.
 FIXED_SPACE_PROBLEMS = {
     "grandfather": (grandfather_problem, 2),
-    "identity on 2 loop qubits": (lambda: CtcProblem(np.eye(8), state_from_label("+").density()), 16),
+    "identity on 2 loop qubits": (lambda: CtcProblem(np.eye(8), state_from_label("+")), 16),
     "Z dephasing": (lambda: CtcProblem(np.diag([1.0, -1.0])), 2),
     **{f"partial SWAP at 0.3 on {n} loop qubits": (
-        lambda n=n: CtcProblem(oracle.partial_swap(n, 0.3), state_from_label("+").density()),
+        lambda n=n: CtcProblem(oracle.partial_swap(n, 0.3), state_from_label("+")),
         4 ** (n - 1)) for n in range(1, 5)},
     **{f"Haar on {n} loop qubits": (lambda n=n: random_loop_problem(1, n, [7, n]), 1)
        for n in range(1, 5)},
@@ -354,7 +348,7 @@ def weak_loop(n_loop, eps, seed):
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     vals, vecs = np.linalg.eigh((z + z.conj().T) / 2)
     u = (vecs * np.exp(-1j * eps * vals)) @ vecs.conj().T
-    return CtcProblem(u, state_from_label("+").density())
+    return CtcProblem(u, state_from_label("+"))
 
 
 class TestSlowLoops:

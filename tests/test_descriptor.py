@@ -30,7 +30,7 @@ from paradoxlab.errors import (
     ShapeMismatch,
     TooManyQubits,
 )
-from paradoxlab.qmath import LOCALITY_ATOL, StateVector, basis_state, partial_trace
+from paradoxlab.qmath import LOCALITY_ATOL, DensityMatrix, basis_state, partial_trace
 
 PAULIS = {"x": oracle.X, "y": oracle.Y, "z": oracle.Z}
 
@@ -484,6 +484,24 @@ class TestExpectation:
                 op = op @ oracle.lift(PAULIS[ax], [q], n)
             want = float(np.real(psi.conj() @ op @ psi))
             assert got == pytest.approx(want, abs=1e-9)
+
+    def test_mixed_initial_state_matches_oracle(self):
+        """Re tr(rho U^dag O U) for a random mixed rho, which no pure state stands in for."""
+        rng = np.random.default_rng(521)
+        axes = "xyz"
+        for _ in range(10):
+            n = int(rng.integers(1, 5))
+            c = util.random_unitary_circuit(n, 10, rng)
+            f = advance_all(init_frame(n), c)
+            rho = oracle.random_density(2 ** n, rng)
+            qubits = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+            obs = {int(q): axes[int(rng.integers(3))] for q in qubits}
+            op = np.eye(2 ** n, dtype=complex)
+            for q, ax in sorted(obs.items()):
+                op = op @ oracle.lift(PAULIS[ax], [q], n)
+            u = circuit_unitary(c)
+            want = float(np.real(np.trace(rho @ u.conj().T @ op @ u)))
+            assert expectation(f, obs, DensityMatrix(rho)) == pytest.approx(want, abs=1e-12)
 
     def test_marginals_rebuild_reduced_states(self):
         """1/2 (I + sum <sigma> sigma) equals the reduced density matrix."""

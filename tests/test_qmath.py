@@ -22,7 +22,6 @@ from paradoxlab.errors import (
 from paradoxlab.qmath import (
     DensityMatrix,
     KrausSet,
-    StateVector,
     adjoint,
     apply_kraus,
     evolve_density,
@@ -68,10 +67,6 @@ class TestAdjoint:
 
 
 class TestStates:
-    def test_statevector_norm_checked(self):
-        with pytest.raises(InvalidState):
-            StateVector(np.array([1.0, 1.0], dtype=complex))
-
     def test_density_invariants_checked(self):
         with pytest.raises(InvalidState):
             dm([[0.5, 0.4], [0.3, 0.5]])  # not hermitian
@@ -84,11 +79,10 @@ class TestStates:
     @pytest.mark.parametrize(
         "build, error",
         [
-            (lambda bad: StateVector(np.full(2, bad)), InvalidState),
             (lambda bad: DensityMatrix(np.full((2, 2), bad)), InvalidState),
             (lambda bad: KrausSet((np.full((2, 2), bad),)), NotTracePreserving),
         ],
-        ids=["StateVector", "DensityMatrix", "KrausSet"],
+        ids=["DensityMatrix", "KrausSet"],
     )
     def test_non_finite_entries_rejected(self, build, error, bad):
         """Each invariant check reads `err > tol`, which NaN slips past."""
@@ -102,12 +96,14 @@ class TestStates:
             qmath.basis_state(2, index)
 
     def test_basis_state_at_last_index(self):
-        np.testing.assert_array_equal(qmath.basis_state(2, 3.0).amplitudes, [0, 0, 0, 1])
+        np.testing.assert_array_equal(qmath.basis_state(2, 3.0).mat, np.diag([0, 0, 0, 1]))
 
-    def test_from_statevector(self):
-        sv = StateVector(oracle.PLUS.copy())
-        rho = sv.density()
-        np.testing.assert_allclose(rho.mat, oracle.density(oracle.PLUS), atol=1e-12)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_basis_state_is_the_oracle_projector(self, n):
+        for index in range(2 ** n):
+            ket = np.zeros(2 ** n, dtype=complex)
+            ket[index] = 1.0
+            np.testing.assert_array_equal(qmath.basis_state(n, index).mat, oracle.density(ket))
 
 
 class TestEvolveDensity:

@@ -20,10 +20,16 @@ import numpy as np
 import pytest
 
 import corpus
-from paradoxlab import cli, epr
+from paradoxlab import cli, ctc, descriptor, epr, szilard
 from paradoxlab.circuit import Circuit, make_gate, run_density
 from paradoxlab.errors import BadParams, DimensionMismatch, InvalidState
-from paradoxlab.qmath import basis_state, maximally_mixed, trace_distance
+from paradoxlab.qmath import (
+    basis_state,
+    maximally_mixed,
+    partial_trace,
+    trace_distance,
+    vn_entropy_bits,
+)
 
 # A case that takes longer has stalled; the slowest valid one takes well under 0.1 s.
 CASE_SECONDS = 2.0
@@ -102,6 +108,18 @@ BAD_CALLS = {
     "RX at a string": (lambda: make_gate("RX", "0.3"), BadParams),
     "RX at True": (lambda: make_gate("RX", True), BadParams),
     "density run from an array": (lambda: run_density(Circuit(1), np.eye(2) / 2), InvalidState),
+    "loop problem over an array": (lambda: ctc.CtcProblem(np.eye(4), np.eye(2) / 2), InvalidState),
+    "expectation in an array": (
+        lambda: descriptor.expectation(descriptor.init_frame(1), {0: "z"}, np.eye(2) / 2),
+        InvalidState,
+    ),
+    "partial trace of an array": (lambda: partial_trace(np.eye(4) / 4, [0]), InvalidState),
+    "entropy of an array": (lambda: vn_entropy_bits(np.eye(2) / 2), InvalidState),
+    "work in an array": (lambda: szilard.work_expectation(np.eye(4) / 4), InvalidState),
+    "mutual information of an array": (
+        lambda: szilard.mutual_information(np.eye(4) / 4, [0], [1]),
+        InvalidState,
+    ),
     "basis state of -1 qubits": (lambda: basis_state(-1), BadParams),
     "basis state of 1.5 qubits": (lambda: basis_state(1.5), BadParams),
     "basis state of True qubits": (lambda: basis_state(True), BadParams),

@@ -48,7 +48,7 @@ def qubit_dm(bit):
 
 
 def basis_dm(n, index):
-    return basis_state(n, index).density()
+    return basis_state(n, index)
 
 
 def run_stages(initial):
@@ -212,10 +212,10 @@ class TestCyclesWithErasure:
         assert sum(rec.expected_work for rec in records) == pytest.approx(5.0, abs=1e-9)
 
     def test_memory_returns_to_ground(self):
-        memory = basis_state(1).density()
+        memory = basis_state(1)
         for _ in range(3):
             rec, memory = run_single_cycle(memory)
-            assert trace_distance(memory, basis_state(1).density()) <= 1e-10
+            assert trace_distance(memory, basis_state(1)) <= 1e-10
             assert rec.memory_entropy_post == pytest.approx(0.0, abs=1e-9)
 
     def test_erasure_removes_one_bit_from_stale_memory(self):
@@ -316,7 +316,7 @@ class TestRecordReuse:
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.7, 1.0])
     def test_ledger_equals_every_cycle_simulated(self, p, skip_reset, monkeypatch):
         cfg = SzilardConfig(cycles=12, skip_reset=skip_reset, depolarize_p=p)
-        memory = basis_state(1).density()
+        memory = basis_state(1)
         want = []
         for k in range(1, 13):
             rec, memory = run_single_cycle(memory, cfg)
@@ -418,7 +418,7 @@ class TestConfig:
                     run_cycles(cfg, shots=3, seed=seed)
 
     def test_runs_take_a_config(self):
-        memory = basis_state(1).density()
+        memory = basis_state(1)
         for bad in (False, 3, None, {"cycles": 1}):
             with pytest.raises(BadParams, match="cfg must be a SzilardConfig"):
                 run_single_cycle(memory, bad)
