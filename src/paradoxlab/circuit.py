@@ -25,9 +25,7 @@ from .errors import (
     UnknownKind,
 )
 from . import qmath
-from .qmath import DensityMatrix
-
-MAX_QUBITS = 6
+from .qmath import MAX_QUBITS, DensityMatrix
 
 
 @dataclass(frozen=True, eq=False)

@@ -37,7 +37,6 @@ from .qmath import (
     _require_state,
     adjoint,
     is_unitary,
-    kron_all,
     maximally_mixed,
     trace_distance,
     vn_entropy_bits,
@@ -311,7 +310,8 @@ def distinguisher_problem(label: str) -> CtcProblem:
 
 def bb84_problem(label: str) -> CtcProblem:
     ground = np.diag([1.0, 0.0]).astype(complex)
-    sys_state = DensityMatrix(kron_all([state_from_label(label).mat, ground]))
+    # The input sits on s, the low system qubit; a starts at |0>.
+    sys_state = DensityMatrix(np.kron(ground, state_from_label(label).mat))
     return CtcProblem(bb84_unitary(), sys_state)
 
 

@@ -1,12 +1,12 @@
 """Heisenberg-picture tracking of per-qubit Pauli observables.
 
-A frame is the circuit prefix applied so far, as one unitary U. Each
-qubit's descriptor, the images U^dag sigma U of its three bare Pauli
-operators, is computed from it on first read. With A and B the rows of
-U whose bit q is clear and set, and M = A^dag B, qubit q's images are
-X = M + M^dag, Y = -i(M - M^dag) and Z = A^dag A - B^dag B. Z is taken
-as (A - B)^dag (A + B) - (M - M^dag), which is the same operator, so a
-qubit costs two half-depth products.
+The engine carries the circuit prefix applied so far as one unitary U,
+a plain array. Each qubit's descriptor, the images U^dag sigma U of its
+three bare Pauli operators, is computed from it where it is read. With A
+and B the rows of U whose bit q is clear and set, and M = A^dag B, qubit
+q's images are X = M + M^dag, Y = -i(M - M^dag) and Z = A^dag A - B^dag B.
+Z is taken as (A - B)^dag (A + B) - (M - M^dag), which is the same
+operator, so a qubit costs two half-depth products.
 
 Where a gate does not touch a qubit, its images must stay put; the
 locality audit checks exactly that, numerically, with no shortcuts. A
@@ -21,20 +21,18 @@ prefix, so no image is computed twice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Dict, Iterable, List, Tuple
 
 import numpy as np
 
 from . import qmath
-from .circuit import MAX_QUBITS, Circuit, Instruction, circuit_unitary
+from .circuit import Circuit, Instruction, circuit_unitary
 from .errors import (
     BadParams,
     BadTargets,
     InvalidState,
     NonUnitaryInstruction,
     ShapeMismatch,
-    TooManyQubits,
 )
 from .qmath import DEPENDENCE_ATOL, LOCALITY_ATOL, DensityMatrix
 
@@ -62,42 +60,11 @@ def _images(prefix: np.ndarray, qubits: Iterable[int]) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True, eq=False)
-class DescriptorFrame:
-    """Heisenberg frame: the accumulated circuit unitary.
-
-    ``prefix`` is all a frame stores; its side gives the qubit count ``n``.
-    Each qubit's evolved (x, y, z) triple is the bare Pauli conjugated by
-    it, so the latest gate sits innermost; ``triples`` computes them on
-    first read.
-    """
-
-    prefix: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.prefix.shape[0].bit_length() - 1
-
-    @cached_property
-    def triples(self) -> tuple:
-        """Per qubit: (x image, y image, z image) as full matrices."""
-        return _images(self.prefix, range(self.n))
-
-
-def init_frame(n: int) -> DescriptorFrame:
-    n = qmath._whole(n, "qubit count")
-    if n < 1:
-        raise BadParams("frame needs at least one qubit")
-    if n > MAX_QUBITS:
-        raise TooManyQubits(f"{n} qubits exceeds the limit of {MAX_QUBITS}")
-    return DescriptorFrame(np.eye(2 ** n, dtype=complex))
-
-
-def advance(frame: DescriptorFrame, instr: Instruction) -> DescriptorFrame:
-    """Extend the tracked prefix by one unitary step."""
+def advance(prefix: np.ndarray, instr: Instruction) -> np.ndarray:
+    """Extend the prefix unitary by one unitary step."""
     if instr.op != "unitary":
         raise NonUnitaryInstruction(f"descriptors are defined for unitary steps, not {instr.op!r}")
-    return DescriptorFrame(qmath._apply_op(instr.gate.matrix, frame.prefix, instr.targets))
+    return qmath._apply_op(instr.gate.matrix, prefix, instr.targets)
 
 
 @dataclass(frozen=True)
@@ -114,25 +81,25 @@ class AuditReport:
 
 
 def locality_audit(c: Circuit) -> AuditReport:
-    """Advance a frame through ``c`` and bound the off-support drift per step.
+    """Advance the prefix unitary through ``c`` and bound the off-support drift per step.
 
     A step whose drift is not finite fails.
     """
-    frame = init_frame(c.n_qubits)
+    prefix = np.eye(2 ** c.n_qubits, dtype=complex)
     before: Dict[int, tuple] = {}
     steps: List[AuditStep] = []
     for i, instr in enumerate(c.instructions):
-        after = advance(frame, instr)
+        after = advance(prefix, instr)
         off = [q for q in range(c.n_qubits) if q not in instr.targets]
-        now = {q: _parts(after.prefix, q) for q in off}
+        now = {q: _parts(after, q) for q in off}
         drifts = [0.0]
         for q in off:
-            was = before[q] if q in before else _parts(frame.prefix, q)
+            was = before[q] if q in before else _parts(prefix, q)
             drifts += [abs(a - b).max() for b, a in zip(was, now[q])]
         # np.max, unlike the builtin max, keeps a NaN.
         delta = float(np.max(drifts))
         steps.append(AuditStep(i, delta, delta <= LOCALITY_ATOL))
-        before, frame = now, after
+        before, prefix = now, after
     return AuditReport(tuple(steps), all(s.ok for s in steps))
 
 
@@ -170,26 +137,28 @@ def dependence_probe(
 
 
 def expectation(
-    frame: DescriptorFrame, observable: Dict[int, str], initial: DensityMatrix
+    prefix: np.ndarray, observable: Dict[int, str], initial: DensityMatrix
 ) -> float:
     """Expectation of a product of evolved per-qubit Pauli axes.
 
     ``observable`` maps qubit index to one of 'x', 'y', 'z'; the value is
-    Re tr(rho O) for the state ``initial`` and the product O of the frame's
-    evolved operators, pure or mixed alike.
+    Re tr(rho O) for the state ``initial`` and the product O of the named
+    qubits' images under the prefix unitary, pure or mixed alike.
     """
     if not observable:
         raise BadParams("observable must name at least one qubit")
     qmath._require_state(initial, "initial state")
-    if initial.n != frame.n:
-        raise BadParams(f"initial state has {initial.n} qubits, frame has {frame.n}")
-    op = np.eye(2 ** frame.n, dtype=complex)
+    prefix = np.asarray(prefix)
+    n = initial.n
+    if prefix.shape != initial.mat.shape:
+        raise BadParams(f"prefix of shape {prefix.shape} does not match a {n}-qubit state")
+    op = np.eye(2 ** n, dtype=complex)
     for q, ax in sorted((qmath._whole(q, "qubit"), ax) for q, ax in observable.items()):
-        if not 0 <= q < frame.n:
-            raise BadTargets(f"qubit {q} outside register of {frame.n} qubits")
+        if not 0 <= q < n:
+            raise BadTargets(f"qubit {q} outside register of {n} qubits")
         if ax not in AXES:
             raise BadParams(f"axis {ax!r} is not one of x, y, z")
-        op = op @ frame.triples[q][AXES.index(ax)]
+        op = op @ _images(prefix, [q])[0][AXES.index(ax)]
     val = complex(np.trace(initial.mat @ op))
     if abs(val.imag) > qmath.EXPECTATION_IMAG_ATOL:
         raise BadParams(f"observable expectation has imaginary residue {val.imag}")

@@ -1,9 +1,9 @@
 """Dense linear algebra and quantum-information primitives.
 
 Registers are little-endian: qubit 0 is the least significant bit of a
-basis index, so ``tensor(a, b)`` places ``a`` on the high-order qubits.
+basis index, so ``np.kron(a, b)`` places ``a`` on the high-order qubits.
 Everything works on explicit numpy matrices; the register ceiling is
-six qubits, so dense is always fine.
+``MAX_QUBITS`` = 6 qubits, so dense is always fine.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
-from typing import Iterable, Sequence
+from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -25,9 +25,11 @@ from .errors import (
     InvalidState,
     NonUnitary,
     NotTracePreserving,
+    TooManyQubits,
 )
 
-# Numerical tolerances used across the package, one meaning each.
+# Register ceiling and numerical tolerances used across the package, one meaning each.
+MAX_QUBITS = 6  # largest register any entry point accepts
 UNITARY_ATOL = 1e-10  # largest entry of |U'U - I| in a unitary
 HERMITIAN_ATOL = 1e-10  # largest entry of |rho - rho'| in a density matrix
 TRACE_ATOL = 1e-10  # largest |tr rho - 1| of a density matrix
@@ -41,19 +43,6 @@ DEPENDENCE_ATOL = 1e-9  # Pauli images further apart than this depend on the par
 EXPECTATION_IMAG_ATOL = 1e-9  # largest imaginary part of a Pauli-product expectation
 SOLVE_TOL = 1e-12  # default loop fixed-point residual; smaller magnitudes print as 0
 OUTCOME_FLOOR = 1e-12  # loop readout probabilities at or below this are dropped
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; row index of the result is i_a * rows_b + i_b."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
-def kron_all(factors: Iterable[np.ndarray]) -> np.ndarray:
-    """Tensor factors listed qubit-0-first (qubit 0 least significant)."""
-    mats = list(factors)
-    if not mats:
-        raise DimensionMismatch("kron_all needs at least one factor")
-    return reduce(tensor, reversed(mats))
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:
@@ -293,10 +282,12 @@ def trace_distance(a, b) -> float:
 
 
 def _register(n) -> int:
-    """A qubit count: a whole number, not negative."""
+    """A qubit count: a whole number, not negative, at most ``MAX_QUBITS``."""
     n = _whole(n, "qubit count")
     if n < 0:
         raise BadParams(f"qubit count {n} is negative")
+    if n > MAX_QUBITS:
+        raise TooManyQubits(f"{n} qubits exceeds the limit of {MAX_QUBITS}")
     return n
 
 

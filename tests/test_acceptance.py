@@ -23,7 +23,6 @@ from paradoxlab.descriptor import (
     AXES,
     advance,
     expectation,
-    init_frame,
     locality_audit,
 )
 from paradoxlab.qmath import (
@@ -101,12 +100,12 @@ def test_c03_locality_audit_and_picture_equivalence():
     for _ in range(50):
         n = int(rng.integers(2, 6))
         circuit = random_unitary_circuit(n, 30, rng)
-        frame = init_frame(n)
+        prefix = np.eye(2**n, dtype=complex)
         for instr in circuit.instructions:
-            frame = advance(frame, instr)
+            prefix = advance(prefix, instr)
         chosen = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
         observable = {int(q): AXES[int(rng.integers(3))] for q in chosen}
-        tracked = expectation(frame, observable, basis_state(n))
+        tracked = expectation(prefix, observable, basis_state(n))
         psi = circuit_unitary(circuit)[:, 0]
         op = np.eye(2**n, dtype=complex)
         for q in sorted(observable):

@@ -319,6 +319,12 @@ class TestRunDensity:
                     float(abs(amps[idx]) ** 2), abs=1e-9
                 )
 
+    def test_branch_dropped_by_its_joint_weight(self):
+        """Branch 11 weighs 1e-14 * 0.05 = 5e-16, below BRANCH_FLOOR, though its own p is not."""
+        c = Circuit(2, 2).rx(2 * np.arcsin(1e-7), 0).measure(0, 0)
+        c.rx(2 * np.arcsin(np.sqrt(0.05)), 1).measure(1, 1)
+        assert set(run_density(c).distribution) == {"00", "01", "10"}
+
     def test_initial_state_override(self):
         rho = DensityMatrix(np.array([[0.0, 0], [0, 1.0]]))
         c = Circuit(1).x(0)

@@ -144,6 +144,15 @@ class TestConsistencyMap:
             out = consistency_map(p, rho)  # constructor enforces the invariants
             assert abs(np.trace(out.mat).real - 1.0) <= 1e-10
 
+    @pytest.mark.parametrize("n_loop", [1, 2, 3])
+    def test_output_is_exactly_hermitian(self, n_loop):
+        """The channel's raw output is Hermitian only to rounding; the map's is exactly."""
+        rng = np.random.default_rng([29, n_loop])
+        for seed in range(5):
+            p = random_loop_problem(1, n_loop, [29, n_loop, seed])
+            m = consistency_map(p, DensityMatrix(oracle.random_density(2 ** n_loop, rng))).mat
+            assert np.array_equal(m, m.conj().T)
+
     @pytest.mark.parametrize(
         "n_sys, n_loop, pure",
         [(0, n_loop, None) for n_loop in range(1, 5)]

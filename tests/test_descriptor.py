@@ -13,13 +13,11 @@ from paradoxlab.circuit import Circuit, circuit_unitary, run_density
 from paradoxlab.descriptor import (
     AXES,
     AuditStep,
-    DescriptorFrame,
     _images,
     _parts,
     advance,
     dependence_probe,
     expectation,
-    init_frame,
     locality_audit,
 )
 from paradoxlab.errors import (
@@ -28,17 +26,23 @@ from paradoxlab.errors import (
     InvalidState,
     NonUnitaryInstruction,
     ShapeMismatch,
-    TooManyQubits,
 )
 from paradoxlab.qmath import LOCALITY_ATOL, DensityMatrix, basis_state, partial_trace
 
 PAULIS = {"x": oracle.X, "y": oracle.Y, "z": oracle.Z}
 
 
-def advance_all(frame: DescriptorFrame, circuit: Circuit) -> DescriptorFrame:
+def advance_all(circuit: Circuit) -> np.ndarray:
+    """The prefix unitary after every step of ``circuit``."""
+    prefix = np.eye(2 ** circuit.n_qubits, dtype=complex)
     for instr in circuit.instructions:
-        frame = advance(frame, instr)
-    return frame
+        prefix = advance(prefix, instr)
+    return prefix
+
+
+def triples(prefix: np.ndarray) -> tuple:
+    """Every qubit's (x, y, z) images under ``prefix``."""
+    return _images(prefix, range(prefix.shape[0].bit_length() - 1))
 
 
 def kernel_images(prefix: np.ndarray, q: int) -> list:
@@ -66,67 +70,53 @@ def kernel_audit(c: Circuit) -> list:
 
 
 class TestInitFrame:
+    """Images under the identity prefix, where the audit starts."""
+
     def test_single_qubit_triple(self):
-        f = init_frame(1)
-        for got, want in zip(f.triples[0], (oracle.X, oracle.Y, oracle.Z)):
+        for got, want in zip(triples(np.eye(2))[0], (oracle.X, oracle.Y, oracle.Z)):
             np.testing.assert_allclose(got, want, atol=1e-15)
 
     def test_embedding_uses_little_endian_order(self):
-        f = init_frame(2)
-        np.testing.assert_allclose(f.triples[0][0], np.kron(oracle.I2, oracle.X), atol=1e-15)
-        np.testing.assert_allclose(f.triples[1][0], np.kron(oracle.X, oracle.I2), atol=1e-15)
+        images = triples(np.eye(4))
+        np.testing.assert_allclose(images[0][0], np.kron(oracle.I2, oracle.X), atol=1e-15)
+        np.testing.assert_allclose(images[1][0], np.kron(oracle.X, oracle.I2), atol=1e-15)
 
     def test_matrices_hermitian_involutory_traceless(self):
-        f = init_frame(3)
-        for triple in f.triples:
+        for triple in triples(np.eye(8)):
             for m in triple:
                 np.testing.assert_allclose(m, m.conj().T, atol=1e-12)
                 np.testing.assert_allclose(m @ m, np.eye(8), atol=1e-12)
                 assert abs(np.trace(m)) <= 1e-12
 
-    def test_size_limits(self):
-        with pytest.raises(TooManyQubits):
-            init_frame(7)
-        with pytest.raises(BadParams):
-            init_frame(0)
-
-    @pytest.mark.parametrize("n", [2.5, True, "2", None])
-    def test_size_must_be_a_whole_number(self, n):
-        """True used to build a one-qubit frame, and 2.5 a raw TypeError."""
-        with pytest.raises(BadParams, match="qubit count"):
-            init_frame(n)
-
 
 class TestAdvance:
     def test_hadamard_swaps_x_and_z(self):
-        f = advance_all(init_frame(1), Circuit(1).h(0))
-        np.testing.assert_allclose(f.triples[0][2], oracle.X, atol=1e-12)
-        np.testing.assert_allclose(f.triples[0][0], oracle.Z, atol=1e-12)
-        np.testing.assert_allclose(f.triples[0][1], -oracle.Y, atol=1e-12)
+        (x, y, z), = triples(advance_all(Circuit(1).h(0)))
+        np.testing.assert_allclose(z, oracle.X, atol=1e-12)
+        np.testing.assert_allclose(x, oracle.Z, atol=1e-12)
+        np.testing.assert_allclose(y, -oracle.Y, atol=1e-12)
 
     def test_rx_rotates_z_toward_y(self):
         theta = 0.9
-        f = advance_all(init_frame(1), Circuit(1).rx(theta, 0))
+        images = triples(advance_all(Circuit(1).rx(theta, 0)))
         want = np.cos(theta) * oracle.Z + np.sin(theta) * oracle.Y
-        np.testing.assert_allclose(f.triples[0][2], want, atol=1e-12)
+        np.testing.assert_allclose(images[0][2], want, atol=1e-12)
 
     def test_cnot_spreads_target_z_to_control(self):
-        f = advance_all(init_frame(2), Circuit(2).cx(0, 1))
-        np.testing.assert_allclose(f.triples[1][2], np.kron(oracle.Z, oracle.Z), atol=1e-12)
+        images = triples(advance_all(Circuit(2).cx(0, 1)))
+        np.testing.assert_allclose(images[1][2], np.kron(oracle.Z, oracle.Z), atol=1e-12)
         # control X picks up the target
-        np.testing.assert_allclose(f.triples[0][0], np.kron(oracle.X, oracle.X), atol=1e-12)
+        np.testing.assert_allclose(images[0][0], np.kron(oracle.X, oracle.X), atol=1e-12)
 
     def test_off_support_qubit_untouched(self):
-        f0 = init_frame(2)
-        f1 = advance_all(f0, Circuit(2).h(1).rx(0.4, 1))
-        for a, b in zip(f0.triples[0], f1.triples[0]):
+        after = triples(advance_all(Circuit(2).h(1).rx(0.4, 1)))
+        for a, b in zip(triples(np.eye(4))[0], after[0]):
             assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_rejects_non_unitary_instruction(self):
-        f = init_frame(1)
         instr = Circuit(1, 1).measure(0, 0).instructions[0]
         with pytest.raises(NonUnitaryInstruction):
-            advance(f, instr)
+            advance(np.eye(2, dtype=complex), instr)
 
     def test_invariants_survive_random_circuits(self):
         rng = np.random.default_rng(307)
@@ -134,12 +124,12 @@ class TestAdvance:
         for _ in range(6):
             n = int(rng.integers(1, 7))
             c = util.random_unitary_circuit(n, 10, rng)
-            f = advance_all(init_frame(n), c)
+            images = triples(advance_all(c))
             eye = np.eye(2 ** n)
             prefix = eye.astype(complex)
             for instr in c.instructions:
                 prefix = oracle.lift(instr.gate.matrix, list(instr.targets), n) @ prefix
-            for q, triple in enumerate(f.triples):
+            for q, triple in enumerate(images):
                 for m, sigma in zip(triple, paulis):
                     want = prefix.conj().T @ oracle.lift(sigma, [q], n) @ prefix
                     np.testing.assert_allclose(m, want, atol=1e-10)
@@ -153,8 +143,7 @@ class TestAdvance:
         for _ in range(5):
             n = int(rng.integers(1, 4))
             c = util.random_unitary_circuit(n, 8, rng)
-            f = advance_all(init_frame(n), c)
-            for x, y, z in f.triples:
+            for x, y, z in triples(advance_all(c)):
                 np.testing.assert_allclose(x @ y, 1j * z, atol=1e-9)
 
 
@@ -217,11 +206,11 @@ def assert_drift_caught(monkeypatch, c: Circuit, drift_step: int) -> None:
     rotation = oracle.lift(oracle.rx(theta), [drifted], 4)
     calls = []
 
-    def drifting_advance(frame, instr):
-        after = advance(frame, instr)
-        calls.append(after.prefix)
+    def drifting_advance(prefix, instr):
+        after = advance(prefix, instr)
+        calls.append(after)
         if len(calls) - 1 == drift_step:
-            return DescriptorFrame(rotation @ after.prefix)
+            return rotation @ after
         return after
 
     monkeypatch.setattr(descriptor, "advance", drifting_advance)
@@ -244,18 +233,17 @@ def assert_drift_caught(monkeypatch, c: Circuit, drift_step: int) -> None:
 def recorded_audit(monkeypatch, c: Circuit, alter=lambda frame, q, parts: parts) -> tuple:
     """The audit of ``c`` and how often it computes each (frame, qubit) image.
 
-    Frame k follows k steps. ``alter(k, q, parts)`` may replace an image
-    triple before the audit compares it.
+    Frame k is the prefix after k steps; frame 0 is the first step's input.
+    ``alter(k, q, parts)`` may replace an image triple before the audit
+    compares it.
     """
     frames, computed = [], Counter()
 
-    def recording_init(n):
-        frames.append(init_frame(n).prefix)
-        return DescriptorFrame(frames[-1])
-
-    def recording_advance(frame, instr):
-        after = advance(frame, instr)
-        frames.append(after.prefix)
+    def recording_advance(prefix, instr):
+        if not frames:
+            frames.append(prefix)
+        after = advance(prefix, instr)
+        frames.append(after)
         return after
 
     def counting_parts(prefix, q):
@@ -263,7 +251,6 @@ def recorded_audit(monkeypatch, c: Circuit, alter=lambda frame, q, parts: parts)
         computed[k, q] += 1
         return alter(k, q, _parts(prefix, q))
 
-    monkeypatch.setattr(descriptor, "init_frame", recording_init)
     monkeypatch.setattr(descriptor, "advance", recording_advance)
     monkeypatch.setattr(descriptor, "_parts", counting_parts)
     return locality_audit(c), computed
@@ -296,9 +283,9 @@ class TestLocalityAudit:
     def test_non_finite_drift_fails(self, monkeypatch):
         """A NaN difference fails its step; it must not drop out of the maximum."""
 
-        def poisoning_advance(frame, instr):
-            after = advance(frame, instr)
-            after.prefix[0, 0] = np.nan
+        def poisoning_advance(prefix, instr):
+            after = advance(prefix, instr)
+            after[0, 0] = np.nan
             return after
 
         monkeypatch.setattr(descriptor, "advance", poisoning_advance)
@@ -395,11 +382,8 @@ class TestDependenceProbe:
             qubit = int(rng.integers(n))
             a, b = (float(v) for v in rng.uniform(-np.pi, np.pi, size=2))
             depends, delta = dependence_probe(build, qubit, a, b)
-            frames = [advance_all(init_frame(n), build(v)) for v in (a, b)]
-            want = max(
-                float(np.max(np.abs(x - y)))
-                for x, y in zip(frames[0].triples[qubit], frames[1].triples[qubit])
-            )
+            images = [triples(advance_all(build(v)))[qubit] for v in (a, b)]
+            want = max(float(np.max(np.abs(x - y))) for x, y in zip(*images))
             assert delta == pytest.approx(want, abs=1e-12)
             assert depends is (want > 1e-9)
 
@@ -436,27 +420,40 @@ class TestDependenceProbe:
 
 class TestExpectation:
     def test_initial_z_on_ground_state(self):
-        f = init_frame(1)
-        assert expectation(f, {0: "z"}, basis_state(1)) == pytest.approx(1.0, abs=1e-12)
+        assert expectation(np.eye(2), {0: "z"}, basis_state(1)) == pytest.approx(1.0, abs=1e-12)
 
     def test_bell_parity(self):
         c = Circuit(2).h(0).cx(0, 1)
-        f = advance_all(init_frame(2), c)
-        got = expectation(f, {0: "z", 1: "z"}, basis_state(2))
+        got = expectation(advance_all(c), {0: "z", 1: "z"}, basis_state(2))
         assert got == pytest.approx(1.0, abs=1e-9)
 
     def test_rotated_bell_closed_form(self):
         theta, phi = 0.7, -0.2
         c = Circuit(2).h(0).cx(0, 1).rx(theta, 0).rx(phi, 1)
-        f = advance_all(init_frame(2), c)
-        got = expectation(f, {0: "z", 1: "z"}, basis_state(2))
+        got = expectation(advance_all(c), {0: "z", 1: "z"}, basis_state(2))
         assert got == pytest.approx(np.cos(theta + phi), abs=1e-9)
 
     def test_bad_axis_rejected(self):
         with pytest.raises(BadParams):
-            expectation(init_frame(1), {0: "w"}, basis_state(1))
+            expectation(np.eye(2), {0: "w"}, basis_state(1))
         with pytest.raises(BadParams):
-            expectation(init_frame(1), {}, basis_state(1))
+            expectation(np.eye(2), {}, basis_state(1))
+
+    @pytest.mark.parametrize("prefix", [np.eye(4), np.ones((2, 3))])
+    def test_prefix_must_match_the_state(self, prefix):
+        with pytest.raises(BadParams, match="does not match a 1-qubit state"):
+            expectation(prefix, {0: "z"}, basis_state(1))
+
+    @pytest.mark.parametrize("ax", AXES)
+    def test_one_qubit_observable_on_six_qubits_matches_oracle(self, ax):
+        """Only the named qubit's images are computed; the value is tr(rho U^dag sigma U)."""
+        rng = np.random.default_rng(531)
+        u = oracle.random_unitary(64, rng)
+        rho = oracle.random_density(64, rng)
+        for q in range(6):
+            want = np.trace(rho @ u.conj().T @ oracle.lift(PAULIS[ax], [q], 6) @ u).real
+            got = expectation(u, {q: ax}, DensityMatrix(rho))
+            assert got == pytest.approx(want, rel=0, abs=1e-12)
 
     @pytest.mark.parametrize(
         "observable, error",
@@ -465,7 +462,7 @@ class TestExpectation:
     )
     def test_qubit_must_be_an_index_in_range(self, observable, error):
         with pytest.raises(error, match="qubit"):
-            expectation(init_frame(2), observable, basis_state(2))
+            expectation(np.eye(4), observable, basis_state(2))
 
     def test_matches_schrodinger_on_random_circuits(self):
         rng = np.random.default_rng(503)
@@ -473,11 +470,11 @@ class TestExpectation:
         for _ in range(10):
             n = int(rng.integers(1, 5))
             c = util.random_unitary_circuit(n, 10, rng)
-            f = advance_all(init_frame(n), c)
+            prefix = advance_all(c)
             size = int(rng.integers(1, n + 1))
             qubits = sorted(rng.choice(n, size=size, replace=False))
             obs = {int(q): axes[int(rng.integers(3))] for q in qubits}
-            got = expectation(f, obs, basis_state(n))
+            got = expectation(prefix, obs, basis_state(n))
             psi = circuit_unitary(c)[:, 0]
             op = np.eye(2 ** n, dtype=complex)
             for q, ax in sorted(obs.items()):
@@ -492,7 +489,7 @@ class TestExpectation:
         for _ in range(10):
             n = int(rng.integers(1, 5))
             c = util.random_unitary_circuit(n, 10, rng)
-            f = advance_all(init_frame(n), c)
+            prefix = advance_all(c)
             rho = oracle.random_density(2 ** n, rng)
             qubits = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
             obs = {int(q): axes[int(rng.integers(3))] for q in qubits}
@@ -501,7 +498,7 @@ class TestExpectation:
                 op = op @ oracle.lift(PAULIS[ax], [q], n)
             u = circuit_unitary(c)
             want = float(np.real(np.trace(rho @ u.conj().T @ op @ u)))
-            assert expectation(f, obs, DensityMatrix(rho)) == pytest.approx(want, abs=1e-12)
+            assert expectation(prefix, obs, DensityMatrix(rho)) == pytest.approx(want, abs=1e-12)
 
     def test_marginals_rebuild_reduced_states(self):
         """1/2 (I + sum <sigma> sigma) equals the reduced density matrix."""
@@ -509,10 +506,10 @@ class TestExpectation:
         for _ in range(5):
             n = int(rng.integers(1, 4))
             c = util.random_unitary_circuit(n, 8, rng)
-            f = advance_all(init_frame(n), c)
+            prefix = advance_all(c)
             final = run_density(c).final_state
             for q in range(n):
                 acc = np.eye(2, dtype=complex)
                 for ax, m in PAULIS.items():
-                    acc = acc + expectation(f, {q: ax}, basis_state(n)) * m
+                    acc = acc + expectation(prefix, {q: ax}, basis_state(n)) * m
                 np.testing.assert_allclose(acc / 2, partial_trace(final, [q]).mat, atol=1e-9)

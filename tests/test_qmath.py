@@ -18,6 +18,7 @@ from paradoxlab.errors import (
     InvalidState,
     NonUnitary,
     NotTracePreserving,
+    TooManyQubits,
 )
 from paradoxlab.qmath import (
     DensityMatrix,
@@ -26,7 +27,6 @@ from paradoxlab.qmath import (
     apply_kraus,
     evolve_density,
     partial_trace,
-    tensor,
     trace_distance,
     vn_entropy_bits,
 )
@@ -34,24 +34,6 @@ from paradoxlab.qmath import (
 
 def dm(mat):
     return DensityMatrix(mat)
-
-
-class TestTensor:
-    def test_high_order_factor_comes_first(self):
-        """tensor(a, b) indexes rows as i_a * rows_b + i_b."""
-        got = tensor(oracle.X, oracle.I2)
-        want = np.kron(oracle.X, oracle.I2)
-        np.testing.assert_allclose(got, want, atol=1e-15)
-        # X on the high bit swaps the two 2x2 blocks
-        assert got[0, 2] == 1 and got[2, 0] == 1 and got[0, 1] == 0
-
-    def test_vectors(self):
-        got = tensor(oracle.KET1, oracle.KET0)
-        np.testing.assert_allclose(got, [0, 0, 1, 0], atol=1e-15)
-
-    def test_hadamard_pair_on_00(self):
-        amps = tensor(oracle.H, oracle.H) @ tensor(oracle.KET0, oracle.KET0)
-        np.testing.assert_allclose(amps, [0.5, 0.5, 0.5, 0.5], atol=1e-12)
 
 
 class TestAdjoint:
@@ -105,6 +87,13 @@ class TestStates:
             ket[index] = 1.0
             np.testing.assert_array_equal(qmath.basis_state(n, index).mat, oracle.density(ket))
 
+    @pytest.mark.parametrize("build", [qmath.basis_state, qmath.maximally_mixed])
+    def test_register_ceiling(self, build):
+        """Seven qubits used to build a state that no other entry point accepts."""
+        assert build(qmath.MAX_QUBITS).n == 6
+        with pytest.raises(TooManyQubits, match="7 qubits exceeds the limit of 6"):
+            build(7)
+
 
 class TestEvolveDensity:
     def test_bit_flip(self):
@@ -113,7 +102,7 @@ class TestEvolveDensity:
 
     def test_bell_corners(self):
         """H then CNOT on |00> leaves 0.5 at the four corners."""
-        rho = dm(oracle.density(tensor(oracle.KET0, oracle.KET0)))
+        rho = dm(oracle.density(np.kron(oracle.KET0, oracle.KET0)))
         rho = evolve_density(rho, oracle.H, [0])
         cnot = np.zeros((4, 4), dtype=complex)
         cnot[0, 0] = cnot[1, 3] = cnot[3, 1] = cnot[2, 2] = 1
@@ -229,7 +218,7 @@ class TestApplyKraus:
         np.testing.assert_allclose(got.mat, np.eye(2) / 2, atol=1e-12)
 
     def test_depolarized_half_of_bell_leaves_other_marginal_mixed(self):
-        bell = (tensor(oracle.KET0, oracle.KET0) + tensor(oracle.KET1, oracle.KET1)) / np.sqrt(2)
+        bell = (np.kron(oracle.KET0, oracle.KET0) + np.kron(oracle.KET1, oracle.KET1)) / np.sqrt(2)
         rho = dm(oracle.density(bell))
         ops = tuple(0.5 * m for m in (oracle.I2, oracle.X, oracle.Y, oracle.Z))
         got = apply_kraus(rho, KrausSet(ops), [0])
@@ -265,7 +254,7 @@ class TestApplyKraus:
 
 class TestPartialTrace:
     def test_bell_marginal_is_mixed(self):
-        bell = (tensor(oracle.KET0, oracle.KET0) + tensor(oracle.KET1, oracle.KET1)) / np.sqrt(2)
+        bell = (np.kron(oracle.KET0, oracle.KET0) + np.kron(oracle.KET1, oracle.KET1)) / np.sqrt(2)
         rho = dm(oracle.density(bell))
         got = partial_trace(rho, [0])
         np.testing.assert_allclose(got.mat, np.eye(2) / 2, atol=1e-12)

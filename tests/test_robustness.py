@@ -110,7 +110,7 @@ BAD_CALLS = {
     "density run from an array": (lambda: run_density(Circuit(1), np.eye(2) / 2), InvalidState),
     "loop problem over an array": (lambda: ctc.CtcProblem(np.eye(4), np.eye(2) / 2), InvalidState),
     "expectation in an array": (
-        lambda: descriptor.expectation(descriptor.init_frame(1), {0: "z"}, np.eye(2) / 2),
+        lambda: descriptor.expectation(np.eye(2), {0: "z"}, np.eye(2) / 2),
         InvalidState,
     ),
     "partial trace of an array": (lambda: partial_trace(np.eye(4) / 4, [0]), InvalidState),

@@ -21,7 +21,6 @@ from paradoxlab.errors import (
 from paradoxlab.qmath import (
     DensityMatrix,
     basis_state,
-    kron_all,
     maximally_mixed,
     partial_trace,
     trace_distance,
@@ -95,6 +94,13 @@ class TestMutualInformation:
     def test_bell_pair(self):
         assert mutual_information(BELL, [0], [1]) == pytest.approx(2.0, abs=1e-9)
 
+    def test_never_negative_on_product_states(self):
+        """S(A) + S(B) - S(AB) of a product rounds below zero as often as not; it reads 0."""
+        rng = np.random.default_rng(89)
+        for _ in range(20):
+            a, b = (oracle.random_density(2, rng) for _ in range(2))
+            assert mutual_information(DensityMatrix(np.kron(b, a)), [0], [1]) >= 0.0
+
     def test_partition_checked(self):
         with pytest.raises(BadPartition):
             mutual_information(BELL, [0], [0])
@@ -112,7 +118,7 @@ class TestWeightLogic:
     def test_truth_table(self, particle, memory, weight_index):
         """Blank memory lifts the weight; stale memory drops it."""
         initial = DensityMatrix(
-            kron_all(
+            oracle.kron_chain(
                 [qubit_dm(particle).mat, qubit_dm(memory).mat, np.diag([1.0, 0]), np.diag([1.0, 0])]
             ),
         )
