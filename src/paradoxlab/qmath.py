@@ -80,7 +80,7 @@ class DensityMatrix:
             raise InvalidState("density matrix has non-finite entries")
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise InvalidState(f"density matrix of shape {mat.shape} is not square")
-        object.__setattr__(self, "n", _qubit_count(mat.shape[0], "density matrix"))
+        object.__setattr__(self, "n", _register(_qubit_count(mat.shape[0], "density matrix")))
         if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_ATOL:
             raise InvalidState("density matrix is not hermitian")
         if abs(np.trace(mat).real - 1.0) > TRACE_ATOL:
@@ -209,6 +209,7 @@ def embed_operator(op: np.ndarray, targets: Sequence[int], n: int) -> np.ndarray
     targets[p] carries bit p of the operator's own index.
     """
     op = np.asarray(op, dtype=complex)
+    n = _register(n)
     targets = _check_targets(targets, n, op.shape[0])
     return _apply_op(op, np.eye(2 ** n, dtype=complex), targets)
 

@@ -223,26 +223,29 @@ def run_single_cycle(
 
 
 def _sample_trajectories(cfg: SzilardConfig, shots: int, seed: int) -> List[int]:
-    """Classical per-shot unraveling of the engine.
+    """Seeded per-cycle work totals over ``shots`` independent trajectories.
 
-    Valid because every state the exact run visits is diagonal in the
-    computational basis, so the fresh particle reduces to "a fair coin with
-    probability p, else 0" and the gates to bit arithmetic. With the
-    reset on, every cycle starts from a blank record and wins one unit per
-    shot; the coins a cycle draws only reach the record the reset blanks, so
-    such runs draw nothing.
+    Every state the exact run visits is diagonal in the computational basis,
+    so one shot's memory is a classical bit: a fresh particle is a fair coin
+    with probability p, else 0, and the cycle XORs it into the bit, so a set
+    bit clears and a clear bit sets each with probability p/2. A blank record
+    wins one unit and a set one loses one, so a cycle with N set bits totals
+    shots - 2N. The shots are independent and alike, so N is itself a Markov
+    chain (lumpability; Kemeny and Snell, *Finite Markov Chains*, 1960,
+    sec. 6.3) and two binomial draws per cycle sample it exactly, at a cost
+    that does not grow with ``shots``. With the reset on, every cycle starts
+    from a blank record and wins one unit per shot, so such runs draw nothing.
     """
     if not cfg.skip_reset:
         return [shots] * cfg.cycles
     rng = np.random.Generator(np.random.PCG64(seed))
-    memory = np.zeros(shots, dtype=np.int8)
+    flip = cfg.depolarize_p / 2
+    set_bits = 0
     totals: List[int] = []
     for _ in range(cfg.cycles):
-        # A blank record gains one unit, a set one loses one.
-        totals.append(shots - 2 * int(np.count_nonzero(memory)))
-        hit = rng.random(shots) < cfg.depolarize_p
-        coin = rng.integers(0, 2, shots, dtype=np.int8)
-        np.bitwise_xor(memory, coin, out=memory, where=hit)
+        totals.append(shots - 2 * set_bits)
+        cleared = int(rng.binomial(set_bits, flip))
+        set_bits += int(rng.binomial(shots - set_bits, flip)) - cleared
     return totals
 
 

@@ -164,3 +164,22 @@ def cesaro_limit(u, sigma, n_loop):
     start = (np.eye(d) / d).reshape(-1)
     coeff = np.linalg.solve(n_left.conj().T @ n_right, n_left.conj().T @ start)
     return (n_right @ coeff).reshape(d, d)
+
+
+def stale_engine_totals(cycles, p, shots, seed):
+    """Per-cycle work totals of a Szilard engine run without the reset, shot by shot.
+
+    Each shot keeps its own memory bit, starting blank. A cycle wins one unit
+    on a blank record and loses one on a set one; then the fresh particle,
+    with probability p a fair coin and otherwise 0, is XORed into the record.
+    Seeded numpy PCG64, two draws per shot per cycle.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    memory = np.zeros(shots, dtype=np.int8)
+    totals = []
+    for _ in range(cycles):
+        totals.append(shots - 2 * int(np.count_nonzero(memory)))
+        hit = rng.random(shots) < p
+        coin = rng.integers(0, 2, shots, dtype=np.int8)
+        np.bitwise_xor(memory, coin, out=memory, where=hit)
+    return totals

@@ -87,10 +87,19 @@ class TestStates:
             ket[index] = 1.0
             np.testing.assert_array_equal(qmath.basis_state(n, index).mat, oracle.density(ket))
 
-    @pytest.mark.parametrize("build", [qmath.basis_state, qmath.maximally_mixed])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda n: qmath.basis_state(n).mat,
+            lambda n: qmath.maximally_mixed(n).mat,
+            lambda n: DensityMatrix(np.eye(2 ** n) / 2 ** n).mat,
+            lambda n: qmath.embed_operator(np.eye(2), [0], n),
+        ],
+        ids=["basis_state", "maximally_mixed", "DensityMatrix", "embed_operator"],
+    )
     def test_register_ceiling(self, build):
-        """Seven qubits used to build a state that no other entry point accepts."""
-        assert build(qmath.MAX_QUBITS).n == 6
+        """Seven qubits used to build a state or lift that no other entry point accepts."""
+        assert build(qmath.MAX_QUBITS).shape == (64, 64)
         with pytest.raises(TooManyQubits, match="7 qubits exceeds the limit of 6"):
             build(7)
 
@@ -321,6 +330,10 @@ class TestEntropy:
     def test_three_quarters_split(self):
         got = vn_entropy_bits(dm([[0.75, 0], [0, 0.25]]))
         assert got == pytest.approx(0.8112781244591328, abs=1e-9)
+
+    def test_eigenvalues_at_the_floor_add_nothing(self):
+        # Counted, the 1e-13 eigenvalue alone would add about 4.3e-12 bits.
+        assert vn_entropy_bits(dm(np.diag([1 - 1e-13, 1e-13]))) < qmath.ENTROPY_EIG_FLOOR
 
     def test_unitary_invariance(self):
         rng = np.random.default_rng(13)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -356,21 +357,21 @@ class TestTrajectorySampling:
         b = run_cycles(SzilardConfig(cycles=3, skip_reset=True), shots=200, seed=9)
         assert [r.sampled_work for r in a] == [r.sampled_work for r in b]
 
-    # Totals recorded from the sampler that built a per-shot int64 work array;
-    # the seed 1 and 2 rows from the one that also drew coins with the reset on.
+    # Totals with the reset on recorded from the sampler that built a per-shot
+    # int64 work array; those without it from the set-bit count chain.
     @pytest.mark.parametrize(
         "seed, skip_reset, p, totals",
         [
-            (5, True, 1.0, [1000, 28, -48, -52, 0, 0]),
-            (5, True, 0.3, [1000, 708, 494, 350, 284, 194]),
+            (5, True, 1.0, [1000, -30, -40, 0, -18, -64]),
+            (5, True, 0.3, [1000, 676, 450, 318, 186, 132]),
             (5, False, 0.7, [1000] * 6),
-            (2024, True, 1.0, [1000, -10, -60, 2, -36, -44]),
-            (2024, True, 0.3, [1000, 686, 506, 338, 258, 190]),
+            (2024, True, 1.0, [1000, -48, -12, 6, 2, 22]),
+            (2024, True, 0.3, [1000, 720, 494, 358, 278, 198]),
             (2024, False, 0.7, [1000] * 6),
-            (1, True, 1.0, [1000, 0, 32, -10, -58, 34]),
-            (1, True, 0.5, [1000, 490, 228, 118, -20, 28]),
-            (2, True, 1.0, [1000, -8, -64, 14, 8, 12]),
-            (2, True, 0.5, [1000, 494, 176, 40, 90, 42]),
+            (1, True, 1.0, [1000, 14, -34, -24, 0, 8]),
+            (1, True, 0.5, [1000, 508, 236, 102, 42, 12]),
+            (2, True, 1.0, [1000, -4, -2, 20, 30, -50]),
+            (2, True, 0.5, [1000, 494, 254, 142, 36, -20]),
         ],
     )
     def test_pinned_totals(self, seed, skip_reset, p, totals):
@@ -388,18 +389,77 @@ class TestTrajectorySampling:
         assert [r.sampled_work for r in records] == [2500] * 40
 
     def test_memory_per_shot(self):
-        # ~12 bytes per shot: a float64 draw plus one-byte flags and memory.
+        # A per-shot sampler would hold tens of megabytes at this shot count.
         tracemalloc.start()
         try:
-            run_cycles(SzilardConfig(cycles=3, skip_reset=True), shots=1_000_000, seed=1)
+            run_cycles(SzilardConfig(cycles=3, skip_reset=True), shots=10_000_000, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16e6
+        assert peak < 1e6
 
     def test_exact_mode_leaves_samples_unset(self):
         records = run_cycles(SzilardConfig(cycles=1))
         assert records[0].sampled_work is None
+
+
+def chi_square(observed, expected) -> float:
+    observed = np.asarray(observed, dtype=float)
+    expected = np.asarray(expected, dtype=float)
+    assert expected.min() >= 5  # the statistic's chi-square law needs full bins
+    return float(np.sum((observed - expected) ** 2 / expected))
+
+
+def set_bits(totals, shots):
+    """Set memory bits behind each cycle's total, which is shots - 2N."""
+    return (shots - np.asarray(totals)) // 2
+
+
+class TestTrajectoryLaw:
+    """The count sampler against the law of independent per-shot memories.
+
+    Seeds are fixed, so each statistic is a fixed number; the thresholds are
+    chi-square 0.999 quantiles for the bins' degrees of freedom.
+    """
+
+    SEEDS = range(4000)
+
+    @pytest.mark.parametrize("p", [1.0, 0.7, 0.5])
+    def test_each_cycle_is_binomial(self, p):
+        # A shot's bit is set at cycle k with probability (1 - (1 - p)^(k-1)) / 2,
+        # independently of the other shots.
+        shots, cycles = 4, 5
+        cfg = SzilardConfig(cycles=cycles, skip_reset=True, depolarize_p=p)
+        counts = np.array(
+            [set_bits(szilard._sample_trajectories(cfg, shots, seed), shots) for seed in self.SEEDS]
+        )
+        assert (counts[:, 0] == 0).all()
+        for k in range(2, cycles + 1):
+            q = (1 - (1 - p) ** (k - 1)) / 2
+            law = [math.comb(shots, n) * q ** n * (1 - q) ** (shots - n) for n in range(shots + 1)]
+            observed = np.bincount(counts[:, k - 1], minlength=shots + 1)
+            assert chi_square(observed, len(self.SEEDS) * np.array(law)) < 18.47  # 4 dof
+
+    def test_consecutive_cycles_match_the_per_shot_oracle(self):
+        # At p < 1 a cycle's count depends on the one before; compare the joint
+        # law of cycles 2 and 3 with the per-shot sampler's (homogeneity test).
+        shots, p = 2, 0.5
+        cfg = SzilardConfig(cycles=3, skip_reset=True, depolarize_p=p)
+        tables = []
+        for totals_of in (
+            lambda seed: szilard._sample_trajectories(cfg, shots, seed),
+            lambda seed: oracle.stale_engine_totals(3, p, shots, 10**6 + seed),
+        ):
+            pairs = np.array([set_bits(totals_of(seed), shots)[1:] for seed in self.SEEDS])
+            tables.append(np.bincount(pairs[:, 0] * (shots + 1) + pairs[:, 1], minlength=9))
+        table = np.array(tables)
+        expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
+        assert chi_square(table, expected) < 26.12  # (2 - 1) x (9 - 1) dof
+
+    def test_oracle_is_the_retired_per_shot_sampler(self):
+        # Totals the package's per-shot sampler drew, pinned before it was retired.
+        assert oracle.stale_engine_totals(6, 1.0, 1000, 5) == [1000, 28, -48, -52, 0, 0]
+        assert oracle.stale_engine_totals(6, 0.5, 1000, 2) == [1000, 494, 176, 40, 90, 42]
 
 
 class TestConfig:
