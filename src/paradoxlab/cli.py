@@ -1,9 +1,16 @@
 """Command-line front end for the lab's experiments.
 
 Every subcommand computes a JSON-ready payload once and renders it as an
-aligned table, CSV, or indented JSON. Floating-point output is rounded to
-nine significant digits (six in tables) before rendering so that repeated
-invocations with the same arguments produce byte-identical text.
+aligned table, CSV, or indented JSON, so that repeated invocations with the
+same arguments produce byte-identical text:
+
+- JSON is ``json.dumps(payload, indent=2)``, plus a final newline, of the
+  payload with every float rounded to nine significant digits (the nearest
+  float to that decimal, written by ``float.__repr__``; ``NaN``,
+  ``Infinity`` and ``-Infinity`` for non-finite ones), written in one pass.
+- Any float below 1e-12 in magnitude prints as zero (``0``; ``0.0`` in JSON).
+- A table cell is the six-significant-digit form of its value
+  (``f"{v:.6g}"``), a CSV cell the nine-significant-digit form.
 
 Exit codes: 0 on success, 1 when a numerical procedure fails to converge
 or an audit reports a violation, 2 for usage errors.
@@ -179,36 +186,76 @@ def _round_float(value: float, sig: int = _JSON_SIG) -> float:
     return float(f"{value:.{sig}g}")
 
 
-def _json_ready(value):
-    if isinstance(value, dict):
-        return {str(k): _json_ready(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_ready(v) for v in value]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return _round_float(value)
-    return value
-
-
 def _cell(value, sig: int) -> str:
+    # One format, no round trip: a decimal of at most 15 significant digits
+    # reads back as a float that formats to the same digits.
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+        return "0" if abs(value) < _DISPLAY_FLOOR else f"{value:.{sig}g}"
     if value is None:
         return ""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{_round_float(value, sig):.{sig}g}"
     if isinstance(value, tuple):
-        return " ".join(_cell(v, sig) for v in value)
+        return " ".join([_cell(v, sig) for v in value])
     return str(value)
 
 
+# json's spelling of the three floats that have no JSON literal.
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_json_string = json.encoder.encode_basestring_ascii
+
+
+def _write_json(value, newline: str, parts: List[str]) -> None:
+    """Append ``value``'s JSON text to ``parts``, rounding each float as it
+    goes; ``newline`` is the line break and indent of ``value``'s own line."""
+    if isinstance(value, (float, np.floating)):
+        text = repr(_round_float(value))
+        parts.append(_JSON_NON_FINITE.get(text, text))
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        # Keys are read as str first, so keys that collide merge as a dict would.
+        for key, item in {str(k): v for k, v in value.items()}.items():
+            parts.append(sep + _json_string(key) + ": ")
+            _write_json(item, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            parts.append(sep)
+            _write_json(item, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "]")
+    elif isinstance(value, str):
+        parts.append(_json_string(value))
+    elif isinstance(value, (bool, np.bool_)):
+        parts.append("true" if value else "false")
+    elif isinstance(value, (int, np.integer)):
+        parts.append(str(int(value)))
+    elif value is None:
+        parts.append("null")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _render_json(payload) -> str:
-    return json.dumps(_json_ready(payload), indent=2) + "\n"
+    """``json.dumps(payload, indent=2)`` of the payload with every float
+    rounded to nine significant digits, in one pass."""
+    parts: List[str] = []
+    _write_json(payload, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
 
 
 def _render_table(headers: Sequence[str], rows: Sequence[Row]) -> str:

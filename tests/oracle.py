@@ -6,6 +6,7 @@ Little-endian convention throughout: qubit 0 is the least significant
 bit of a basis index, so it sits rightmost in a kron chain.
 """
 
+import math
 from functools import reduce
 
 import numpy as np
@@ -183,3 +184,30 @@ def stale_engine_totals(cycles, p, shots, seed):
         coin = rng.integers(0, 2, shots, dtype=np.int8)
         np.bitwise_xor(memory, coin, out=memory, where=hit)
     return totals
+
+
+def round_float(value, sig=9):
+    """The CLI's rounding: non-finite as is, below 1e-12 in magnitude to 0.0,
+    else the nearest float to ``value``'s ``sig``-significant-digit decimal."""
+    value = float(value)
+    if not math.isfinite(value):
+        return value
+    if abs(value) < 1e-12:
+        return 0.0
+    return float(f"{value:.{sig}g}")
+
+
+def json_ready(value):
+    """A CLI payload as plain JSON types, every float rounded: the reference
+    for ``json.dumps(json_ready(payload), indent=2) + "\\n"``."""
+    if isinstance(value, dict):
+        return {str(k): json_ready(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [json_ready(v) for v in value]
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return round_float(value)
+    return value

@@ -114,9 +114,13 @@ class TestParse:
             parse(command + ["--shots", "10000001"])
         assert "--shots" in str(err.value)
 
-    def test_largest_engine_request_accepted(self):
-        inv = parse(["szilard", "--cycles", "1000", "--shots", "100000"])
-        assert inv.cycles * inv.shots == 100_000_000
+    def test_largest_engine_request_is_both_caps(self, capsys):
+        inv = parse(["szilard", "--cycles", "1000", "--shots", "10000000"])
+        assert (inv.cycles, inv.shots) == (cli.MAX_CYCLES, cli.MAX_SHOTS) == (1000, 10_000_000)
+        # One step past either cap, with the other at its largest, is refused.
+        assert main(["szilard", "--cycles", "1001", "--shots", "10000000"]) == 2
+        assert main(["szilard", "--cycles", "1000", "--shots", "10000001"]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_parses_share_no_state(self):
         first = parse(["szilard", "--cycles", "3", "--skip-reset", "--shots", "10"])
