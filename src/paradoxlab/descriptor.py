@@ -10,12 +10,14 @@ operator, so a qubit costs two half-depth products.
 
 Where a gate does not touch a qubit, its images must stay put; the
 locality audit checks exactly that, numerically, with no shortcuts. A
-step computes only the images it compares: those of the qubits off its
-support, before and after it. It compares M - M^dag in place of Y, whose
-entries are the same numbers swapped and negated. An after-image serves
-as the next step's before-image; one the previous step did not compute,
-because its gate touched that qubit, is computed from the previous
-prefix, so no image is computed twice.
+step computes only the products of the qubits off its support, before
+and after it, and keeps them raw: M and S = (A - B)^dag (A + B). From
+their changes dM and dS it builds the three image changes dM + dM^dag,
+dA = dM - dM^dag and dS - dA, of X, of M - M^dag (whose entries are Y's,
+swapped and negated) and of Z, and compares every entry of each. An
+after-pair serves as the next step's before-pair; one the previous step
+did not compute, because its gate touched that qubit, is computed from
+the previous prefix, so no pair is computed twice.
 """
 
 from __future__ import annotations
@@ -40,24 +42,35 @@ AXES = ("x", "y", "z")
 
 
 def _parts(prefix: np.ndarray, q: int) -> tuple:
-    """Qubit ``q``'s (X, M - M^dag, Z) under ``prefix``, from two half-depth products."""
+    """Qubit ``q``'s products (M, S) = (A^dag B, (A - B)^dag (A + B)) under ``prefix``."""
     d = prefix.shape[0]
     # A row index splits into (bits above q, bit q, bits below q).
     halves = prefix.reshape(-1, 2, 2 ** q, d)
     a, b = (halves[:, k].reshape(d // 2, d) for k in (0, 1))
-    m = a.conj().T @ b
-    mdag = m.conj().T
-    anti = m - mdag
-    return m + mdag, anti, (a - b).conj().T @ (a + b) - anti
+    return a.conj().T @ b, (a - b).conj().T @ (a + b)
 
 
 def _images(prefix: np.ndarray, qubits: Iterable[int]) -> tuple:
     """Per qubit in ``qubits``: its bare (x, y, z) Paulis conjugated by ``prefix``."""
     out = []
     for q in qubits:
-        x, anti, z = _parts(prefix, q)
-        out.append((x, -1j * anti, z))
+        m, s = _parts(prefix, q)
+        mdag = m.conj().T
+        anti = m - mdag
+        out.append((m + mdag, -1j * anti, s - anti))
     return tuple(out)
+
+
+def _drift(was: tuple, now: tuple) -> list:
+    """The largest entry change of X, M - M^dag and Z between two (M, S) pairs."""
+    dm = now[0] - was[0]
+    # One transposing pass, so the sum and difference read both operands in order.
+    dmdag = np.conjugate(dm.T, order="C")
+    danti = dm - dmdag
+    dz = now[1] - was[1]
+    dz -= danti
+    dm += dmdag
+    return [abs(dm).max(), abs(danti).max(), abs(dz).max()]
 
 
 def advance(prefix: np.ndarray, instr: Instruction) -> np.ndarray:
@@ -83,8 +96,10 @@ class AuditReport:
 def locality_audit(c: Circuit) -> AuditReport:
     """Advance the prefix unitary through ``c`` and bound the off-support drift per step.
 
-    A step whose drift is not finite fails.
+    A step whose drift is not finite fails; anything but a ``Circuit``
+    raises ``BadParams``.
     """
+    _require_circuit(c, "locality_audit")
     prefix = np.eye(2 ** c.n_qubits, dtype=complex)
     before: Dict[int, tuple] = {}
     steps: List[AuditStep] = []
@@ -95,12 +110,17 @@ def locality_audit(c: Circuit) -> AuditReport:
         drifts = [0.0]
         for q in off:
             was = before[q] if q in before else _parts(prefix, q)
-            drifts += [abs(a - b).max() for b, a in zip(was, now[q])]
+            drifts += _drift(was, now[q])
         # np.max, unlike the builtin max, keeps a NaN.
         delta = float(np.max(drifts))
         steps.append(AuditStep(i, delta, delta <= LOCALITY_ATOL))
         before, prefix = now, after
     return AuditReport(tuple(steps), all(s.ok for s in steps))
+
+
+def _require_circuit(c, what: str) -> None:
+    if not isinstance(c, Circuit):
+        raise BadParams(f"{what} needs a Circuit, not {type(c).__name__}")
 
 
 def _shape_signature(c: Circuit) -> list:
@@ -116,10 +136,13 @@ def dependence_probe(
     """Compare one qubit's evolved triple under two parameter values.
 
     ``build`` must return circuits of identical shape (same ops, kinds
-    and targets) for both values; only gate angles may differ. A
-    difference that is not finite raises ``InvalidState``.
+    and targets) for both values; only gate angles may differ, and
+    anything but a ``Circuit`` raises ``BadParams``. A difference that
+    is not finite raises ``InvalidState``.
     """
     circuits = [build(float(v)) for v in (value_a, value_b)]
+    for c in circuits:
+        _require_circuit(c, "dependence_probe's build")
     if circuits[0].n_qubits != circuits[1].n_qubits or _shape_signature(
         circuits[0]
     ) != _shape_signature(circuits[1]):
@@ -143,7 +166,8 @@ def expectation(
 
     ``observable`` maps qubit index to one of 'x', 'y', 'z'; the value is
     Re tr(rho O) for the state ``initial`` and the product O of the named
-    qubits' images under the prefix unitary, pure or mixed alike.
+    qubits' images under the prefix unitary, pure or mixed alike. A value
+    that is not finite raises ``InvalidState``.
     """
     if not observable:
         raise BadParams("observable must name at least one qubit")
@@ -160,6 +184,8 @@ def expectation(
             raise BadParams(f"axis {ax!r} is not one of x, y, z")
         op = op @ _images(prefix, [q])[0][AXES.index(ax)]
     val = complex(np.trace(initial.mat @ op))
+    if not np.isfinite(val):
+        raise InvalidState(f"observable expectation is {val}")
     if abs(val.imag) > qmath.EXPECTATION_IMAG_ATOL:
         raise BadParams(f"observable expectation has imaginary residue {val.imag}")
     return float(val.real)

@@ -13,6 +13,7 @@ from paradoxlab.circuit import Circuit, circuit_unitary, run_density
 from paradoxlab.descriptor import (
     AXES,
     AuditStep,
+    _drift,
     _images,
     _parts,
     advance,
@@ -43,6 +44,17 @@ def advance_all(circuit: Circuit) -> np.ndarray:
 def triples(prefix: np.ndarray) -> tuple:
     """Every qubit's (x, y, z) images under ``prefix``."""
     return _images(prefix, range(prefix.shape[0].bit_length() - 1))
+
+
+def rotation(axis: str, theta: float) -> np.ndarray:
+    """exp(-i theta sigma / 2) for the Pauli sigma named by ``axis``."""
+    return np.cos(theta / 2) * oracle.I2 - 1j * np.sin(theta / 2) * PAULIS[axis]
+
+
+def assemble(m: np.ndarray, s: np.ndarray) -> tuple:
+    """The (x, y, z) images of the raw pair M = A^dag B, S = (A - B)^dag (A + B)."""
+    anti = m - m.conj().T
+    return m + m.conj().T, -1j * anti, s - anti
 
 
 def kernel_images(prefix: np.ndarray, q: int) -> list:
@@ -160,7 +172,10 @@ class TestPauliImages:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_y_is_minus_i_times_the_antihermitian_part(self, n):
-        """The audit compares M - M^dag for Y; their differences' moduli agree bit for bit."""
+        """The raw pair is (A^dag B, (A - B)^dag (A + B)) of the row-gathered halves.
+
+        The audit compares M - M^dag for Y; their differences' moduli agree bit for bit.
+        """
         rng = np.random.default_rng(740 + n)
         prefixes = [oracle.random_unitary(2 ** n, rng) for _ in range(2)]
         rows = np.arange(2 ** n)
@@ -168,9 +183,10 @@ class TestPauliImages:
             antis = []
             for prefix in prefixes:
                 a, b = (prefix[rows[(rows >> q & 1) == bit]] for bit in (0, 1))
-                m = a.conj().T @ b
+                m, s = _parts(prefix, q)
+                assert m.tobytes() == (a.conj().T @ b).tobytes()
+                assert s.tobytes() == ((a - b).conj().T @ (a + b)).tobytes()
                 antis.append(m - m.conj().T)
-                assert _parts(prefix, q)[1].tobytes() == antis[-1].tobytes()
                 assert _images(prefix, [q])[0][1].tobytes() == (-1j * antis[-1]).tobytes()
             ys = [_images(prefix, [q])[0][1] for prefix in prefixes]
             assert np.abs(ys[1] - ys[0]).tobytes() == np.abs(antis[1] - antis[0]).tobytes()
@@ -199,30 +215,36 @@ def assert_audit_matches_kernel(n: int, seed: int, circuits: int) -> None:
         )
 
 
-def assert_drift_caught(monkeypatch, c: Circuit, drift_step: int) -> None:
-    """Qubit 3 of ``c`` drifts by RX(1e-6) at ``drift_step``; that step alone must fail."""
-    theta, drifted = 1e-6, 3
+def assert_drift_caught(
+    monkeypatch, c: Circuit, drift_step: int, drifted: int = 3, axis: str = "x"
+) -> None:
+    """Qubit ``drifted`` of ``c`` turns by 1e-6 about ``axis`` at ``drift_step``.
+
+    That step alone must fail.
+    """
+    theta, n = 1e-6, c.n_qubits
     assert drifted not in c.instructions[drift_step].targets
-    rotation = oracle.lift(oracle.rx(theta), [drifted], 4)
+    turn = oracle.lift(rotation(axis, theta), [drifted], n)
     calls = []
 
     def drifting_advance(prefix, instr):
         after = advance(prefix, instr)
         calls.append(after)
         if len(calls) - 1 == drift_step:
-            return rotation @ after
+            return turn @ after
         return after
 
     monkeypatch.setattr(descriptor, "advance", drifting_advance)
     report = locality_audit(c)
-    # Only qubit 3's y and z images move: RX commutes with X.
+    # Only the drifted qubit's images of the other two axes move: the turn commutes with its own.
     clean = calls[drift_step]
     want = max(
-        float(np.max(np.abs(clean.conj().T @ (rotation.conj().T @ p @ rotation - p) @ clean)))
-        for p in (oracle.lift(PAULIS[ax], [drifted], 4) for ax in "yz")
+        float(np.max(np.abs(clean.conj().T @ (turn.conj().T @ p @ turn - p) @ clean)))
+        for p in (oracle.lift(PAULIS[ax], [drifted], n) for ax in AXES if ax != axis)
     )
-    # Its largest entry lies between its norm, 2 sin(theta / 2), and that norm over sqrt(16).
-    assert theta / 4 * (1 - 1e-9) <= want <= theta * (1 + 1e-9)
+    # Each change is its norm, 2 sin(theta / 2), times a unitary, whose columns have unit
+    # length: its largest entry lies between that norm and the norm over sqrt(2^n).
+    assert theta / math.sqrt(2 ** n) * (1 - 1e-9) <= want <= theta * (1 + 1e-9)
     step = report.steps[drift_step]
     assert step.ok is False
     assert step.max_offsupport_delta == pytest.approx(want, rel=1e-6)
@@ -280,6 +302,33 @@ class TestLocalityAudit:
         assert 3 in c.instructions[3].targets
         assert_drift_caught(monkeypatch, c, drift_step=4)
 
+    @pytest.mark.parametrize("axis", AXES)
+    @pytest.mark.parametrize("drifted", range(6))
+    def test_drift_caught_on_every_qubit_of_six(self, monkeypatch, drifted, axis):
+        """Qubits 0-4 gather strided row halves, qubit 5 reads contiguous ones."""
+        rng = np.random.default_rng(415 + drifted)
+        head, tail = (util.random_unitary_circuit(6, 3, rng) for _ in range(2))
+        others = [q for q in range(6) if q != drifted]
+        c = Circuit(6, 0, head.instructions).cx(others[0], others[-1])
+        c = Circuit(6, 0, [*c.instructions, *tail.instructions])
+        assert_drift_caught(monkeypatch, c, drift_step=3, drifted=drifted, axis=axis)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_drift_equals_oracle_image_change_on_haar_pairs(self, n):
+        """Per qubit, the drift is the largest entry change of U^dag sigma U over the three axes."""
+        rng = np.random.default_rng(770 + n)
+        for _ in range(2):
+            u = oracle.random_unitary(2 ** n, rng)
+            near = oracle.lift(oracle.rx(1e-7), [int(rng.integers(n))], n) @ u
+            for v in (oracle.random_unitary(2 ** n, rng), near):
+                for q in range(n):
+                    want = max(
+                        float(np.max(np.abs(v.conj().T @ p @ v - u.conj().T @ p @ u)))
+                        for p in (oracle.lift(PAULIS[ax], [q], n) for ax in AXES)
+                    )
+                    got = float(np.max(_drift(_parts(u, q), _parts(v, q))))
+                    assert got == pytest.approx(want, rel=0, abs=1e-12)
+
     def test_non_finite_drift_fails(self, monkeypatch):
         """A NaN difference fails its step; it must not drop out of the maximum."""
 
@@ -313,12 +362,19 @@ class TestLocalityAudit:
 
     @pytest.mark.parametrize("image", range(3))
     def test_drift_in_any_one_image_caught(self, monkeypatch, image):
-        """X, M - M^dag and Z are each compared: a shift of one image alone fails its step."""
-        eps = 1e-6
+        """X, Y and Z are each compared: a raw-pair shift moving one alone fails its step."""
+        eps, ones = 1e-6, np.ones((8, 8))
+        # A Hermitian shift of M moves X alone. An anti-Hermitian one moves Y, and Z
+        # unless S takes the same shift as M - M^dag. A shift of S moves Z alone.
+        dm, ds = [(eps / 2 * ones, 0), (0.5j * eps * ones, 1j * eps * ones), (0, eps * ones)][image]
+        m, s = _parts(oracle.random_unitary(8, np.random.default_rng(414)), 2)
+        moved = [np.abs(a - b).max() for a, b in zip(assemble(m + dm, s + ds), assemble(m, s))]
+        assert moved[image] == pytest.approx(eps, rel=1e-9)
+        assert max(moved[:image] + moved[image + 1:]) <= 1e-15
 
         def shift(k, q, parts):
-            # Qubit 2's images after the CNOT; the X gate that follows touches qubit 2.
-            return tuple(p + eps if (k, q, i) == (2, 2, image) else p for i, p in enumerate(parts))
+            # Qubit 2's pair after the CNOT; the X gate that follows touches qubit 2.
+            return (parts[0] + dm, parts[1] + ds) if (k, q) == (2, 2) else parts
 
         report, _ = recorded_audit(monkeypatch, Circuit(3).h(0).cx(0, 1).x(2).rx(0.4, 1), shift)
         assert report.steps[1].max_offsupport_delta == pytest.approx(eps, rel=1e-9)

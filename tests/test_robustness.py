@@ -113,6 +113,15 @@ BAD_CALLS = {
         lambda: descriptor.expectation(np.eye(2), {0: "z"}, np.eye(2) / 2),
         InvalidState,
     ),
+    "expectation under a NaN prefix": (
+        lambda: descriptor.expectation(np.full((4, 4), np.nan), {0: "z"}, basis_state(2)),
+        InvalidState,
+    ),
+    "audit of a string": (lambda: descriptor.locality_audit("x"), BadParams),
+    "probe of a build that returns a string": (
+        lambda: descriptor.dependence_probe(lambda t: "x", 0, 0.3, 1.1),
+        BadParams,
+    ),
     "partial trace of an array": (lambda: partial_trace(np.eye(4) / 4, [0]), InvalidState),
     "entropy of an array": (lambda: vn_entropy_bits(np.eye(2) / 2), InvalidState),
     "work in an array": (lambda: szilard.work_expectation(np.eye(4) / 4), InvalidState),
