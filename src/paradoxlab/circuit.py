@@ -17,15 +17,12 @@ import numpy as np
 from .errors import (
     BadParams,
     BadTargets,
-    DimensionMismatch,
     InvalidCircuit,
-    NonUnitary,
     NonUnitaryInstruction,
-    TooManyQubits,
     UnknownKind,
 )
 from . import qmath
-from .qmath import MAX_QUBITS, DensityMatrix
+from .qmath import DensityMatrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,12 +34,7 @@ class Gate:
     theta: Optional[float] = None
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatch(f"{self.kind} matrix of shape {m.shape} is not square")
-        qmath._qubit_count(m.shape[0], f"{self.kind} matrix")
-        if not qmath.is_unitary(m):
-            raise NonUnitary(f"{self.kind} matrix fails the unitarity check")
+        m = qmath._unitary(self.matrix, f"{self.kind} matrix")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -138,10 +130,9 @@ class Circuit:
     def __init__(self, n_qubits: int, n_clbits: int = 0, instructions: Iterable = ()):
         self._n_qubits = qmath._whole(n_qubits, "n_qubits")
         self._n_clbits = qmath._whole(n_clbits, "n_clbits")
-        if self._n_qubits > MAX_QUBITS:
-            raise TooManyQubits(f"{self._n_qubits} qubits exceeds the limit of {MAX_QUBITS}")
         if self._n_qubits < 1:
             raise InvalidCircuit("circuit needs at least one qubit")
+        qmath._register(self._n_qubits)
         if self._n_clbits < 0:
             raise InvalidCircuit("circuit needs a non-negative clbit count")
         self._instructions = []
@@ -333,7 +324,7 @@ def sample(result: RunResult, shots: int, seed: int = 0) -> dict:
     Uses numpy's PCG64 generator, seeded explicitly, so identical
     invocations reproduce identical counts on any platform.
     """
-    qmath._nonnegative_int(shots, "shots")
+    qmath._shots(shots)
     qmath._nonnegative_int(seed, "seed")
     keys = sorted(result.distribution)
     probs = np.array([result.distribution[k] for k in keys])

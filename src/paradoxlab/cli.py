@@ -35,7 +35,7 @@ from . import ctc, epr, szilard
 from .circuit import Circuit, sample
 from .descriptor import locality_audit
 from .errors import NoConvergence, ParadoxLabError, UsageError
-from .qmath import SOLVE_TOL, load_unitary, matrix_to_entries
+from .qmath import MAX_SHOTS, SOLVE_TOL, load_unitary, matrix_to_entries
 
 _JSON_SIG = 9
 _TABLE_SIG = 6
@@ -44,9 +44,6 @@ _DISPLAY_FLOOR = SOLVE_TOL
 # Largest `epr sweep` grid (256 x 256): every row is held and rendered at
 # once, so a larger grid is refused before anything is allocated.
 MAX_SWEEP_POINTS = 65536
-# Largest --shots: it keeps every count far inside the int64 range of numpy's
-# binomial and multinomial draws; sampling costs the same at any shot count.
-MAX_SHOTS = 10_000_000
 # Largest `szilard --cycles`: a repeated memory reuses its record, so rendering
 # and sampling, not the exact ledger, grow with the cycle count.
 MAX_CYCLES = 1000
@@ -392,15 +389,9 @@ def _input_file(flag: str):
 
 
 def _cmd_ctc_solve(inv: argparse.Namespace):
+    system = None if inv.system_state is None else ctc.state_from_label(inv.system_state)
     with _input_file("--unitary"):
-        u = load_unitary(inv.unitary)
-    system = None
-    if inv.system_state is not None:
-        if u.shape[0] < 4:
-            raise UsageError("--system-state: the unitary must act on at least two qubits")
-        system = ctc.state_from_label(inv.system_state)
-    with _input_file("--unitary"):
-        problem = ctc.CtcProblem(u, system)
+        problem = ctc.CtcProblem(load_unitary(inv.unitary), system)
     return _ctc_report(problem, inv.tol)
 
 

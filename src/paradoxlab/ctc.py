@@ -20,23 +20,20 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .circuit import MAX_QUBITS, Circuit, circuit_unitary, make_gate
+from .circuit import Circuit, circuit_unitary, make_gate
 from .errors import (
     BadLabel,
     BadParams,
     DimensionMismatch,
     NoConvergence,
-    NonUnitary,
-    TooManyQubits,
 )
 from .qmath import (
     OUTCOME_FLOOR,
     SOLVE_TOL,
     DensityMatrix,
-    _qubit_count,
     _require_state,
+    _unitary,
     adjoint,
-    is_unitary,
     maximally_mixed,
     trace_distance,
     vn_entropy_bits,
@@ -77,21 +74,15 @@ class CtcProblem:
     n_loop: int = field(init=False)
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=complex)
-        if u.ndim != 2 or u.shape[0] != u.shape[1]:
-            raise DimensionMismatch(f"interaction of shape {u.shape} is not square")
-        n_total = _qubit_count(u.shape[0], "interaction")
-        if n_total > MAX_QUBITS:
-            raise TooManyQubits(f"problem has {n_total} qubits, limit is {MAX_QUBITS}")
+        u = _unitary(self.u, "interaction")
+        n_total = u.shape[0].bit_length() - 1
         n_sys = 0
         if self.system_state is not None:
             _require_state(self.system_state, "system state")
             n_sys = self.system_state.n
         if n_total <= n_sys:
             raise BadParams(f"a {n_total}-qubit interaction leaves no loop qubit")
-        if not is_unitary(u):
-            raise NonUnitary("interaction matrix is not unitary within tolerance")
-        object.__setattr__(self, "u", u.copy())
+        object.__setattr__(self, "u", u)
         object.__setattr__(self, "n_sys", n_sys)
         object.__setattr__(self, "n_loop", n_total - n_sys)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, NamedTuple, Sequence
 
@@ -48,7 +49,7 @@ class EprConfig:
     def __post_init__(self):
         for name, value in (("theta", self.theta), ("phi", self.phi)):
             real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not real or not math.isfinite(value):
+            if not real or not abs(value) <= sys.float_info.max:
                 raise BadParams(f"{name} must be a finite real, got {value!r}")
         if not isinstance(self.deferred, bool):
             raise BadParams(f"deferred must be a bool, got {self.deferred!r}")

@@ -43,6 +43,9 @@ DEPENDENCE_ATOL = 1e-9  # Pauli images further apart than this depend on the par
 EXPECTATION_IMAG_ATOL = 1e-9  # largest imaginary part of a Pauli-product expectation
 SOLVE_TOL = 1e-12  # default loop fixed-point residual; smaller magnitudes print as 0
 OUTCOME_FLOOR = 1e-12  # loop readout probabilities at or below this are dropped
+# Largest shot count: it keeps every count far inside the int64 range of numpy's
+# binomial and multinomial draws; sampling costs the same at any shot count.
+MAX_SHOTS = 10_000_000
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:
@@ -65,6 +68,19 @@ def _qubit_count(dim: int, what: str) -> int:
     if dim <= 0 or 2 ** n != dim:
         raise DimensionMismatch(f"{what} dimension {dim} is not a power of two")
     return n
+
+
+def _unitary(m, what: str) -> np.ndarray:
+    """A complex copy of ``m``, refused unless it is a square unitary on at most
+    ``MAX_QUBITS`` qubits: the one intake check for gates, loop interactions
+    and matrix files. The size is checked before the d x d unitarity product."""
+    m = np.array(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionMismatch(f"{what} of shape {m.shape} is not square")
+    _register(_qubit_count(m.shape[0], what))
+    if not is_unitary(m):
+        raise NonUnitary(f"{what} fails the unitarity check")
+    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,6 +342,13 @@ def _nonnegative_int(value, what: str) -> None:
         raise BadParams(f"{what} must be a non-negative integer, got {value!r}")
 
 
+def _shots(value) -> None:
+    """Refuse a shot count that is not a non-negative ``int`` at most ``MAX_SHOTS``."""
+    _nonnegative_int(value, "shots")
+    if value > MAX_SHOTS:
+        raise BadParams(f"{value} shots exceeds the limit of {MAX_SHOTS}")
+
+
 def _finite(value, what: str):
     """An angle or matrix entry: a finite real (numpy's too), never a bool or string."""
     # One comparison refuses NaN, infinities and ints too large for a float;
@@ -356,17 +379,15 @@ def entries_to_matrix(dim: int, entries: Sequence[Sequence[float]]) -> np.ndarra
 
 
 def save_unitary(path: str, m: np.ndarray) -> None:
-    m = np.asarray(m, dtype=complex)
-    if not is_unitary(m):
-        raise NonUnitary("refusing to save a non-unitary matrix")
-    _qubit_count(m.shape[0], "matrix")
+    m = _unitary(m, "matrix")
     payload = {"dim": int(m.shape[0]), "entries": matrix_to_entries(m)}
     with open(path, "w") as fh:
         json.dump(payload, fh)
 
 
 def load_unitary(path: str) -> np.ndarray:
-    """Read a matrix file; its dimension must be a power of two and the matrix unitary."""
+    """Read a matrix file; its dimension must be a power of two, at most 2^MAX_QUBITS,
+    and the matrix unitary. The dimension is checked before any entry is read."""
     with open(path) as fh:
         data = json.load(fh)
     try:
@@ -374,8 +395,5 @@ def load_unitary(path: str) -> np.ndarray:
         entries = data["entries"]
     except (KeyError, TypeError) as exc:
         raise DimensionMismatch(f"malformed matrix file: {exc}") from exc
-    _qubit_count(dim, "matrix")
-    m = entries_to_matrix(dim, entries)
-    if not is_unitary(m):
-        raise NonUnitary(f"matrix in {path} fails the unitarity check")
-    return m
+    _register(_qubit_count(dim, "matrix"))
+    return _unitary(entries_to_matrix(dim, entries), f"matrix in {path}")

@@ -45,6 +45,7 @@ from .qmath import (
     _nonnegative_int,
     _partial_trace,
     _require_state,
+    _shots,
     _vn_entropy_bits,
     basis_state,
 )
@@ -257,7 +258,7 @@ def run_cycles(cfg: SzilardConfig, shots: int = 0, seed: int = 0) -> Tuple[Cycle
     values are computed either way.
     """
     _require_config(cfg)
-    _nonnegative_int(shots, "shots")
+    _shots(shots)
     # Checked here, not by the generator: a run with the reset on never seeds one.
     _nonnegative_int(seed, "seed")
     totals = _sample_trajectories(cfg, shots, seed) if shots > 0 else [None] * cfg.cycles

@@ -296,6 +296,16 @@ class TestCtcCommands:
         assert out.err == "error: tol must be a positive real below 1, got 1e+30\n"
         assert out.out == ""
 
+    def test_solve_without_a_loop_qubit_refused(self, tmp_path, capsys):
+        """A one-qubit interaction under --system-state is all system: the loop
+        problem refuses it, and the CLI reports that against --unitary."""
+        path = tmp_path / "u1.json"
+        save_unitary(str(path), np.eye(2))
+        assert main(["ctc", "solve", "--unitary", str(path), "--system-state", "+"]) == 2
+        out = capsys.readouterr()
+        assert out.err == "usage error: --unitary: a 1-qubit interaction leaves no loop qubit\n"
+        assert out.out == ""
+
     def test_solve_missing_file(self, tmp_path):
         with pytest.raises(UsageError):
             execute(parse(["ctc", "solve", "--unitary", str(tmp_path / "no.json")]))

@@ -103,7 +103,7 @@ class TestProblemValidation:
 
     def test_qubit_ceiling_is_the_circuit_limit(self):
         CtcProblem(np.eye(64, dtype=complex))
-        with pytest.raises(TooManyQubits, match=r"^problem has 7 qubits, limit is 6$"):
+        with pytest.raises(TooManyQubits, match=r"^7 qubits exceeds the limit of 6$"):
             CtcProblem(np.eye(128, dtype=complex))
 
     def test_loopless_problem_rejected(self):
@@ -262,6 +262,15 @@ class TestSolver:
         u = oracle.random_unitary(2 ** (n_loop + 1), rng)
         p = CtcProblem(u, state_from_label("+"))
         with pytest.raises(NoConvergence):
+            solve_fixed_point(p, tol=1e-300)
+
+    @pytest.mark.parametrize("n_loop", [1, 3])
+    def test_rounding_floor_stops_the_krylov_steps(self, n_loop):
+        """At 1e-300 these loops reach the map's rounding floor before the
+        Krylov bound: GMRES stops there and the residual check reports the
+        stagnation, rather than running out of Krylov space."""
+        p = CtcProblem(oracle.partial_swap(n_loop, 0.3), state_from_label("+"))
+        with pytest.raises(NoConvergence, match="^GMRES stagnated at residual "):
             solve_fixed_point(p, tol=1e-300)
 
 

@@ -80,7 +80,7 @@ class TestCircuitShape:
         with pytest.raises(BadParams):
             EprConfig(float("nan"), 0.0)
 
-    @pytest.mark.parametrize("bad", ["x", True, None, 0.2j, [0.2]])
+    @pytest.mark.parametrize("bad", ["x", True, None, 0.2j, [0.2], pytest.param(10**400, id="10**400")])
     def test_angle_must_be_a_real_number(self, bad):
         with pytest.raises(BadParams, match="theta must be a finite real"):
             EprConfig(bad, 0.2)

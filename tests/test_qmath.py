@@ -36,6 +36,25 @@ def dm(mat):
     return DensityMatrix(mat)
 
 
+def write_json(path: str, doc) -> str:
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    return path
+
+
+def identity_file(dim: int) -> dict:
+    """A matrix file of the dim x dim identity, written without ``save_unitary``."""
+    return {"dim": dim, "entries": [[float(i == j), 0.0] for i in range(dim) for j in range(dim)]}
+
+
+def saved(path: str, m: np.ndarray) -> np.ndarray:
+    """``m`` written by ``save_unitary`` and read back without ``load_unitary``'s checks."""
+    qmath.save_unitary(path, m)
+    with open(path) as fh:
+        doc = json.load(fh)
+    return qmath.entries_to_matrix(doc["dim"], doc["entries"])
+
+
 class TestAdjoint:
     def test_hermitian_fixed_points(self):
         for m in (oracle.H, oracle.X, oracle.Y, oracle.Z):
@@ -90,18 +109,24 @@ class TestStates:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda n: qmath.basis_state(n).mat,
-            lambda n: qmath.maximally_mixed(n).mat,
-            lambda n: DensityMatrix(np.eye(2 ** n) / 2 ** n).mat,
-            lambda n: qmath.embed_operator(np.eye(2), [0], n),
+            lambda n, path: qmath.basis_state(n).mat,
+            lambda n, path: qmath.maximally_mixed(n).mat,
+            lambda n, path: DensityMatrix(np.eye(2 ** n) / 2 ** n).mat,
+            lambda n, path: qmath.embed_operator(np.eye(2), [0], n),
+            lambda n, path: Gate("U", np.eye(2 ** n)).matrix,
+            lambda n, path: saved(path, np.eye(2 ** n)),
+            lambda n, path: qmath.load_unitary(write_json(path, identity_file(2 ** n))),
         ],
-        ids=["basis_state", "maximally_mixed", "DensityMatrix", "embed_operator"],
+        ids=["basis_state", "maximally_mixed", "DensityMatrix", "embed_operator",
+             "Gate", "save_unitary", "load_unitary"],
     )
-    def test_register_ceiling(self, build):
-        """Seven qubits used to build a state or lift that no other entry point accepts."""
-        assert build(qmath.MAX_QUBITS).shape == (64, 64)
-        with pytest.raises(TooManyQubits, match="7 qubits exceeds the limit of 6"):
-            build(7)
+    def test_register_ceiling(self, build, tmp_path):
+        """Seven qubits used to build a state, lift, gate or matrix file that
+        no other entry point accepts."""
+        path = str(tmp_path / "u.json")
+        assert build(qmath.MAX_QUBITS, path).shape == (64, 64)
+        with pytest.raises(TooManyQubits, match="^7 qubits exceeds the limit of 6$"):
+            build(7, path)
 
 
 class TestEvolveDensity:
@@ -405,8 +430,11 @@ class TestIsUnitary:
             lambda path: Gate("G", [[1e200, 0], [0, 1]]),
             lambda path: CtcProblem(np.diag([1e200, 1, 1, 1])),
             lambda path: qmath.save_unitary(path, np.diag([1e200, 1])),
+            lambda path: qmath.load_unitary(
+                write_json(path, {"dim": 2, "entries": [[1e200, 0], [0, 0], [0, 0], [1, 0]]})
+            ),
         ],
-        ids=["Gate", "CtcProblem", "save_unitary"],
+        ids=["Gate", "CtcProblem", "save_unitary", "load_unitary"],
     )
     def test_huge_entry_refused_without_overflow(self, build, tmp_path):
         """Every caller of the check gets its unit-disc screen, not an overflow."""
@@ -417,6 +445,13 @@ class TestIsUnitary:
 
 
 class TestMatrixFile:
+    def test_oversized_file_refused_before_its_entries_are_read(self, tmp_path):
+        """The dimension alone refuses a 7-qubit file: its entries, here none
+        at all, are never read, so no 128 x 128 matrix is built."""
+        path = write_json(str(tmp_path / "u7.json"), {"dim": 128, "entries": []})
+        with pytest.raises(TooManyQubits, match="^7 qubits exceeds the limit of 6$"):
+            qmath.load_unitary(path)
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(41)
         u = oracle.random_unitary(4, rng)

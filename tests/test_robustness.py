@@ -21,7 +21,7 @@ import pytest
 
 import corpus
 from paradoxlab import cli, ctc, descriptor, epr, szilard
-from paradoxlab.circuit import Circuit, make_gate, run_density
+from paradoxlab.circuit import Circuit, make_gate, run_density, sample
 from paradoxlab.errors import BadParams, DimensionMismatch, InvalidState
 from paradoxlab.qmath import (
     basis_state,
@@ -141,6 +141,11 @@ BAD_CALLS = {
     ),
     "sweep over a string": (lambda: epr.sweep(["a"], [0.1]), BadParams),
     "sweep over a complex": (lambda: epr.sweep([1j], [0.1]), BadParams),
+    "sample of 2**63 shots": (lambda: sample(run_density(Circuit(1)), 2 ** 63), BadParams),
+    "engine run of 2**63 shots": (
+        lambda: szilard.run_cycles(szilard.SzilardConfig(cycles=2, skip_reset=True), 2 ** 63),
+        BadParams,
+    ),
 }
 
 
