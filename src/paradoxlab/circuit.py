@@ -72,15 +72,18 @@ _LIBRARY = {
 def make_gate(kind: str, theta: Optional[float] = None) -> Gate:
     """The shared library gate ``kind``; RX, the one parameterized kind, is built per call.
 
-    ``theta``, when given, must be a finite real (numpy's too), never a bool or string.
+    ``theta``, when given, must be a finite real (numpy's and ``Fraction`` too), never a bool.
     """
     if theta is not None:
-        theta = qmath._finite(theta, "theta")
+        real = qmath._real(theta)
+        if not math.isfinite(real):
+            raise BadParams(f"theta {theta!r} is not a finite number")
+        theta = real
     if kind == "RX":
         if theta is None:
             raise BadParams("RX needs an angle")
         c, s = math.cos(theta / 2), math.sin(theta / 2)
-        return Gate("RX", [[c, -1j * s], [-1j * s, c]], float(theta))
+        return Gate("RX", [[c, -1j * s], [-1j * s, c]], theta)
     if kind not in _LIBRARY:
         raise UnknownKind(f"no gate kind {kind!r}")
     if theta is not None:
@@ -324,8 +327,8 @@ def sample(result: RunResult, shots: int, seed: int = 0) -> dict:
     Uses numpy's PCG64 generator, seeded explicitly, so identical
     invocations reproduce identical counts on any platform.
     """
-    qmath._shots(shots)
-    qmath._nonnegative_int(seed, "seed")
+    shots = qmath._count(shots, "shots", ceiling=qmath.MAX_SHOTS)
+    seed = qmath._count(seed, "seed")
     keys = sorted(result.distribution)
     probs = np.array([result.distribution[k] for k in keys])
     probs = probs / probs.sum()

@@ -31,6 +31,7 @@ from .qmath import (
     OUTCOME_FLOOR,
     SOLVE_TOL,
     DensityMatrix,
+    _real,
     _require_state,
     _unitary,
     adjoint,
@@ -217,8 +218,9 @@ def solve_fixed_point(p: CtcProblem, tol: float = SOLVE_TOL) -> FixedPointSoluti
     ``tol``.  ``tol`` bounds a trace distance, and no two states are more
     than 1 apart, so it must lie below 1 to decide anything.
     """
-    if not (isinstance(tol, float) and 0.0 < tol < 1.0):
-        raise BadParams(f"tol must be a positive real below 1, got {tol!r}")
+    given, tol = tol, _real(tol)
+    if not 0.0 < tol < 1.0:
+        raise BadParams(f"tol must be a positive real below 1, got {given!r}")
 
     apply = _loop_map(_loop_kraus(p))
     d = 2 ** p.n_loop

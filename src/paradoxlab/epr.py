@@ -11,8 +11,6 @@ off the collapsed qubits.
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, NamedTuple, Sequence
 
@@ -21,7 +19,7 @@ import numpy as np
 from .circuit import Circuit, RunResult, make_gate, run_density
 from .descriptor import dependence_probe
 from .errors import BadParams, InvalidState
-from .qmath import NORM_ATOL, _apply_op
+from .qmath import NORM_ATOL, _apply_op, _real
 
 ALICE, BOB, ALICE_MEM, BOB_MEM, CHECK = range(5)
 
@@ -48,8 +46,7 @@ class EprConfig:
 
     def __post_init__(self):
         for name, value in (("theta", self.theta), ("phi", self.phi)):
-            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not real or not abs(value) <= sys.float_info.max:
+            if not math.isfinite(_real(value)):
                 raise BadParams(f"{name} must be a finite real, got {value!r}")
         if not isinstance(self.deferred, bool):
             raise BadParams(f"deferred must be a bool, got {self.deferred!r}")
@@ -93,18 +90,16 @@ class SweepPoint(NamedTuple):
 
 
 def _angles(values, name: str) -> np.ndarray:
-    """A sweep axis as floats: real numbers (numpy's too), all finite, never bools or strings."""
+    """A sweep axis as floats: a scalar or any nesting, flattened, of finite reals."""
     try:
-        values = np.asarray(values)
+        items = np.asarray(values, dtype=object).ravel().tolist()
     except ValueError as exc:  # a ragged nesting
         raise BadParams(f"{name} must be real numbers: {exc}") from exc
-    if values.dtype.kind not in "iuf":
-        raise BadParams(f"{name} must be real numbers, got {values.dtype} values")
-    values = values.astype(float, copy=False)
-    bad = values[~np.isfinite(values)]
-    if bad.size:
-        raise BadParams(f"{name} must be finite, got {bad[0]}")
-    return values
+    angles = [_real(value) for value in items]
+    bad = [value for value, angle in zip(items, angles) if not math.isfinite(angle)]
+    if bad:
+        raise BadParams(f"{name} must be a finite real, got {bad[0]!r}")
+    return np.array(angles, dtype=float)
 
 
 def sweep(thetas: Sequence[float], phis: Sequence[float]) -> List[SweepPoint]:

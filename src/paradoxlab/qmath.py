@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
@@ -336,30 +335,28 @@ def _whole(value, what: str) -> int:
     return int(value)
 
 
-def _nonnegative_int(value, what: str) -> None:
-    """Refuse a shot count or seed that is not a non-negative ``int`` (a bool is not one)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise BadParams(f"{what} must be a non-negative integer, got {value!r}")
+def _count(value, what: str, floor: int = 0, ceiling: float = math.inf) -> int:
+    """A count or seed as an ``int``: any integer (numpy's too) but a bool, in [floor, ceiling]."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < floor:
+        sign = "positive" if floor else "non-negative"
+        raise BadParams(f"{what} must be a {sign} integer, got {value!r}")
+    if value > ceiling:
+        raise BadParams(f"{value} {what} exceeds the limit of {ceiling}")
+    return int(value)
 
 
-def _shots(value) -> None:
-    """Refuse a shot count that is not a non-negative ``int`` at most ``MAX_SHOTS``."""
-    _nonnegative_int(value, "shots")
-    if value > MAX_SHOTS:
-        raise BadParams(f"{value} shots exceeds the limit of {MAX_SHOTS}")
-
-
-def _finite(value, what: str):
-    """An angle or matrix entry: a finite real (numpy's too), never a bool or string."""
-    # One comparison refuses NaN, infinities and ints too large for a float;
-    # other reals, such as numpy's, are compared as floats.
-    if isinstance(value, (int, float)):
-        size = abs(value)
-    else:
-        size = abs(float(value)) if isinstance(value, numbers.Real) else math.inf
-    if isinstance(value, bool) or not size <= sys.float_info.max:
-        raise BadParams(f"{what} {value!r} is not a finite number")
-    return value
+def _real(value) -> float:
+    """A real scalar as a float, for the callers' own range checks: any ``numbers.Real``
+    (numpy's and ``Fraction`` too). A bool, string, complex or other value maps to NaN
+    and a real beyond float range to an infinity; it never raises ``OverflowError``."""
+    if type(value) is float:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:  # an int or Fraction past float range
+        return math.inf if value > 0 else -math.inf
 
 
 def matrix_to_entries(m: np.ndarray) -> list:
@@ -371,10 +368,13 @@ def matrix_to_entries(m: np.ndarray) -> list:
 def entries_to_matrix(dim: int, entries: Sequence[Sequence[float]]) -> np.ndarray:
     if len(entries) != dim * dim:
         raise DimensionMismatch(f"expected {dim * dim} entries, got {len(entries)}")
-    flat = [
-        complex(_finite(re, "entry real part"), _finite(im, "entry imaginary part"))
-        for re, im in entries
-    ]
+
+    def part(value, what: str) -> float:
+        if math.isfinite(real := _real(value)):
+            return real
+        raise BadParams(f"entry {what} part {value!r} is not a finite number")
+
+    flat = [complex(part(re, "real"), part(im, "imaginary")) for re, im in entries]
     return np.array(flat).reshape(dim, dim)
 
 

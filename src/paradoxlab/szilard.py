@@ -24,7 +24,6 @@ cycle is handed a blank record.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace
 from functools import cache
 from typing import List, Optional, Sequence, Tuple
@@ -41,11 +40,12 @@ from .errors import (
     NotAPermutation,
 )
 from .qmath import (
+    MAX_SHOTS,
     DensityMatrix,
-    _nonnegative_int,
+    _count,
     _partial_trace,
+    _real,
     _require_state,
-    _shots,
     _vn_entropy_bits,
     basis_state,
 )
@@ -116,13 +116,11 @@ class SzilardConfig:
     depolarize_p: float = 1.0
 
     def __post_init__(self) -> None:
-        if isinstance(self.cycles, bool) or not isinstance(self.cycles, int) or self.cycles < 1:
-            raise BadParams(f"cycles must be a positive integer, got {self.cycles!r}")
+        _count(self.cycles, "cycles", floor=1)
         if not isinstance(self.skip_reset, bool):
             raise BadParams(f"skip_reset must be a bool, got {self.skip_reset!r}")
-        p = self.depolarize_p
-        if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
-            raise BadProbability(f"depolarize_p must lie in [0, 1], got {p!r}")
+        if not 0.0 <= _real(self.depolarize_p) <= 1.0:
+            raise BadProbability(f"depolarize_p must lie in [0, 1], got {self.depolarize_p!r}")
 
 
 def _require_config(cfg) -> None:
@@ -258,9 +256,9 @@ def run_cycles(cfg: SzilardConfig, shots: int = 0, seed: int = 0) -> Tuple[Cycle
     values are computed either way.
     """
     _require_config(cfg)
-    _shots(shots)
+    shots = _count(shots, "shots", ceiling=MAX_SHOTS)
     # Checked here, not by the generator: a run with the reset on never seeds one.
-    _nonnegative_int(seed, "seed")
+    seed = _count(seed, "seed")
     totals = _sample_trajectories(cfg, shots, seed) if shots > 0 else [None] * cfg.cycles
     memory = _blank()
     records: List[CycleRecord] = []

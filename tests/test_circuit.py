@@ -368,8 +368,8 @@ class TestSample:
 
     @pytest.mark.parametrize(
         "shots, seed, field",
-        [(2.5, 0, "shots"), (True, 0, "shots"), (-1, 0, "shots"), (10, -1, "seed"),
-         (10, 1.5, "seed"), (10, True, "seed"), (10, "1", "seed")],
+        [(2.5, 0, "shots"), (True, 0, "shots"), (-1, 0, "shots"), ("1", 0, "shots"),
+         (10, -1, "seed"), (10, 1.5, "seed"), (10, True, "seed"), (10, "1", "seed")],
     )
     def test_counts_and_seeds_are_non_negative_integers(self, shots, seed, field):
         """2.5 shots used to draw 2 and True 1; a bad seed raised numpy's own error."""

@@ -251,7 +251,7 @@ class TestSolver:
         assert sol.entropy_bits == pytest.approx(0.0, abs=1e-9)
 
     def test_bad_solver_params(self):
-        for tol in (0.0, 1.0, 1e30, float("inf"), float("nan")):
+        for tol in (0.0, 1.0, 1e30, float("inf"), float("nan"), -1, 2.5, True, "1e-6"):
             with pytest.raises(BadParams, match="tol must be a positive real below 1"):
                 solve_fixed_point(dist_problem("0"), tol=tol)
 

@@ -15,6 +15,8 @@ import contextlib
 import io
 import math
 import time
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -100,10 +102,16 @@ def test_corpus_gives_each_file_case_its_own_file(tmp_path):
     assert len(set(paths)) == len(paths) == 2 * 2 * corpus.FILE_CASES + 24
 
 
-# Library calls that used to raise a raw Python error, a misleading one, or
-# nothing, and the ParadoxLabError each must raise instead.
+# Library calls that used to raise a raw Python error, a misleading one, a
+# warning, or nothing, and the ParadoxLabError each must raise instead; a
+# third item, where given, is a pattern its message must match.
 BAD_CALLS = {
     "RX at inf": (lambda: make_gate("RX", math.inf), BadParams),
+    "RX at a fraction past float range": (lambda: make_gate("RX", Fraction(10**400)), BadParams),
+    "circuit RX at a fraction past float range": (
+        lambda: Circuit(1).rx(Fraction(10**400), 0),
+        BadParams,
+    ),
     "RX at nan": (lambda: make_gate("RX", math.nan), BadParams),
     "RX at a string": (lambda: make_gate("RX", "0.3"), BadParams),
     "RX at True": (lambda: make_gate("RX", True), BadParams),
@@ -141,6 +149,15 @@ BAD_CALLS = {
     ),
     "sweep over a string": (lambda: epr.sweep(["a"], [0.1]), BadParams),
     "sweep over a complex": (lambda: epr.sweep([1j], [0.1]), BadParams),
+    "sweep over a long double past float range": (
+        lambda: epr.sweep([np.longdouble("1e600")], [0.0]),
+        BadParams,
+    ),
+    "sweep over an int past float range": (
+        lambda: epr.sweep([10**400], [0.0]),
+        BadParams,
+        "^theta must be a finite real, got 1000",
+    ),
     "sample of 2**63 shots": (lambda: sample(run_density(Circuit(1)), 2 ** 63), BadParams),
     "engine run of 2**63 shots": (
         lambda: szilard.run_cycles(szilard.SzilardConfig(cycles=2, skip_reset=True), 2 ** 63),
@@ -151,13 +168,41 @@ BAD_CALLS = {
 
 @pytest.mark.parametrize("case", BAD_CALLS)
 def test_library_refuses_bad_arguments(case):
-    call, error = BAD_CALLS[case]
-    with pytest.raises(error):
-        call()
+    call, error, *match = BAD_CALLS[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning before the refusal fails the row
+        with pytest.raises(error, match=match[0] if match else None):
+            call()
 
 
 def test_library_takes_numpy_reals():
-    for theta in (np.float64(0.3), np.float32(0.3), np.int64(1)):
-        assert make_gate("RX", theta).theta == float(theta)
-    assert maximally_mixed(2.0).n == 2
-    assert len(epr.sweep(np.float32([0.1, 0.2]), np.arange(3))) == 6
+    # A warning fails the test whatever the pytest configuration says: numpy
+    # used to warn on a float32 angle while comparing it with the float range.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for small in (np.float32, np.float16):
+            cfg = epr.EprConfig(small(0.3), small(0.2))
+            expected = (1 - math.cos(float(cfg.theta) + float(cfg.phi))) / 2
+            assert epr.check_distribution(cfg) == pytest.approx(expected, abs=1e-12)
+        for theta in (np.float64(0.3), np.float32(0.3), np.float16(0.3), np.int64(1), Fraction(1, 3)):
+            assert make_gate("RX", theta).theta == float(theta)
+        assert maximally_mixed(2.0).n == 2
+        assert len(epr.sweep(np.float32([0.1, 0.2]), np.arange(3))) == 6
+        assert len(epr.sweep([np.float16(0.1), Fraction(1, 5)], [np.longdouble(0.3)])) == 2
+
+
+@pytest.mark.parametrize("count", [np.int64(3), np.uint8(3), np.int32(3)], ids=repr)
+def test_library_takes_numpy_counts(count):
+    run = run_density(Circuit(1, 1).h(0).measure(0, 0))
+    assert sample(run, count, count) == sample(run, 3, 3)
+    stale = szilard.SzilardConfig(cycles=3, skip_reset=True)
+    records = szilard.run_cycles(szilard.SzilardConfig(cycles=count, skip_reset=True), count, count)
+    assert records == szilard.run_cycles(stale, 3, 3)
+    assert all(type(rec.sampled_work) is int for rec in records)
+
+
+@pytest.mark.parametrize(
+    "tol", [np.float32(1e-6), np.float64(1e-6), Fraction(1, 10**10)], ids=repr
+)
+def test_solver_takes_any_real_tolerance(tol):
+    assert ctc.solve_fixed_point(ctc.grandfather_problem(), tol).residual <= float(tol)
