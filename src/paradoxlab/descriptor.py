@@ -22,6 +22,7 @@ the previous prefix, so no pair is computed twice.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Tuple
 
@@ -137,10 +138,15 @@ def dependence_probe(
 
     ``build`` must return circuits of identical shape (same ops, kinds
     and targets) for both values; only gate angles may differ, and
-    anything but a ``Circuit`` raises ``BadParams``. A difference that
-    is not finite raises ``InvalidState``.
+    anything but a ``Circuit`` raises ``BadParams``. Each value must be a
+    finite real, or ``BadParams`` is raised before ``build`` is called.
+    A difference that is not finite raises ``InvalidState``.
     """
-    circuits = [build(float(v)) for v in (value_a, value_b)]
+    values = [qmath._real(v) for v in (value_a, value_b)]
+    for name, raw, value in zip(("value_a", "value_b"), (value_a, value_b), values):
+        if not math.isfinite(value):
+            raise BadParams(f"{name} must be a finite real, got {raw!r}")
+    circuits = [build(v) for v in values]
     for c in circuits:
         _require_circuit(c, "dependence_probe's build")
     if circuits[0].n_qubits != circuits[1].n_qubits or _shape_signature(
@@ -152,8 +158,16 @@ def dependence_probe(
     if not 0 <= qubit < n:
         raise BadTargets(f"qubit {qubit} outside register of {n} qubits")
     images = [_images(circuit_unitary(c), [qubit])[0] for c in circuits]
+    return compare_images(qubit, *images)
+
+
+def compare_images(qubit: int, was: tuple, now: tuple) -> Tuple[bool, float]:
+    """Whether two (x, y, z) image triples of ``qubit`` differ, and their largest entry change.
+
+    A change that is not finite raises ``InvalidState``.
+    """
     # np.max, unlike the builtin max, keeps a NaN.
-    delta = float(np.max([abs(a - b).max() for a, b in zip(*images)]))
+    delta = float(np.max([abs(a - b).max() for a, b in zip(was, now)]))
     if not np.isfinite(delta):
         raise InvalidState(f"qubit {qubit}'s images differ by {delta} between the two values")
     return delta > DEPENDENCE_ATOL, delta

@@ -17,7 +17,7 @@ from typing import Dict, List, NamedTuple, Sequence
 import numpy as np
 
 from .circuit import Circuit, RunResult, make_gate, run_density
-from .descriptor import dependence_probe
+from .descriptor import _images, advance, compare_images
 from .errors import BadParams, InvalidState
 from .qmath import NORM_ATOL, _apply_op, _real
 
@@ -30,7 +30,7 @@ _PROBE_OFFSET = 0.8
 # long-running process's peak resident memory by ~0.5 MB.
 _SWEEP_BATCH = 64
 
-# Tracked record: (qubit, whether the probed circuit includes the parity gates).
+# Tracked record: (qubit, whether its probed prefix includes the parity gates).
 _PROBED = {
     "alice_memory": (ALICE_MEM, False),
     "bob_memory": (BOB_MEM, False),
@@ -150,28 +150,53 @@ class EprReport:
     run: RunResult = field(repr=False, compare=False)  # the deferred circuit's run
 
 
+def _probed_images(cfg: EprConfig) -> Dict[str, tuple]:
+    """Each tracked record's (x, y, z) images from one walk of the deferred circuit.
+
+    A memory qubit is read from the prefix just before the first parity
+    gate, the check qubit from the prefix of the whole circuit.
+    """
+    c = build_epr_unitary(cfg)
+    prefix = np.eye(2 ** c.n_qubits, dtype=complex)
+    prefixes = {}
+    for instr in c.instructions:
+        if CHECK in instr.targets:
+            prefixes.setdefault(False, prefix)
+        prefix = advance(prefix, instr)
+    prefixes[True] = prefix
+    return {
+        record: _images(prefixes[parity], [qubit])[0]
+        for record, (qubit, parity) in _PROBED.items()
+    }
+
+
 def info_flow_report(cfg: EprConfig) -> EprReport:
     """Check statistics plus which angles each tracked qubit's record carries.
 
-    Memory qubits are probed on the circuit truncated before the parity
-    gates; the check qubit on the full circuit. The statistics come from one
-    run of the deferred circuit, returned as ``run``.
+    Each angle is probed by moving it alone by ``_PROBE_OFFSET``, so three
+    circuits are walked: the base angles and one per moved angle. Memory
+    qubits are compared before the parity gates, the check qubit after
+    them. The statistics come from one run of the deferred circuit,
+    returned as ``run``.
     """
     if not cfg.deferred:
         raise BadParams("information flow is tracked on the all-unitary form")
-
-    def depends(qubit: int, include_parity: bool, angle: str) -> bool:
-        def build(v):
-            return build_epr_unitary(replace(cfg, **{angle: v}), include_parity)
-
-        # RX has period 4 pi; reducing first keeps base + offset distinct
-        # from base where a large angle would absorb the offset in rounding.
-        base = math.remainder(getattr(cfg, angle), 4 * math.pi)
-        return dependence_probe(build, qubit, base, base + _PROBE_OFFSET)[0]
-
+    # RX has period 4 pi; reducing first keeps base + offset distinct
+    # from base where a large angle would absorb the offset in rounding.
+    base = replace(
+        cfg, theta=math.remainder(cfg.theta, 4 * math.pi), phi=math.remainder(cfg.phi, 4 * math.pi)
+    )
+    at_base = _probed_images(base)
+    moved = {
+        angle: _probed_images(replace(base, **{angle: getattr(base, angle) + _PROBE_OFFSET}))
+        for angle in ("theta", "phi")
+    }
     dependence = {
-        record: {angle: depends(qubit, parity, angle) for angle in ("theta", "phi")}
-        for record, (qubit, parity) in _PROBED.items()
+        record: {
+            angle: compare_images(qubit, at_base[record], images[record])[0]
+            for angle, images in moved.items()
+        }
+        for record, (qubit, _) in _PROBED.items()
     }
     if dependence["bob_memory"]["theta"] or dependence["alice_memory"]["phi"]:
         raise RuntimeError("a memory record depends on the far side's angle")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -459,6 +460,25 @@ class TestDependenceProbe:
     def test_qubit_must_be_an_index_in_range(self, qubit, error):
         with pytest.raises(error, match="qubit"):
             dependence_probe(lambda t: Circuit(2).rx(t, 0), qubit, 0.3, 1.1)
+
+    @pytest.mark.parametrize(
+        "bad", ["0.3", True, math.nan, pytest.param(Fraction(10**400), id="Fraction(10**400)")]
+    )
+    def test_values_must_be_finite_reals(self, bad):
+        def build(t):
+            raise AssertionError("build called with a refused value")
+
+        with pytest.raises(BadParams, match="value_a must be a finite real"):
+            dependence_probe(build, 0, bad, 1.1)
+        with pytest.raises(BadParams, match="value_b must be a finite real"):
+            dependence_probe(build, 0, 1.1, bad)
+
+    def test_any_finite_real_value_accepted(self):
+        def build(t):
+            return Circuit(1).rx(t, 0)
+
+        want = dependence_probe(build, 0, 0.25, 1.1)
+        assert dependence_probe(build, 0, Fraction(1, 4), np.float64(1.1)) == want
 
     @pytest.mark.parametrize("qubit", [0, 1])
     def test_non_finite_difference_refused(self, monkeypatch, qubit):

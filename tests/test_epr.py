@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import math
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import oracle
+from paradoxlab import descriptor, epr
 from paradoxlab.circuit import Circuit, run_density
+from paradoxlab.descriptor import dependence_probe
 from paradoxlab.epr import (
     ALICE,
     ALICE_MEM,
@@ -20,6 +26,25 @@ from paradoxlab.epr import (
 )
 from paradoxlab.errors import BadParams, InvalidState
 from paradoxlab.qmath import _apply_op, partial_trace, trace_distance
+
+
+# Tracked record: (qubit, whether its probe circuit includes the parity gates).
+PROBED = {
+    "alice_memory": (ALICE_MEM, False),
+    "bob_memory": (BOB_MEM, False),
+    "check": (CHECK, True),
+}
+
+
+def generic_probe(cfg, record: str, angle: str) -> tuple:
+    """``dependence_probe`` on ``record``'s circuits at ``cfg`` and with ``angle`` offset."""
+    qubit, parity = PROBED[record]
+    value = getattr(cfg, angle)
+
+    def build(v):
+        return build_epr_unitary(replace(cfg, **{angle: v}), parity)
+
+    return dependence_probe(build, qubit, value, value + epr._PROBE_OFFSET)
 
 
 def closed_form(theta, phi):
@@ -214,3 +239,69 @@ class TestInfoFlowReport:
     def test_requires_deferred_form(self):
         with pytest.raises(BadParams):
             info_flow_report(EprConfig(0.1, 0.2, deferred=False))
+
+    def test_same_answers_as_the_generic_probe(self, monkeypatch):
+        """Each comparison equals ``dependence_probe`` on the same two circuits, delta and all.
+
+        Those circuits start from both angles reduced modulo 4 pi. Starting
+        instead from the probed angle alone reduced, the other as given,
+        gives the same answers within 2 pi of 0 and the same flags beyond.
+        """
+        special = [0.0, np.pi, -np.pi, -0.4 + 2 * np.pi, -0.4 - 2 * np.pi, 4 * np.pi, -8 * np.pi, 1e16]
+        rng = np.random.default_rng(701)
+        drawn = rng.uniform(-3 * np.pi, 3 * np.pi, size=(6, 2)).tolist()
+        for theta, phi in [(t, p) for t in special for p in (0.2, -np.pi, 1e16)] + drawn:
+            cfg = EprConfig(theta, phi)
+            base = EprConfig(math.remainder(theta, 4 * np.pi), math.remainder(phi, 4 * np.pi))
+            seen = []
+
+            def recording(qubit, was, now):
+                seen.append(descriptor.compare_images(qubit, was, now))
+                return seen[-1]
+
+            monkeypatch.setattr(epr, "compare_images", recording)
+            report = info_flow_report(cfg)
+            want = []
+            for record in PROBED:
+                for angle in ("theta", "phi"):
+                    same = generic_probe(base, record, angle)
+                    alone = generic_probe(replace(cfg, **{angle: getattr(base, angle)}), record, angle)
+                    assert report.dependence[record][angle] is same[0] is alone[0]
+                    if max(abs(theta), abs(phi)) <= 2 * np.pi:
+                        assert alone == same
+                    want.append(same)
+            assert sorted(seen) == sorted(want)
+
+    def test_walks_each_probed_circuit_once(self, monkeypatch):
+        """Three walks, one per probed angle value; each compared triple is computed once."""
+        walks, computed = [], Counter()
+
+        def recording_advance(prefix, instr):
+            if not walks or walks[-1][-1] is not prefix:
+                walks.append([prefix])
+            walks[-1].append(descriptor.advance(prefix, instr))
+            return walks[-1][-1]
+
+        def counting_images(prefix, qubits):
+            [(w, k)] = [(w, k) for w, walk in enumerate(walks) for k, p in enumerate(walk) if p is prefix]
+            computed.update((w, k, q) for q in qubits)
+            return descriptor._images(prefix, qubits)
+
+        monkeypatch.setattr(epr, "advance", recording_advance)
+        monkeypatch.setattr(epr, "_images", counting_images)
+        info_flow_report(EprConfig(0.3, 0.8))
+        steps = len(build_epr_unitary(EprConfig(0.3, 0.8)).instructions)
+        assert [len(walk) for walk in walks] == [steps + 1] * 3
+        # Memory qubits are read before the two parity gates, the check after them.
+        read = [(steps - 2, ALICE_MEM), (steps - 2, BOB_MEM), (steps, CHECK)]
+        assert computed == Counter({(w, k, q): 1 for w in range(3) for k, q in read})
+
+    def test_non_finite_difference_refused(self, monkeypatch):
+        def poisoned_advance(prefix, instr):
+            after = descriptor.advance(prefix, instr)
+            after[0, 0] = np.nan
+            return after
+
+        monkeypatch.setattr(epr, "advance", poisoned_advance)
+        with pytest.raises(InvalidState, match=f"qubit {ALICE_MEM}'s images differ by nan"):
+            info_flow_report(EprConfig(0.3, 0.8))
