@@ -401,14 +401,17 @@ def _cmd_ctc_grandfather(inv: argparse.Namespace):
 
 def _cmd_audit(inv: argparse.Namespace):
     with _input_file("--circuit"):
-        circuit = Circuit.from_json(Path(inv.circuit).read_text())
-    if len(circuit.instructions) > MAX_AUDIT_INSTRUCTIONS:
+        doc = json.loads(Path(inv.circuit).read_text())
+    # Counted before any instruction is built; an "instructions" value that
+    # is not a list is left for from_dict to refuse.
+    listed = doc.get("instructions", []) if isinstance(doc, dict) else []
+    if isinstance(listed, list) and len(listed) > MAX_AUDIT_INSTRUCTIONS:
         raise UsageError(
-            f"--circuit: {len(circuit.instructions)} instructions,"
+            f"--circuit: {len(listed)} instructions,"
             f" above the limit of {MAX_AUDIT_INSTRUCTIONS}"
         )
     with _input_file("--circuit"):
-        report = locality_audit(circuit)
+        report = locality_audit(Circuit.from_dict(doc))
     steps = [
         {"instr": s.instr, "max_offsupport_delta": s.max_offsupport_delta, "pass": s.ok}
         for s in report.steps

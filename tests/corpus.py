@@ -1,7 +1,7 @@
-"""The seeded robustness corpus: malformed and numerically hard command lines.
+"""The seeded robustness corpus, and the table of command-line process checks.
 
-Three groups of ``Case``s, each case's input file written to its own path
-under a work directory:
+Three seeded groups of ``Case``s, each case's input file written to its own
+path under a work directory:
 
 - ``file_cases``: structural mutations of a ``ctc solve`` matrix file and an
   ``audit-locality`` circuit file;
@@ -13,6 +13,15 @@ under a work directory:
 ``corpus`` is all of them at ``SEEDS``. ``tests/test_robustness.py`` plays
 them and checks that each ends cleanly; ``tools/replay.py`` plays ``corpus``
 on two source trees and requires the same output from both.
+
+A fourth group, ``process_cases``, is the command line's promises: every
+subcommand in every output format, its refusals of oversized and malformed
+input, and the largest runs it accepts, each with its exit code and time
+bound. Its rows name their input files relative to a directory that
+``write_process_inputs`` fills. ``tests/test_robustness.py`` plays them in
+process, and run as a script this module plays them by subprocess::
+
+    PYTHONPATH=src python -W error tests/corpus.py
 """
 
 from __future__ import annotations
@@ -20,15 +29,22 @@ from __future__ import annotations
 import copy
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+import tempfile
+import time
 from pathlib import Path
-from typing import List, NamedTuple, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 import oracle
 from paradoxlab.circuit import Circuit, circuit_unitary
-from paradoxlab.qmath import UNITARY_ATOL, matrix_to_entries
+from paradoxlab.cli import MAX_AUDIT_INSTRUCTIONS
+from paradoxlab.qmath import UNITARY_ATOL, matrix_to_entries, save_unitary
+from util import random_unitary_circuit
 
 SEEDS = (1, 2)
 FILE_CASES = 150  # per file and seed
@@ -65,6 +81,12 @@ class Case(NamedTuple):
     codes: Tuple[int, ...]  # the exit codes that end the case cleanly
     about: str  # what a failure report shows of the case
     base: bool = False  # an unmutated invocation of argv_cases
+    stdin: Optional[str] = None  # text piped to the command; such a case plays by subprocess
+    # The time bound in seconds; without one a case has test_robustness's
+    # CASE_SECONDS in process and no bound by subprocess.
+    seconds: Optional[float] = None
+    # (stdout, stderr) -> the rule they break, or ""; it may raise on malformed output.
+    check: Optional[Callable[[str, str], str]] = None
 
 
 def _unitary_doc() -> dict:
@@ -224,3 +246,190 @@ def corpus(work: Path) -> List[Case]:
     for seed in SEEDS:
         cases += file_cases(seed, work) + argv_cases(seed, work)
     return cases + edge_cases(work)
+
+
+# Each memory record carries its own side's angle alone and the check both.
+DEPENDENCE = {"alice_memory": {"theta": True, "phi": False},
+              "bob_memory": {"theta": False, "phi": True}, "check": {"theta": True, "phi": True}}
+# One invocation per subcommand, each a row in every output format.
+SMOKE = (
+    ("epr", "epr --theta 0.3 --phi 0.2 --shots 100 --seed 1"),
+    ("epr-big-angle", "epr --theta 1e16 --phi 0.2"),
+    ("sweep", "epr sweep --theta-steps 3 --phi-steps 3"),
+    ("szilard", "szilard --cycles 2"),
+    ("distinguish", "ctc distinguish --input -"),
+    ("bb84", "ctc bb84 --input +"),
+    ("solve", "ctc solve --unitary u.json --system-state +"),
+    ("weak3", "ctc solve --unitary weak3.json --system-state +"),
+    ("grandfather", "ctc grandfather"),
+    ("audit", "audit-locality --circuit c.json"),
+)
+# Requests too large to attempt and input files that cannot be built: each
+# is refused with exit 2, the pinned ones with exactly this stderr line.
+REFUSALS = (
+    ("grid", "epr sweep --theta-steps 100000 --phi-steps 100000", None),
+    ("shots", "szilard --shots 1000000000000", None),
+    ("cycles", "szilard --cycles 1000000000", None),
+    ("deep-unitary", "ctc solve --unitary deep.json", None),  # too deeply nested to parse
+    ("huge-entry", "ctc solve --unitary huge.json", None),  # U'U would overflow
+    # A tolerance every state meets.
+    ("tol", "ctc solve --unitary u.json --system-state + --tol 1e30",
+     "error: tol must be a positive real below 1, got 1e+30"),
+    ("wide-unitary", "ctc solve --unitary u7.json", None),
+    ("no-loop-qubit", "ctc solve --unitary u1.json --system-state +",
+     "usage error: --unitary: a 1-qubit interaction leaves no loop qubit"),
+    ("deep-circuit", "audit-locality --circuit deep.json", None),
+    ("long-circuit", "audit-locality --circuit long.json", None),
+    ("negative-clbits", "audit-locality --circuit negclbits.json",
+     "usage error: --circuit: circuit needs a non-negative clbit count"),
+    ("clbit-twice", "audit-locality --circuit twice.json", None),
+    ("no-clbits", "audit-locality --circuit noclbits.json", None),
+    ("reset", "audit-locality --circuit reset.json",
+     "usage error: --circuit: no instruction op 'reset'"),
+    ("channel", "audit-locality --circuit channel.json",
+     "usage error: --circuit: no instruction op 'channel'"),
+    ("wide-circuit", "audit-locality --circuit wide.json", None),
+)
+
+
+def parses(out: str, err: str) -> str:
+    json.loads(out)
+    return ""
+
+
+def audit_passes(out: str, err: str) -> str:
+    """Every step passes with a drift that prints as 0: the 1e-12 print floor
+    keeps a rounding-level change of the audit's arithmetic out of its output."""
+    report = json.loads(out)
+    drifts = {step["max_offsupport_delta"] for step in report["steps"]}
+    return "" if report["overall"] is True and drifts == {0} else f"{report['overall']}, {drifts}"
+
+
+def epr_dependence(out: str, err: str) -> str:
+    found = json.loads(out)["dependence"]
+    return "" if found == DEPENDENCE else f"dependence {found}"
+
+
+def says(line: str) -> Callable[[str, str], str]:
+    """The check that stdout is empty and stderr is exactly ``line``."""
+    return lambda out, err: "" if (out, err) == ("", line + "\n") else f"{out[:200]!r}, {err!r}"
+
+
+def process_cases() -> List[Case]:
+    """Every command-line process check, one row per invocation."""
+    cases = [
+        Case(f"smoke-{name}-{fmt}", (args + flag).split(), (0,), f"runs as {fmt}", check=check)
+        for name, args in SMOKE
+        for fmt, flag, check in (("table", "", None), ("json", " --format json", parses),
+                                 ("csv", " --format csv", None))
+    ]
+
+    def row(case_id, args, about, code=0, **fields):
+        cases.append(Case(case_id, args.split(), (code,), about, seconds=20, **fields))
+
+    for name, args, line in REFUSALS:
+        row(f"refuse-{name}", args, "refused, not attempted", 2, check=says(line) if line else None)
+    # --prompt is the only path that reads stdin; it reads one state label.
+    row("prompt-distinguish", "ctc distinguish --prompt", "reads its label", stdin="-\n")
+    row("prompt-bb84", "ctc bb84 --prompt", "reads its label", stdin="+\n")
+    row("epr-dependence", "epr --theta 1e16 --phi 0.2 --format json",
+        "keeps its flags for an angle its probe reduces modulo 4 pi", check=epr_dependence)
+    row("loop-pswap5", "ctc solve --unitary pswap5.json --system-state +",
+        "solves a partial SWAP at 0.03 on 5 loop qubits, too slow for plain iteration")
+    row("loop-weak6", "ctc solve --unitary weak6.json --system-state +",
+        "solves the worst loop accepted: exp(-i 0.001 H) on 5 loop qubits, whose Krylov"
+        " space nears its bound of 1,025 vectors")
+    # Without the reset each cycle makes two binomial draws of the set-bit
+    # count, whatever --shots is; with it none is drawn.
+    row("engine-stale", "szilard --cycles 1000 --skip-reset --shots 10000000 --seed 1",
+        "the largest engine run without the reset")
+    row("engine-reset", "szilard --cycles 1000 --shots 100000 --seed 1",
+        "the largest engine run with the reset")
+    row("audit6-table", "audit-locality --circuit audit6.json", "the largest audit accepted")
+    row("audit6-json", "audit-locality --circuit audit6.json --format json",
+        "the largest audit accepted passes every step", check=audit_passes)
+    return cases
+
+
+def _weak_loop() -> np.ndarray:
+    """exp(-i 0.001 H) on 6 qubits for a seeded Gaussian Hermitian H."""
+    rng = np.random.default_rng(1)
+    z = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+    w, v = np.linalg.eigh((z + z.conj().T) / 2)
+    return (v * np.exp(-1e-3j * w)) @ v.conj().T
+
+
+def write_process_inputs(work: Path) -> None:
+    """Every input file ``process_cases`` names, written into ``work``."""
+    for name, m in (("u", np.eye(4)[:, [0, 2, 1, 3]]), ("u1", np.eye(2)),
+                    ("weak3", oracle.partial_swap(2, 1e-6)),
+                    ("pswap5", oracle.partial_swap(5, 0.03)), ("weak6", _weak_loop())):
+        save_unitary(str(work / f"{name}.json"), m)
+    audit6 = random_unitary_circuit(6, MAX_AUDIT_INSTRUCTIONS, np.random.default_rng(1))
+    cx = {"op": "unitary", "kind": "CNOT", "targets": [0, 1]}
+    h = {"op": "unitary", "kind": "H", "targets": [0]}
+    measure = {"op": "measure", "target": 0, "clbit": 0}
+    docs = {
+        "c": _circuit_doc(),
+        "audit6": audit6.to_dict(),
+        "long": {"n_qubits": 2, "instructions": [cx] * (MAX_AUDIT_INSTRUCTIONS + 1)},
+        "negclbits": {"n_qubits": 1, "n_clbits": -1, "instructions": [h]},
+        "twice": {"n_qubits": 1, "n_clbits": 1, "instructions": [measure, measure]},
+        "noclbits": {"n_qubits": 1, "n_clbits": 0, "instructions": [measure]},
+        "reset": {"n_qubits": 1, "instructions": [{"op": "reset", "target": 0}]},
+        "channel": {"n_qubits": 1, "instructions": [{"op": "channel", "target": 0}]},
+        "wide": {"n_qubits": 7, "n_clbits": 0, "instructions": []},
+        "huge": {"dim": 2, "entries": [[1e200, 0], [0, 0], [0, 0], [1, 0]]},
+        "u7": {"dim": 128, "entries": matrix_to_entries(np.eye(128))},
+    }
+    for name, doc in docs.items():
+        (work / f"{name}.json").write_text(json.dumps(doc))
+    (work / "deep.json").write_text("[" * 100_000)
+
+
+def verdict(case: Case, code: int, out: str, err: str) -> str:
+    """The rule an ended ``case`` broke, or "": its exit code is one of its
+    codes, stderr is empty exactly on exit 0, and its check passes."""
+    if code not in case.codes:
+        return f"exit {code}: {err!r}"
+    if (code == 0) != (err == ""):
+        return f"exit {code} with stderr {err!r}"
+    try:
+        return case.check(out, err) if case.check else ""
+    except (ValueError, KeyError, TypeError) as exc:
+        return f"output check raised {exc!r}"
+
+
+def play(case: Case, work) -> Tuple[Optional[int], float, str]:
+    """Run ``case`` in ``work`` as ``python -W error -m paradoxlab.cli``: its exit
+    code (None on a timeout), wall time and the rule it broke ("" for none).
+    ``-W error`` fails a run that warns, as ``-m`` does when the package's
+    ``__init__`` imports ``cli``. The child imports from this process's path."""
+    argv = [sys.executable, "-W", "error", "-m", "paradoxlab.cli", *case.argv]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    start = time.perf_counter()
+    try:
+        done = subprocess.run(argv, cwd=work, env=env, input=case.stdin or "",
+                              capture_output=True, text=True, timeout=case.seconds)
+    except subprocess.TimeoutExpired:
+        return None, time.perf_counter() - start, f"no exit within {case.seconds} s"
+    code = done.returncode
+    return code, time.perf_counter() - start, verdict(case, code, done.stdout, done.stderr)
+
+
+def main() -> int:
+    """Play every process case by subprocess; exit 1 naming the rows that fail."""
+    failed = []
+    with tempfile.TemporaryDirectory(prefix="paradoxlab-cli-") as work:
+        write_process_inputs(Path(work))
+        for case in process_cases():
+            code, seconds, problem = play(case, work)
+            print(f"{case.id:<26} exit {code}  {seconds:6.2f} s  {problem}", flush=True)
+            if problem:
+                failed.append(case.id)
+    print(f"{len(failed)} failing rows: {' '.join(failed)}" if failed else "every row passed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,6 +7,9 @@ hard ``ctc solve`` matrices. Every case must end cleanly: no exception
 escapes, the exit code is 0 or 2, stderr is empty exactly when the exit
 code is 0, and the case finishes within ``CASE_SECONDS``. The library's
 entry points refuse bad arguments with a ``ParadoxLabError`` of their own.
+
+The rows of ``corpus.process_cases`` play too, each with its own exit code,
+time bound and output check, by subprocess when a row reads stdin.
 """
 
 from __future__ import annotations
@@ -37,30 +40,27 @@ from paradoxlab.qmath import (
 CASE_SECONDS = 2.0
 
 
-def run_case(argv, codes=(0, 2)) -> str:
-    """The rule ``argv`` breaks, or "" when it ends cleanly with one of ``codes``."""
+def run_case(case: corpus.Case) -> str:
+    """The rule ``case`` breaks played through ``cli.main``, or "" when it ends cleanly."""
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
+            code = cli.main(case.argv)
     except Exception as exc:
         return f"raised {type(exc).__name__}: {exc}"
     elapsed = time.perf_counter() - start
-    if code not in codes:
-        return f"exit {code}: {err.getvalue()!r}"
-    if (code == 0) != (err.getvalue() == ""):
-        return f"exit {code} with stderr {err.getvalue()!r}"
-    if elapsed > CASE_SECONDS:
+    problem = corpus.verdict(case, code, out.getvalue(), err.getvalue())
+    if not problem and elapsed > (case.seconds or CASE_SECONDS):
         return f"took {elapsed:.2f} s"
-    return ""
+    return problem
 
 
 def run_cases(cases) -> list:
     """A report per case that breaks a rule; a base invocation must break none."""
     failures = []
     for case in cases:
-        problem = run_case(case.argv, case.codes)
+        problem = run_case(case)
         if case.base:
             assert problem == "", case.argv
         elif problem:
@@ -100,6 +100,23 @@ def test_corpus_gives_each_file_case_its_own_file(tmp_path):
     paths = [token for case in cases if not case.id.startswith("argv")
              for token in case.argv if token.startswith(work)]
     assert len(set(paths)) == len(paths) == 2 * 2 * corpus.FILE_CASES + 24
+
+
+@pytest.fixture(scope="module")
+def process_work(tmp_path_factory):
+    work = tmp_path_factory.mktemp("process")
+    corpus.write_process_inputs(work)
+    return work
+
+
+@pytest.mark.parametrize("case", corpus.process_cases(), ids=lambda case: case.id)
+def test_process_case(case, process_work, monkeypatch):
+    if case.stdin is None:
+        monkeypatch.chdir(process_work)
+        problem = run_case(case)
+    else:
+        problem = corpus.play(case, process_work)[2]
+    assert problem == "", f"{case.id} {case.about}: {problem}"
 
 
 # Library calls that used to raise a raw Python error, a misleading one, a
