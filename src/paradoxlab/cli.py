@@ -381,10 +381,13 @@ def _cmd_ctc_bb84(inv: argparse.Namespace):
 @contextmanager
 def _input_file(flag: str):
     """Report a failure to read ``flag``'s file, or to build from it, as a
-    usage error; a file nested too deeply to parse is one of them."""
+    usage error. A file nested too deeply to parse is one of them, told in
+    fixed words: the interpreter's own vary between Python versions."""
     try:
         yield
-    except (OSError, ValueError, KeyError, TypeError, RecursionError, ParadoxLabError) as exc:
+    except RecursionError:
+        raise UsageError(f"{flag}: file nests too deeply to parse")
+    except (OSError, ValueError, KeyError, TypeError, ParadoxLabError) as exc:
         raise UsageError(f"{flag}: {exc}")
 
 

@@ -6,7 +6,9 @@ is a fixed point of the map rho -> tr_sys(U (rho_sys x rho) U').  This
 module finds such fixed points, runs circuits against them, and ships the
 two demonstration interactions: a single-qubit discriminator that tells
 |0> from |-> in one shot, and a four-state discriminator that reads out
-both the basis and the value of an unknown |0>/|1>/|+>/|-> input.
+both the basis and the value of an unknown |0>/|1>/|+>/|-> input.  The
+labelled states and the demo problems depend on nothing but their label, so
+each is built once per process and shared with its arrays read-only.
 
 Layout convention: loop qubits occupy the low indices, system qubits the
 high ones, so a joint state is kron(system, loop).
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import mmap
 from dataclasses import dataclass, field
+from functools import cache, wraps
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -52,10 +55,36 @@ def _prepare(c: Circuit, label: str, q: int) -> Circuit:
     return c
 
 
+def _read_only(item):
+    """``item``, a state or a problem, with its arrays made read-only, so that a
+    cache can hand it to every caller."""
+    if isinstance(item, DensityMatrix):
+        item.mat.setflags(write=False)
+    else:
+        item.u.setflags(write=False)
+        if item.system_state is not None:
+            _read_only(item.system_state)
+    return item
+
+
+def _per_label(build: Callable[[str], object]) -> Callable[[str], object]:
+    """``build`` run once per state label and its answer shared read-only. The
+    label is checked before the cache sees it, so an unhashable one raises
+    BadLabel like any other that names no standard state."""
+    cached = cache(lambda label: _read_only(build(label)))
+
+    @wraps(build)
+    def shared(label: str):
+        if not isinstance(label, str) or label not in _PREPARE:
+            raise BadLabel(f"unknown state label {label!r}, expected one of 0 1 + -")
+        return cached(label)
+
+    return shared
+
+
+@_per_label
 def state_from_label(label: str) -> DensityMatrix:
     """One of the four standard single-qubit states by its text label, as |psi><psi|."""
-    if label not in _PREPARE:
-        raise BadLabel(f"unknown state label {label!r}, expected one of 0 1 + -")
     ket = circuit_unitary(_prepare(Circuit(1), label, 0))[:, 0]
     return DensityMatrix(np.outer(ket, ket.conj()))
 
@@ -297,10 +326,12 @@ def bb84_unitary() -> np.ndarray:
     return circuit_unitary(_bb84_gates(Circuit(4)))
 
 
+@_per_label
 def distinguisher_problem(label: str) -> CtcProblem:
     return CtcProblem(distinguisher_unitary(), state_from_label(label))
 
 
+@_per_label
 def bb84_problem(label: str) -> CtcProblem:
     ground = np.diag([1.0, 0.0]).astype(complex)
     # The input sits on s, the low system qubit; a starts at |0>.
@@ -308,9 +339,11 @@ def bb84_problem(label: str) -> CtcProblem:
     return CtcProblem(bb84_unitary(), sys_state)
 
 
+@cache
 def grandfather_problem() -> CtcProblem:
-    """A loop that meets its own negation: U = X with no system qubits."""
-    return CtcProblem(make_gate("X").matrix)
+    """A loop that meets its own negation: U = X with no system qubits.
+    Built once and shared read-only."""
+    return _read_only(CtcProblem(make_gate("X").matrix))
 
 
 def classical_control_demo(input_label: str, protocol: str) -> Circuit:

@@ -270,7 +270,8 @@ REFUSALS = (
     ("grid", "epr sweep --theta-steps 100000 --phi-steps 100000", None),
     ("shots", "szilard --shots 1000000000000", None),
     ("cycles", "szilard --cycles 1000000000", None),
-    ("deep-unitary", "ctc solve --unitary deep.json", None),  # too deeply nested to parse
+    ("deep-unitary", "ctc solve --unitary deep.json",
+     "usage error: --unitary: file nests too deeply to parse"),
     ("huge-entry", "ctc solve --unitary huge.json", None),  # U'U would overflow
     # A tolerance every state meets.
     ("tol", "ctc solve --unitary u.json --system-state + --tol 1e30",
@@ -278,7 +279,8 @@ REFUSALS = (
     ("wide-unitary", "ctc solve --unitary u7.json", None),
     ("no-loop-qubit", "ctc solve --unitary u1.json --system-state +",
      "usage error: --unitary: a 1-qubit interaction leaves no loop qubit"),
-    ("deep-circuit", "audit-locality --circuit deep.json", None),
+    ("deep-circuit", "audit-locality --circuit deep.json",
+     "usage error: --circuit: file nests too deeply to parse"),
     ("long-circuit", "audit-locality --circuit long.json", None),
     ("negative-clbits", "audit-locality --circuit negclbits.json",
      "usage error: --circuit: circuit needs a non-negative clbit count"),

@@ -211,3 +211,35 @@ def json_ready(value):
     if isinstance(value, (float, np.floating)):
         return round_float(value)
     return value
+
+
+def sweep_walk(thetas, phis):
+    """``epr.sweep``'s p_check_one over the theta-major grid, by the plain walk:
+    each batch of 64 columns starts at |0...0> and runs every instruction of a
+    freshly built deferred circuit. Unlike the rest of this module it runs the
+    package's own kernel, since it pins the sweep's bytes, not only its values."""
+    from paradoxlab.circuit import make_gate
+    from paradoxlab.epr import CHECK, EprConfig, build_epr_unitary
+    from paradoxlab.qmath import _apply_op
+
+    grid_theta = np.repeat(np.asarray(thetas, dtype=float), len(phis))
+    grid_phi = np.tile(np.asarray(phis, dtype=float), len(thetas))
+    x = make_gate("X").matrix
+    template = build_epr_unitary(EprConfig(0.0, 0.0))
+    dim = 2 ** template.n_qubits
+    fires = (np.arange(dim) >> CHECK) & 1 == 1
+    p_one = np.empty(grid_theta.size)
+    for lo in range(0, grid_theta.size, 64):
+        cols = slice(lo, lo + 64)
+        half_angle = {0: grid_theta[cols] / 2, 1: grid_phi[cols] / 2}
+        state = np.zeros((dim, half_angle[0].size), dtype=complex)
+        state[0] = 1.0
+        for instr in template.instructions:
+            if instr.gate.kind == "RX":
+                half = half_angle[instr.targets[0]]
+                flipped = _apply_op(x, state, instr.targets)
+                state = np.cos(half) * state - 1j * np.sin(half) * flipped
+            else:
+                state = _apply_op(instr.gate.matrix, state, instr.targets)
+        p_one[cols] = (np.abs(state) ** 2)[fires].sum(axis=0)
+    return p_one

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracle
-from paradoxlab import ctc
+from paradoxlab import cli, ctc
 from paradoxlab.circuit import Circuit, run_density
 from paradoxlab.ctc import (
     STATE_LABELS,
@@ -38,6 +38,7 @@ from paradoxlab.qmath import (
     maximally_mixed,
     trace_distance,
 )
+from util import count_calls
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -109,6 +110,47 @@ class TestProblemValidation:
     def test_loopless_problem_rejected(self):
         with pytest.raises(BadParams):
             CtcProblem(np.eye(2, dtype=complex), maximally_mixed(1))
+
+
+class TestSharedProblems:
+    """The demo problems are built once per process and handed out read-only."""
+
+    BUILDERS = {"distinguisher": distinguisher_problem, "bb84": bb84_problem}
+
+    @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
+    @pytest.mark.parametrize("label", STATE_LABELS)
+    def test_one_read_only_problem_per_label(self, build, label):
+        p = build(label)
+        assert build(label) is p
+        assert not p.u.flags.writeable and not p.system_state.mat.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            p.u[0, 0] = 0
+
+    @pytest.mark.parametrize("label", STATE_LABELS)
+    def test_one_read_only_state_per_label(self, label):
+        state = state_from_label(label)
+        assert state_from_label(label) is state and not state.mat.flags.writeable
+
+    def test_grandfather_is_shared_read_only(self):
+        p = grandfather_problem()
+        assert grandfather_problem() is p and not p.u.flags.writeable
+
+    @pytest.mark.parametrize("build", [*BUILDERS.values(), state_from_label],
+                             ids=[*BUILDERS, "state"])
+    @pytest.mark.parametrize("label", ["x", "", None, 0, ["0"], {"0": 1}, np.array("0")],
+                             ids=["text", "empty", "none", "int", "list", "dict", "array"])
+    def test_bad_label_refused(self, build, label):
+        with pytest.raises(BadLabel):
+            build(label)
+
+    def test_second_bb84_run_builds_no_circuit(self, monkeypatch, capsys):
+        argv = ["ctc", "bb84", "--input", "+"]
+        assert cli.main(argv) == 0
+        first = capsys.readouterr()
+        counted = count_calls(monkeypatch)
+        assert cli.main(argv) == 0
+        assert capsys.readouterr() == first
+        assert counted == {"validate": 0, "is_unitary": 0}
 
 
 class TestConsistencyMap:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import oracle
+import test_relations
 from paradoxlab import descriptor, epr
 from paradoxlab.circuit import Circuit, run_density
 from paradoxlab.descriptor import dependence_probe
@@ -26,6 +27,7 @@ from paradoxlab.epr import (
 )
 from paradoxlab.errors import BadParams, InvalidState
 from paradoxlab.qmath import _apply_op, partial_trace, trace_distance
+from util import count_calls
 
 
 # Tracked record: (qubit, whether its probe circuit includes the parity gates).
@@ -204,6 +206,40 @@ class TestSweep:
         monkeypatch.setattr("paradoxlab.epr._apply_op", leaky)
         with pytest.raises(InvalidState):
             sweep([0.1, 0.2], [0.3])
+
+    def test_a_leaky_kernel_leaves_later_sweeps_alone(self, monkeypatch):
+        """A sweep under a patched kernel, then sweeps under the real one: the
+        shared start was built at import, so the patch cannot have reached it."""
+        def leaky(op, state, targets):
+            return 0.999 * _apply_op(op, state, targets)
+
+        with monkeypatch.context() as patched:
+            patched.setattr("paradoxlab.epr._apply_op", leaky)
+            with pytest.raises(InvalidState):
+                sweep([0.1, 0.2], [0.3])
+        self.test_grid_shape_and_values()
+        test_relations.test_epr_check_depends_on_the_angle_sum_alone()
+
+    @pytest.mark.parametrize(
+        "shape, scale", [((1, 1), np.pi), ((13, 17), 4 * np.pi), ((9, 8), 1e3), ((1, 130), 1e3)],
+        ids=["one-point", "four-batches", "large-angles", "row-across-batches"],
+    )
+    def test_same_bytes_as_the_reference_walk(self, shape, scale):
+        """The shared start gives every point the bytes of a walk from |0...0>."""
+        rng = np.random.default_rng([41, *shape])
+        thetas, phis = (rng.uniform(-scale, scale, size) for size in shape)
+        got = np.array([row.p_check_one for row in sweep(thetas, phis)])
+        assert got.tobytes() == oracle.sweep_walk(thetas, phis).tobytes()
+
+    def test_second_sweep_builds_no_circuit(self, monkeypatch):
+        sweep([0.1], [0.2])
+        counted = count_calls(monkeypatch)
+        sweep([0.3, 0.4], [0.5])
+        assert counted == {"validate": 0, "is_unitary": 0}
+
+    def test_shared_arrays_are_read_only(self):
+        for shared in (epr._START, epr._FIRES, epr._X):
+            assert not shared.flags.writeable
 
     def test_grid_shape_and_values(self):
         thetas = [0.0, 0.5]

@@ -7,7 +7,9 @@ program with itself on related inputs drawn from a seeded generator.
 import numpy as np
 import pytest
 
-from paradoxlab import epr, szilard
+import oracle
+from paradoxlab import ctc, epr, szilard
+from paradoxlab.qmath import SOLVE_TOL, DensityMatrix, trace_distance
 
 # Related sweep points differ by the rounding of a few gate applications on
 # 32-entry state vectors, a few ulps of 1; this bound is far above that.
@@ -40,3 +42,38 @@ def test_engine_run_is_a_prefix_of_a_longer_run(skip_reset):
         return szilard.run_cycles(cfg, shots=1000, seed=5)
 
     assert run(5) == run(12)[:5]
+
+
+def traceless_gap(u, sigma, n_loop) -> float:
+    """The smallest singular value of S - I on traceless loop matrices, S the
+    loop map (``oracle.superoperator``): 0 unless the fixed point is unique."""
+    d = 2 ** n_loop
+    traceless = np.linalg.svd(np.eye(d).reshape(1, -1))[2][1:].conj().T
+    s = oracle.superoperator(u, sigma, n_loop)
+    return float(np.linalg.svd((s - np.eye(d * d)) @ traceless, compute_uv=False)[-1])
+
+
+@pytest.mark.parametrize("n_loop", [1, 2, 3, 4])
+def test_loop_fixed_point_follows_a_loop_basis_change(n_loop):
+    """W = (I x V) U (I x V^dag) has the fixed point V rho V^dag, rho U's.
+
+    Bound: a solve returns x with trace-distance residual at most SOLVE_TOL,
+    so |(S - I) x|_F <= 2 SOLVE_TOL. x and the exact fixed point both have
+    trace one, so their difference is traceless and, with g the gap above,
+    at most 2 SOLVE_TOL / g in Frobenius norm, sqrt(d) SOLVE_TOL / g in trace
+    distance. Clipping x's negative weight and renormalizing at most triples
+    that. The maps of U and W are unitarily similar, so they share g, and the
+    relation may miss by twice one solve's bound.
+    """
+    rng = np.random.default_rng([15, n_loop])
+    d = 2 ** n_loop
+    for _ in range(3):
+        u = oracle.random_unitary(2 * d, rng)
+        v = oracle.random_unitary(d, rng)
+        sigma = oracle.random_density(2, rng)
+        lift = np.kron(np.eye(2), v)
+        base = ctc.solve_fixed_point(ctc.CtcProblem(u, DensityMatrix(sigma))).rho_loop.mat
+        moved = ctc.CtcProblem(lift @ u @ lift.conj().T, DensityMatrix(sigma))
+        got = ctc.solve_fixed_point(moved).rho_loop.mat
+        bound = 2 * 3 * np.sqrt(d) * SOLVE_TOL / traceless_gap(u, sigma, n_loop)
+        assert trace_distance(got, v @ base @ v.conj().T) <= bound

@@ -1,7 +1,8 @@
-"""Shared generators for randomized tests (not oracles)."""
+"""Shared generators and probes for tests (not oracles)."""
 
 import numpy as np
 
+from paradoxlab import circuit, qmath
 from paradoxlab.circuit import Circuit, make_gate
 
 ONE_QUBIT = ("H", "X", "Y", "Z", "I", "RX")
@@ -25,3 +26,17 @@ def random_unitary_circuit(n, depth, rng) -> Circuit:
             q = int(rng.integers(n))
             c.append_gate(make_gate(kind, theta), [q])
     return c
+
+
+def count_calls(monkeypatch) -> dict:
+    """Count, from now on, circuit appends (each runs ``circuit.validate``) and
+    unitarity checks (``qmath.is_unitary``)."""
+    counted = {"validate": 0, "is_unitary": 0}
+    for module, name in ((circuit, "validate"), (qmath, "is_unitary")):
+
+        def counting(*args, _name=name, _real=getattr(module, name)):
+            counted[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    return counted
