@@ -19,6 +19,7 @@ from .errors import (
     BadTargets,
     InvalidCircuit,
     NonUnitaryInstruction,
+    NotAPermutation,
     UnknownKind,
 )
 from . import qmath
@@ -319,6 +320,24 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
             raise NonUnitaryInstruction(f"circuit contains {instr.op!r}")
         u = qmath._apply_op(instr.gate.matrix, u, instr.targets)
     return u
+
+
+def basis_permutation(c: Circuit) -> np.ndarray:
+    """Read-only source rows ``src`` of a unitary-only circuit that permutes the basis states.
+
+    The circuit's unitary U must be exactly a 0/1 permutation matrix: row a
+    holds one nonzero entry, a 1 in column ``src[a]``, and every column is
+    hit once. Then (U psi)[a] = psi[src[a]], so ``psi[src]`` applies U to
+    the rows of ``psi`` by indexing alone, with no arithmetic.
+    """
+    u = circuit_unitary(c)
+    rows, src = np.nonzero(u)
+    dim = u.shape[0]
+    one_per_row = np.array_equal(rows, np.arange(dim)) and bool((u[rows, src] == 1).all())
+    if not (one_per_row and np.array_equal(np.sort(src), np.arange(dim))):
+        raise NotAPermutation("the circuit's unitary is not a permutation of the basis states")
+    src.setflags(write=False)
+    return src
 
 
 def sample(result: RunResult, shots: int, seed: int = 0) -> dict:

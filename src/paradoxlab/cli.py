@@ -34,6 +34,7 @@ import numpy as np
 from . import ctc, epr, szilard
 from .circuit import Circuit, sample
 from .descriptor import locality_audit
+from .epr import MAX_SWEEP_POINTS
 from .errors import NoConvergence, ParadoxLabError, UsageError
 from .qmath import MAX_SHOTS, SOLVE_TOL, load_unitary, matrix_to_entries
 
@@ -41,9 +42,6 @@ _JSON_SIG = 9
 _TABLE_SIG = 6
 # Magnitudes below the default loop-solve tolerance are rendering noise.
 _DISPLAY_FLOOR = SOLVE_TOL
-# Largest `epr sweep` grid (256 x 256): every row is held and rendered at
-# once, so a larger grid is refused before anything is allocated.
-MAX_SWEEP_POINTS = 65536
 # Largest `szilard --cycles`: a repeated memory reuses its record, so rendering
 # and sampling, not the exact ledger, grow with the cycle count.
 MAX_CYCLES = 1000

@@ -6,17 +6,23 @@ parity check qubit. The all-quantum form keeps every step unitary so the
 Heisenberg engine can track where the angle information lives; the
 collapsing form measures the memories first and drives the parity gates
 off the collapsed qubits.
+
+The angle sweep runs the deferred form as batches of state vectors. After
+the Bell preparation, which every batch shares, each gate is an RX or a
+permutation of the basis states, so a batch applies them by row gathers
+read once at import, with no matrix product; the kernel is not called.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 from typing import Dict, List, NamedTuple, Sequence
 
 import numpy as np
 
-from .circuit import Circuit, RunResult, make_gate, run_density
+from .circuit import Circuit, Instruction, RunResult, basis_permutation, run_density
 from .descriptor import _images, advance, compare_images
 from .errors import BadParams, InvalidState
 from .qmath import NORM_ATOL, _apply_op, _real
@@ -29,6 +35,10 @@ _PROBE_OFFSET = 0.8
 # 17 x 17 grid at once made every temporary ~150 KiB and raised a
 # long-running process's peak resident memory by ~0.5 MB.
 _SWEEP_BATCH = 64
+
+# Largest sweep grid (256 x 256): every point is held and rendered at once, so
+# a larger grid is refused before anything is allocated.
+MAX_SWEEP_POINTS = 65536
 
 # Tracked record: (qubit, whether its probed prefix includes the parity gates).
 _PROBED = {
@@ -104,15 +114,14 @@ def _angles(values, name: str) -> np.ndarray:
 
 # The sweep's angle-free parts, built once at import and shared read-only: the
 # deferred circuit as a template whose RX angles each batch supplies, the rows
-# whose check qubit reads 1, and the start column, |0...0> taken through the
-# template's leading gates (the Bell preparation) by the shared kernel.
+# whose check qubit reads 1, the start column, |0...0> taken through the
+# template's leading gates (the Bell preparation) by the shared kernel, and
+# the steps after it as row gathers.
 _TEMPLATE = build_epr_unitary(EprConfig(0.0, 0.0))
-_X = make_gate("X").matrix
 _DIM = 2 ** _TEMPLATE.n_qubits
 _FIRES = (np.arange(_DIM) >> CHECK) & 1 == 1
 _FIRES.setflags(write=False)
 _LEAD = next(k for k, instr in enumerate(_TEMPLATE.instructions) if instr.gate.kind == "RX")
-_REST = _TEMPLATE.instructions[_LEAD:]
 
 
 def _start_column() -> np.ndarray:
@@ -124,7 +133,28 @@ def _start_column() -> np.ndarray:
     return state
 
 
+def _gather_steps(gates: Sequence[Instruction], n_qubits: int) -> tuple:
+    """``gates`` as (qubit, rows) steps that act on a batch by row gathers alone.
+
+    An RX on qubit q is (q, X's rows on q), applied as
+    cos(a/2) psi - i sin(a/2) psi[rows]; each run of other gates is
+    (None, the rows of their product), applied as psi[rows]. Both tables
+    are read by ``basis_permutation``, which refuses a run that does not
+    permute the basis states.
+    """
+    steps = []
+    for rotates, run in groupby(gates, key=lambda instr: instr.gate.kind == "RX"):
+        if rotates:
+            for instr in run:
+                qubit = instr.targets[0]
+                steps.append((qubit, basis_permutation(Circuit(n_qubits).x(qubit))))
+        else:
+            steps.append((None, basis_permutation(Circuit(n_qubits, 0, run))))
+    return tuple(steps)
+
+
 _START = _start_column()
+_STEPS = _gather_steps(_TEMPLATE.instructions[_LEAD:], _TEMPLATE.n_qubits)
 
 
 def sweep(thetas: Sequence[float], phis: Sequence[float]) -> List[SweepPoint]:
@@ -132,11 +162,19 @@ def sweep(thetas: Sequence[float], phis: Sequence[float]) -> List[SweepPoint]:
 
     The deferred circuit is unitary up to its one measurement, so the grid
     runs as batches of pure states: column b of a (32, B) array is one grid
-    point. Every batch starts from the Bell-prepared column built at import;
-    the fixed gates after it go through the shared kernel, and an RX with
-    one angle per column is cos(a/2) psi - i sin(a/2) X psi.
+    point. Every batch starts from the Bell-prepared column built at import
+    and applies the rest by row gathers: an RX with one angle per column is
+    cos(a/2) psi - i sin(a/2) psi[flip], with ``flip`` X's rows on its
+    qubit, and the four CX gates after the rotations are one permutation of
+    the rows. A grid of more than ``MAX_SWEEP_POINTS`` points is refused
+    with ``BadParams`` before it is built.
     """
     thetas, phis = _angles(thetas, "theta"), _angles(phis, "phi")
+    if thetas.size * phis.size > MAX_SWEEP_POINTS:
+        raise BadParams(
+            f"{thetas.size} x {phis.size} angles is {thetas.size * phis.size} grid points,"
+            f" above the limit of {MAX_SWEEP_POINTS}"
+        )
     grid_theta = np.repeat(thetas, phis.size)
     grid_phi = np.tile(phis, thetas.size)
     p_one = np.empty(grid_theta.size)
@@ -144,13 +182,12 @@ def sweep(thetas: Sequence[float], phis: Sequence[float]) -> List[SweepPoint]:
         cols = slice(lo, lo + _SWEEP_BATCH)
         half_angle = {ALICE: grid_theta[cols] / 2, BOB: grid_phi[cols] / 2}
         state = np.broadcast_to(_START, (_DIM, half_angle[ALICE].size))
-        for instr in _REST:
-            if instr.gate.kind == "RX":
-                half = half_angle[instr.targets[0]]
-                flipped = _apply_op(_X, state, instr.targets)
-                state = np.cos(half) * state - 1j * np.sin(half) * flipped
+        for qubit, rows in _STEPS:
+            if qubit is None:
+                state = state[rows]
             else:
-                state = _apply_op(instr.gate.matrix, state, instr.targets)
+                half = half_angle[qubit]
+                state = np.cos(half) * state - 1j * np.sin(half) * state[rows]
         probs = np.abs(state) ** 2
         if np.max(np.abs(probs.sum(axis=0) - 1.0)) > NORM_ATOL:
             raise InvalidState("a swept state vector is not normalized")

@@ -30,14 +30,13 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .circuit import Circuit, circuit_unitary
+from .circuit import Circuit, basis_permutation
 from .errors import (
     BadMemoryState,
     BadParams,
     BadPartition,
     BadProbability,
     DimensionMismatch,
-    NotAPermutation,
 )
 from .qmath import (
     MAX_SHOTS,
@@ -153,20 +152,12 @@ _STROKE.cx(PARTICLE, MEMORY)  # unfold, leaving the record in place
 def _stage_gather(stage: Circuit) -> tuple:
     """Read-only ``np.ix_`` pair with ``rho[pair]`` = U rho U^dag for ``stage``'s unitary U.
 
-    U must be exactly a 0/1 permutation matrix: row a holds one nonzero
-    entry, a 1 in column ``src[a]``, and every column is hit once. Then
-    (U rho U^dag)[a, b] = rho[src[a], src[b]].
+    U must permute the basis states (``basis_permutation`` refuses it
+    otherwise); with its read-only source rows ``src``, (U rho U^dag)[a, b] =
+    rho[src[a], src[b]], and the pair's arrays are read-only views of ``src``.
     """
-    u = circuit_unitary(stage)
-    rows, src = np.nonzero(u)
-    dim = u.shape[0]
-    one_per_row = np.array_equal(rows, np.arange(dim)) and bool((u[rows, src] == 1).all())
-    if not (one_per_row and set(src.tolist()) == set(range(dim))):
-        raise NotAPermutation("a Szilard stage's unitary is not a permutation of the basis states")
-    pair = np.ix_(src, src)
-    for index in pair:
-        index.setflags(write=False)
-    return pair
+    src = basis_permutation(stage)
+    return np.ix_(src, src)
 
 
 _OBSERVE_GATHER = _stage_gather(_OBSERVE)

@@ -268,6 +268,8 @@ SMOKE = (
 # is refused with exit 2, the pinned ones with exactly this stderr line.
 REFUSALS = (
     ("grid", "epr sweep --theta-steps 100000 --phi-steps 100000", None),
+    ("grid-edge", "epr sweep --theta-steps 257 --phi-steps 256",
+     "usage error: --theta-steps x --phi-steps is 65792 grid points, above the limit of 65536"),
     ("shots", "szilard --shots 1000000000000", None),
     ("cycles", "szilard --cycles 1000000000", None),
     ("deep-unitary", "ctc solve --unitary deep.json",
@@ -341,6 +343,8 @@ def process_cases() -> List[Case]:
     row("loop-weak6", "ctc solve --unitary weak6.json --system-state +",
         "solves the worst loop accepted: exp(-i 0.001 H) on 5 loop qubits, whose Krylov"
         " space nears its bound of 1,025 vectors")
+    row("sweep-largest", "epr sweep --theta-steps 256 --phi-steps 256 --format json",
+        "the largest sweep accepted", check=parses)
     # Without the reset each cycle makes two binomial draws of the set-bit
     # count, whatever --shots is; with it none is drawn.
     row("engine-stale", "szilard --cycles 1000 --skip-reset --shots 10000000 --seed 1",

@@ -11,6 +11,7 @@ from paradoxlab.circuit import (
     Instruction,
     RunResult,
     apply_instruction,
+    basis_permutation,
     circuit_unitary,
     make_gate,
     run_density,
@@ -25,6 +26,7 @@ from paradoxlab.errors import (
     InvalidCircuit,
     NonUnitary,
     NonUnitaryInstruction,
+    NotAPermutation,
     TooManyQubits,
     UnknownKind,
 )
@@ -522,3 +524,21 @@ class TestCircuitUnitary:
     def test_rejects_non_unitary_ops(self):
         with pytest.raises(NonUnitaryInstruction):
             circuit_unitary(Circuit(1, 1).measure(0, 0))
+
+
+class TestBasisPermutation:
+    def test_rows_apply_the_unitary_by_indexing(self):
+        """A 3-cycle taking 1 to 2 to 3 to 1: not its own inverse, so rows read
+        the wrong way round fail."""
+        c = Circuit(2).cx(0, 1).cx(1, 0)
+        src = basis_permutation(c)
+        assert src.tolist() == [0, 3, 1, 2]
+        assert not src.flags.writeable
+        psi = np.random.default_rng(3).normal(size=(4, 2))
+        assert np.array_equal(psi[src], circuit_unitary(c).real @ psi)
+
+    @pytest.mark.parametrize("c", [Circuit(1).h(0), Circuit(1).z(0), Circuit(1).rx(np.pi, 0)],
+                             ids=["mixing", "signed", "rounded"])
+    def test_anything_else_refused(self, c):
+        with pytest.raises(NotAPermutation, match="not a permutation of the basis states"):
+            basis_permutation(c)

@@ -38,7 +38,7 @@ from paradoxlab.qmath import (
     maximally_mixed,
     trace_distance,
 )
-from util import count_calls
+from util import BUILDS, count_calls
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -147,7 +147,7 @@ class TestSharedProblems:
         argv = ["ctc", "bb84", "--input", "+"]
         assert cli.main(argv) == 0
         first = capsys.readouterr()
-        counted = count_calls(monkeypatch)
+        counted = count_calls(monkeypatch, BUILDS)
         assert cli.main(argv) == 0
         assert capsys.readouterr() == first
         assert counted == {"validate": 0, "is_unitary": 0}

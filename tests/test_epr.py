@@ -9,8 +9,8 @@ import pytest
 
 import oracle
 import test_relations
-from paradoxlab import descriptor, epr
-from paradoxlab.circuit import Circuit, run_density
+from paradoxlab import cli, descriptor, epr, qmath
+from paradoxlab.circuit import Circuit, circuit_unitary, run_density
 from paradoxlab.descriptor import dependence_probe
 from paradoxlab.epr import (
     ALICE,
@@ -25,9 +25,9 @@ from paradoxlab.epr import (
     info_flow_report,
     sweep,
 )
-from paradoxlab.errors import BadParams, InvalidState
-from paradoxlab.qmath import _apply_op, partial_trace, trace_distance
-from util import count_calls
+from paradoxlab.errors import BadParams, InvalidState, NotAPermutation
+from paradoxlab.qmath import partial_trace, trace_distance
+from util import BUILDS, count_calls
 
 
 # Tracked record: (qubit, whether its probe circuit includes the parity gates).
@@ -173,6 +173,13 @@ class TestNoSignalling:
             assert trace_distance(states[0], other) <= 1e-10
 
 
+def leaky_steps() -> tuple:
+    """The sweep's steps with a leaky tail: the row that gathered basis state 1
+    repeats state 0's instead, which moves each column's norm by cos(theta + phi) / 2."""
+    *rotations, (_, tail) = epr._STEPS
+    return (*rotations, (None, np.where(tail == 1, 0, tail)))
+
+
 class TestSweep:
     @pytest.mark.parametrize("shape", [(1, 6), (6, 1), (3, 5), (7, 2), (9, 11)])
     def test_random_grids_match_oracle(self, shape):
@@ -200,21 +207,15 @@ class TestSweep:
             sweep([0.1], [bad, 0.2])
 
     def test_unnormalized_batch_rejected(self, monkeypatch):
-        def leaky(op, state, targets):
-            return 0.999 * _apply_op(op, state, targets)
-
-        monkeypatch.setattr("paradoxlab.epr._apply_op", leaky)
+        monkeypatch.setattr(epr, "_STEPS", leaky_steps())
         with pytest.raises(InvalidState):
             sweep([0.1, 0.2], [0.3])
 
     def test_a_leaky_kernel_leaves_later_sweeps_alone(self, monkeypatch):
-        """A sweep under a patched kernel, then sweeps under the real one: the
-        shared start was built at import, so the patch cannot have reached it."""
-        def leaky(op, state, targets):
-            return 0.999 * _apply_op(op, state, targets)
-
+        """A sweep under a leaky tail table, then sweeps under the real one: a
+        sweep keeps nothing of the tables it ran, so the leak cannot reach them."""
         with monkeypatch.context() as patched:
-            patched.setattr("paradoxlab.epr._apply_op", leaky)
+            patched.setattr(epr, "_STEPS", leaky_steps())
             with pytest.raises(InvalidState):
                 sweep([0.1, 0.2], [0.3])
         self.test_grid_shape_and_values()
@@ -232,14 +233,49 @@ class TestSweep:
         assert got.tobytes() == oracle.sweep_walk(thetas, phis).tobytes()
 
     def test_second_sweep_builds_no_circuit(self, monkeypatch):
+        """Nor does it call the kernel: a batch runs on row gathers alone."""
         sweep([0.1], [0.2])
-        counted = count_calls(monkeypatch)
+        kernel = [(qmath, "_apply_op"), (epr, "_apply_op")]
+        counted = count_calls(monkeypatch, [*BUILDS, *kernel])
         sweep([0.3, 0.4], [0.5])
-        assert counted == {"validate": 0, "is_unitary": 0}
+        assert counted == {"validate": 0, "is_unitary": 0, "_apply_op": 0}
 
     def test_shared_arrays_are_read_only(self):
-        for shared in (epr._START, epr._FIRES, epr._X):
+        for shared in (epr._START, epr._FIRES, *(rows for _, rows in epr._STEPS)):
             assert not shared.flags.writeable
+
+    def test_each_table_is_read_from_its_own_gates(self):
+        """An RX's rows are X's on its qubit; the tail's are those of every gate
+        after the last RX. Both are read here from ``circuit_unitary``, so an
+        edited template cannot leave a stale table."""
+        gates = epr._TEMPLATE.instructions
+        rx = [k for k, instr in enumerate(gates) if instr.gate.kind == "RX"]
+        assert rx == list(range(epr._LEAD, rx[-1] + 1))
+        want = [(gates[k].targets[0], Circuit(5).x(gates[k].targets[0])) for k in rx]
+        want.append((None, Circuit(5, 0, gates[rx[-1] + 1:])))
+        assert [qubit for qubit, _ in epr._STEPS] == [qubit for qubit, _ in want]
+        for (_, rows), (_, c) in zip(epr._STEPS, want):
+            u = circuit_unitary(c)
+            dest, src = np.nonzero(u)
+            assert dest.tolist() == list(range(32)) and (u[dest, src] == 1).all()
+            assert rows.tolist() == src.tolist()
+
+    def test_a_tail_that_does_not_permute_is_refused(self):
+        gates = Circuit(5).rx(0.0, ALICE).cx(ALICE, ALICE_MEM).h(CHECK).instructions
+        with pytest.raises(NotAPermutation, match="not a permutation of the basis states"):
+            epr._gather_steps(gates, 5)
+
+    def test_grid_above_the_cap_refused(self, monkeypatch):
+        """257 x 256 angles is one row over the cap; the grid is never built."""
+        def no_grid(*args):
+            raise AssertionError("the grid was built")
+
+        angles = np.linspace(-np.pi, np.pi, 257)
+        monkeypatch.setattr(np, "repeat", no_grid)
+        message = "257 x 256 angles is 65792 grid points, above the limit of 65536"
+        with pytest.raises(BadParams, match=message):
+            sweep(angles, angles[:256])
+        assert epr.MAX_SWEEP_POINTS == cli.MAX_SWEEP_POINTS == 256 * 256
 
     def test_grid_shape_and_values(self):
         thetas = [0.0, 0.5]

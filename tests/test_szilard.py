@@ -39,6 +39,7 @@ from paradoxlab.szilard import (
     run_single_cycle,
     work_expectation,
 )
+from util import count_calls
 
 
 def qubit_dm(bit):
@@ -273,14 +274,7 @@ class TestCycleWork:
     @pytest.mark.parametrize("p", [0.0, 0.37, 1.0])
     def test_cycle_runs_unitary_stages_only(self, p, monkeypatch):
         """A cycle is its two unitary stages, each one gather; no kernel call, no Kraus map."""
-        calls = {"_apply_op": 0, "_kraus_map": 0}
-        for name in calls:
-
-            def counted(*args, _name=name, _real=getattr(qmath, name)):
-                calls[_name] += 1
-                return _real(*args)
-
-            monkeypatch.setattr(qmath, name, counted)
+        calls = count_calls(monkeypatch, [(qmath, "_apply_op"), (qmath, "_kraus_map")])
         run_single_cycle(basis_dm(1, 0), SzilardConfig(depolarize_p=p))
         assert calls == {"_apply_op": 0, "_kraus_map": 0}
         for stage in (_OBSERVE, _STROKE):

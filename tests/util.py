@@ -28,11 +28,16 @@ def random_unitary_circuit(n, depth, rng) -> Circuit:
     return c
 
 
-def count_calls(monkeypatch) -> dict:
-    """Count, from now on, circuit appends (each runs ``circuit.validate``) and
-    unitarity checks (``qmath.is_unitary``)."""
-    counted = {"validate": 0, "is_unitary": 0}
-    for module, name in ((circuit, "validate"), (qmath, "is_unitary")):
+# Circuit appends (each runs ``circuit.validate``) and unitarity checks.
+BUILDS = ((circuit, "validate"), (qmath, "is_unitary"))
+
+
+def count_calls(monkeypatch, targets) -> dict:
+    """Count, from now on, the calls to each ``(module, name)`` of ``targets``,
+    keyed by name. A name given for two modules (its own, and one that imported
+    it by name) counts into one total."""
+    counted = dict.fromkeys((name for _, name in targets), 0)
+    for module, name in targets:
 
         def counting(*args, _name=name, _real=getattr(module, name)):
             counted[_name] += 1
