@@ -8,9 +8,14 @@ same arguments produce byte-identical text:
   payload with every float rounded to nine significant digits (the nearest
   float to that decimal, written by ``float.__repr__``; ``NaN``,
   ``Infinity`` and ``-Infinity`` for non-finite ones), written in one pass.
+  ``_json_float`` is its one float rule. A list of plain dicts that share
+  their str keys in one order (the sweep's rows, the engine's ledger, the
+  audit's steps) is written one key's column at a time.
 - Any float below 1e-12 in magnitude prints as zero (``0``; ``0.0`` in JSON).
 - A table cell is the six-significant-digit form of its value
-  (``f"{v:.6g}"``), a CSV cell the nine-significant-digit form.
+  (``f"{v:.6g}"``), a CSV cell the nine-significant-digit form. Both are
+  rendered a column at a time by ``_column``, which holds their one float
+  rule and leaves every value that is not a plain float to ``_cell``.
 
 Exit codes: 0 on success, 1 when a numerical procedure fails to converge
 or an audit reports a violation, 2 for usage errors.
@@ -27,7 +32,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -172,21 +177,24 @@ def parse(argv: Sequence[str]) -> argparse.Namespace:
     return ns
 
 
-def _round_float(value: float, sig: int = _JSON_SIG) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        return value
-    if abs(value) < _DISPLAY_FLOOR:
-        return 0.0
-    return float(f"{value:.{sig}g}")
+def _column(values, sig: int) -> List[str]:
+    """The table (``sig`` 6) or CSV (``sig`` 9) cells of ``values``. A plain
+    float, the common cell, is formatted here without a type dispatch, and
+    every other value by ``_cell``."""
+    # One format, no round trip: a decimal of at most 15 significant digits
+    # reads back as a float that formats to the same digits.
+    floor = _DISPLAY_FLOOR
+    fmt = f"{{:.{sig}g}}".format
+    return [
+        ("0" if -floor < v < floor else fmt(v)) if type(v) is float else _cell(v, sig)
+        for v in values
+    ]
 
 
 def _cell(value, sig: int) -> str:
-    # One format, no round trip: a decimal of at most 15 significant digits
-    # reads back as a float that formats to the same digits.
+    """The cell of one value; a float of any type takes ``_column``'s rule."""
     if isinstance(value, (float, np.floating)):
-        value = float(value)
-        return "0" if abs(value) < _DISPLAY_FLOOR else f"{value:.{sig}g}"
+        return _column((float(value),), sig)[0]
     if value is None:
         return ""
     if isinstance(value, (bool, np.bool_)):
@@ -194,7 +202,7 @@ def _cell(value, sig: int) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, tuple):
-        return " ".join([_cell(v, sig) for v in value])
+        return " ".join(_column(value, sig))
     return str(value)
 
 
@@ -203,12 +211,61 @@ _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _json_string = json.encoder.encode_basestring_ascii
 
 
+def _json_float(value: float) -> str:
+    """JSON text of the Python float ``value`` rounded to nine significant
+    digits: zero below the display floor, json's spelling when non-finite."""
+    if -_DISPLAY_FLOOR < value < _DISPLAY_FLOOR:
+        return "0.0"
+    # A non-finite value formats, reads back and prints as itself.
+    text = repr(float(f"{value:.{_JSON_SIG}g}"))
+    return _JSON_NON_FINITE.get(text, text)
+
+
+def _record_keys(items) -> Tuple[str, ...]:
+    """The keys that every item of the non-empty ``items`` holds in the same
+    order when each is a plain dict with the same non-empty str keys, else ()."""
+    first = items[0]
+    if type(first) is not dict:
+        return ()
+    keys = tuple(first)  # () for an empty first dict: not records
+    if all(type(k) is str for k in keys) and all(
+        type(item) is dict and tuple(item) == keys for item in items
+    ):
+        return keys
+    return ()
+
+
+def _json_text(value, newline: str) -> str:
+    """``value``'s JSON text, its own line broken and indented by ``newline``."""
+    parts: List[str] = []
+    _write_json(value, newline, parts)
+    return "".join(parts)
+
+
+def _json_records(records, keys: Tuple[str, ...], newline: str) -> Iterator[str]:
+    """Each record's JSON text at ``newline``'s indent, rendered one key's
+    column at a time and joined from fixed text around the values."""
+    inner = newline + "  "
+    # A brace in a key is text, not a field of the template.
+    entries = [
+        _json_string(key).replace("{", "{{").replace("}", "}}") + ": {}" for key in keys
+    ]
+    template = "{{" + inner + ("," + inner).join(entries) + newline + "}}"
+    columns = [
+        [
+            _json_float(v) if type(v) is float else _json_text(v, inner)
+            for v in [record[key] for record in records]
+        ]
+        for key in keys
+    ]
+    return map(template.format, *columns)
+
+
 def _write_json(value, newline: str, parts: List[str]) -> None:
     """Append ``value``'s JSON text to ``parts``, rounding each float as it
     goes; ``newline`` is the line break and indent of ``value``'s own line."""
     if isinstance(value, (float, np.floating)):
-        text = repr(_round_float(value))
-        parts.append(_JSON_NON_FINITE.get(text, text))
+        parts.append(_json_float(float(value)))
     elif isinstance(value, dict):
         if not value:
             parts.append("{}")
@@ -226,6 +283,11 @@ def _write_json(value, newline: str, parts: List[str]) -> None:
             parts.append("[]")
             return
         inner = newline + "  "
+        keys = _record_keys(value)
+        if keys:
+            records = _json_records(value, keys, inner)
+            parts.append("[" + inner + ("," + inner).join(records) + newline + "]")
+            return
         sep = "[" + inner
         for item in value:
             parts.append(sep)
@@ -247,21 +309,14 @@ def _write_json(value, newline: str, parts: List[str]) -> None:
 def _render_json(payload) -> str:
     """``json.dumps(payload, indent=2)`` of the payload with every float
     rounded to nine significant digits, in one pass."""
-    parts: List[str] = []
-    _write_json(payload, "\n", parts)
-    parts.append("\n")
-    return "".join(parts)
+    return _json_text(payload, "\n") + "\n"
 
 
 def _render_table(headers: Sequence[str], rows: Sequence[Row]) -> str:
-    grid = [list(headers)] + [
-        [_cell(v, _TABLE_SIG) for v in row] for row in rows
-    ]
-    widths = [max(len(line[i]) for line in grid) for i in range(len(headers))]
-    lines = [
-        "  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip()
-        for line in grid
-    ]
+    columns = [_column(col, _TABLE_SIG) for col in zip(*rows)] or [[] for _ in headers]
+    widths = [max([len(h), *map(len, col)]) for h, col in zip(headers, columns)]
+    line = "  ".join(f"{{:<{w}}}" for w in widths).format
+    lines = [line(*headers).rstrip()] + [line(*cells).rstrip() for cells in zip(*columns)]
     return "\n".join(lines) + "\n"
 
 
@@ -269,8 +324,7 @@ def _render_csv(headers: Sequence[str], rows: Sequence[Row]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(headers)
-    for row in rows:
-        writer.writerow([_cell(v, _JSON_SIG) for v in row])
+    writer.writerows(zip(*[_column(col, _JSON_SIG) for col in zip(*rows)]))
     return buffer.getvalue()
 
 

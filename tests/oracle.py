@@ -6,6 +6,8 @@ Little-endian convention throughout: qubit 0 is the least significant
 bit of a basis index, so it sits rightmost in a kron chain.
 """
 
+import csv
+import io
 import math
 from functools import reduce
 
@@ -211,6 +213,44 @@ def json_ready(value):
     if isinstance(value, (float, np.floating)):
         return round_float(value)
     return value
+
+
+def cell(value, sig):
+    """The CLI's table (``sig`` 6) or CSV (``sig`` 9) cell of one value, by
+    the per-value rules: a float rounds (``round_float``) and then formats."""
+    if isinstance(value, (float, np.floating)):
+        return f"{round_float(value, sig):.{sig}g}"
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, tuple):
+        return " ".join([cell(v, sig) for v in value])
+    return str(value)
+
+
+def render_table(headers, rows):
+    """The CLI's aligned table, built row by row: each column as wide as its
+    widest cell or header, two spaces between columns, no trailing blanks."""
+    grid = [list(headers)] + [[cell(v, 6) for v in row] for row in rows]
+    widths = [max(len(line[i]) for line in grid) for i in range(len(headers))]
+    lines = [
+        "  ".join(text.ljust(w) for text, w in zip(line, widths)).rstrip()
+        for line in grid
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def render_csv(headers, rows):
+    """The CLI's CSV, written row by row."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(headers)
+    for row in rows:
+        writer.writerow([cell(v, 9) for v in row])
+    return buffer.getvalue()
 
 
 def sweep_walk(thetas, phis):

@@ -112,6 +112,17 @@ class TestGates:
         with pytest.raises(ValueError):
             h.matrix[0, 0] = 0
 
+    @pytest.mark.parametrize("builder, want", [("y", oracle.Y), ("i", oracle.I2)])
+    def test_y_and_i_builders_apply_the_oracle_gate(self, builder, want):
+        c = getattr(Circuit(2), builder)(1)
+        (instr,) = c.instructions
+        assert (instr.op, instr.gate.kind, instr.targets) == ("unitary", builder.upper(), (1,))
+        np.testing.assert_array_equal(instr.gate.matrix, want)
+        rho = oracle.random_density(4, np.random.default_rng(11))
+        lifted = oracle.lift(want, [1], 2)
+        got = run_density(c, DensityMatrix(rho)).final_state.mat
+        np.testing.assert_allclose(got, lifted @ rho @ lifted.conj().T, atol=1e-12)
+
 
 class TestValidate:
     def test_clean_circuit(self):

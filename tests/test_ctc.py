@@ -315,6 +315,27 @@ class TestSolver:
         with pytest.raises(NoConvergence, match="^GMRES stagnated at residual "):
             solve_fixed_point(p, tol=1e-300)
 
+    def test_nilpotent_map_breaks_gmres_down(self):
+        """S - I = A with A e0 = e1 and A e1 = 0, in GMRES's real coordinates:
+        the first Krylov vector e1 is sent to zero, so the space is singular
+        before any correction is found."""
+        a = np.zeros((4, 4))
+        a[1, 0] = 1.0
+
+        def apply(x):
+            return x + (a @ (x.real + x.imag).ravel()).reshape(2, 2)
+
+        with pytest.raises(NoConvergence, match="^GMRES broke down on a singular Krylov space$"):
+            ctc._gmres_fixed_point(apply, 2, SOLVE_TOL)
+
+    def test_non_finite_map_exhausts_the_krylov_space(self):
+        """A map that returns NaN never meets the stopping rule, and its
+        Krylov steps never break down, so the solve runs out of space instead
+        of returning a NaN fixed point. A finite map runs out only through
+        rounding: in exact arithmetic the d*d-th step closes the space."""
+        with pytest.raises(NoConvergence, match="^GMRES exhausted the Krylov space above 1e-12$"):
+            ctc._gmres_fixed_point(lambda x: x * np.nan, 2, SOLVE_TOL)
+
 
 def random_loop_problem(n_sys, n_loop, seed):
     rng = np.random.default_rng(seed)

@@ -1,6 +1,8 @@
 """The CLI's one-pass writers give the same text as the two-step reference:
 round the payload (``oracle.json_ready``), then ``json.dumps(..., indent=2)``;
-round a cell's float, then format it."""
+round a cell's float, then format it. The column-wise table and CSV give the
+same text as the row-wise ones of ``oracle``, and a list of same-key records
+gives the same JSON on its column path as any other payload on the generic one."""
 
 from __future__ import annotations
 
@@ -11,12 +13,13 @@ import numpy as np
 import pytest
 
 import oracle
-from paradoxlab.cli import _cell, _render_json
+from paradoxlab import cli
+from paradoxlab.cli import _cell, _render_csv, _render_json, _render_table
 
 FLOOR = 1e-12
 EDGE_FLOATS = [
     math.nan, math.inf, -math.inf, 0.0, -0.0,
-    FLOOR, -FLOOR, math.nextafter(FLOOR, 0.0), -math.nextafter(FLOOR, 0.0),
+    FLOOR, -FLOOR, math.nextafter(FLOOR, 0.0), -math.nextafter(FLOOR, 0.0), 1e-13, -1e-13,
     1e16, -1e16, 1e17, 123456789.0, 999999.5, 0.99999995, 5e-324,
     np.float64(0.1), np.float64(-2.5e-13), np.float32(0.1), np.float32(1e-12), np.float32(-7.3e16),
 ]
@@ -26,6 +29,7 @@ EDGE_VALUES = EDGE_FLOATS + [
     {1: "int key", 2.5: "float key", None: "none key", True: "bool key", np.int64(7): "np key"},
     {1: "first", "1": "collides with the int key"},
 ]
+UNSERIALIZABLE = [1j, np.zeros(2), {1, 2}, b"bytes"]
 CHARS = "az09 \t\n\"\\/\x00\x1f\x7fé☃ \U0001d11e"
 
 
@@ -85,7 +89,7 @@ def test_json_random_payloads_match_the_stdlib():
         assert _render_json(payload) == reference_json(payload), payload
 
 
-@pytest.mark.parametrize("value", [1j, np.zeros(2), {1, 2}, b"bytes"], ids=repr)
+@pytest.mark.parametrize("value", UNSERIALIZABLE, ids=repr)
 def test_json_refuses_what_the_stdlib_refuses(value):
     with pytest.raises(TypeError):
         reference_json({"k": [value]})
@@ -100,3 +104,129 @@ def test_cell_formats_once_as_the_rounded_float(sig):
     values = (magnitudes * rng.choice([-1.0, 1.0], size=magnitudes.size)).tolist()
     for value in values + EDGE_FLOATS:
         assert _cell(value, sig) == f"{oracle.round_float(value, sig):.{sig}g}", value
+
+
+# Keys that json escapes, and braces, which the records path's line template
+# must keep as text.
+KEYS = ["theta", "p", "a b", "{}", "{0}", "}{", "q\"uote", "é☃", "", "x,y"]
+
+
+def random_cell(rng):
+    kind = rng.integers(6)
+    if kind < 3:
+        return random_float(rng)
+    if kind == 3:
+        return tuple(random_scalar(rng) for _ in range(rng.integers(0, 4)))
+    if kind == 4:
+        return (None, 0, True, np.int64(-7), "a,b", 'q"t')[rng.integers(6)]
+    return random_scalar(rng)
+
+
+def random_table(rng):
+    width = int(rng.integers(1, 6))
+    headers = tuple("".join(rng.choice(list("ab, _"), size=rng.integers(0, 8))) for _ in range(width))
+    # A column is all plain floats, all numpy floats, or mixed.
+    kinds = rng.integers(3, size=width)
+    rows = []
+    for _ in range(rng.integers(0, 30)):
+        row = []
+        for kind in kinds:
+            if kind == 2:
+                row.append(random_cell(rng))
+            else:
+                row.append((float, np.float64)[kind](random_float(rng)))
+        rows.append(tuple(row))
+    return headers, rows
+
+
+@pytest.mark.parametrize("value", EDGE_FLOATS, ids=repr)
+def test_table_and_csv_edge_cells_match_the_row_wise_reference(value):
+    headers, rows = ("field", "value"), [("x", value), ("y", (value, value)), ("z", None)]
+    assert _render_table(headers, rows) == oracle.render_table(headers, rows)
+    assert _render_csv(headers, rows) == oracle.render_csv(headers, rows)
+
+
+def test_table_and_csv_random_grids_match_the_row_wise_reference():
+    rng = np.random.default_rng(41)
+    for _ in range(800):
+        headers, rows = random_table(rng)
+        assert _render_table(headers, rows) == oracle.render_table(headers, rows), (headers, rows)
+        assert _render_csv(headers, rows) == oracle.render_csv(headers, rows), (headers, rows)
+
+
+def random_record_value(rng):
+    kind = rng.integers(8)
+    if kind < 4:
+        return random_float(rng)
+    if kind == 4:
+        return EDGE_FLOATS[rng.integers(len(EDGE_FLOATS))]
+    if kind == 5:
+        return random_payload(rng, depth=2)
+    return random_scalar(rng)
+
+
+def random_records(rng):
+    keys = [str(k) for k in rng.choice(KEYS, size=rng.integers(1, 5), replace=False)]
+    return [{key: random_record_value(rng) for key in keys} for _ in range(rng.integers(1, 41))]
+
+
+@pytest.fixture
+def records_calls(monkeypatch):
+    """The keys of each call to the records path."""
+    calls = []
+    real = cli._json_records
+
+    def spy(records, keys, newline):
+        calls.append(keys)
+        return real(records, keys, newline)
+
+    monkeypatch.setattr(cli, "_json_records", spy)
+    return calls
+
+
+def test_json_random_records_match_the_stdlib(records_calls):
+    rng = np.random.default_rng(4141)
+    for _ in range(400):
+        records = random_records(rng)
+        for payload in (records, tuple(records), {"rows": records}):
+            records_calls.clear()
+            assert _render_json(payload) == reference_json(payload), payload
+            assert records_calls[0] == tuple(records[0])
+
+
+@pytest.mark.parametrize("value", UNSERIALIZABLE, ids=repr)
+def test_json_records_refuse_what_the_stdlib_refuses(value, records_calls):
+    records = [{"a": 1.5, "b": None}, {"a": 2.5, "b": [value]}]
+    with pytest.raises(TypeError):
+        reference_json(records)
+    with pytest.raises(TypeError):
+        _render_json(records)
+    assert records_calls == [("a", "b")]
+
+
+class Record(dict):
+    pass
+
+
+NEAR_MISSES = {
+    "one record in another key order": lambda r: r[:1] + [dict(reversed(r[1].items()))] + r[2:],
+    "an int key in the first record": lambda r: [{**r[0], 7: 1.5}] + r[1:],
+    "an int key in a later record": lambda r: r[:-1] + [{7 if k == "a" else k: v for k, v in r[-1].items()}],
+    "a dict subclass": lambda r: r[:1] + [Record(r[1])] + r[2:],
+    "a dict subclass first": lambda r: [Record(r[0])] + r[1:],
+    "an empty dict": lambda r: r + [{}],
+    "an empty dict first": lambda r: [{}] + r,
+}
+
+
+@pytest.mark.parametrize("name", NEAR_MISSES)
+def test_json_near_miss_records_take_the_generic_path(name, records_calls):
+    rng = np.random.default_rng(sum(map(ord, name)))
+    for _ in range(50):
+        records = [
+            {"a": random_float(rng), "b": random_scalar(rng), "c": random_float(rng)}
+            for _ in range(rng.integers(2, 8))
+        ]
+        payload = NEAR_MISSES[name](records)
+        assert _render_json(payload) == reference_json(payload), payload
+    assert records_calls == []
