@@ -1,8 +1,10 @@
 """Command-line front end for the lab's experiments.
 
-Every subcommand computes a JSON-ready payload once and renders it as an
-aligned table, CSV, or indented JSON, so that repeated invocations with the
-same arguments produce byte-identical text:
+Every subcommand computes its result once and renders it as an aligned
+table, CSV, or indented JSON, so that repeated invocations with the same
+arguments produce byte-identical text. A handler hands back two zero-argument
+builders, one of the JSON-ready payload and one of the table/CSV rows, and
+only the one the format renders is called:
 
 - JSON is ``json.dumps(payload, indent=2)``, plus a final newline, of the
   payload with every float rounded to nine significant digits (the nearest
@@ -31,6 +33,7 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -55,6 +58,9 @@ MAX_CYCLES = 1000
 MAX_AUDIT_INSTRUCTIONS = 1000
 
 Row = Tuple[object, ...]
+# The engine ledger's columns: the record fields, in order.
+_RECORD_FIELDS = tuple(f.name for f in fields(szilard.CycleRecord))
+_record_row = attrgetter(*_RECORD_FIELDS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -329,11 +335,13 @@ def _render_csv(headers: Sequence[str], rows: Sequence[Row]) -> str:
 
 
 def _render(inv: argparse.Namespace, payload, headers, rows) -> str:
+    """``inv.format``'s text; ``payload`` and ``rows`` are zero-argument
+    builders, and only the one that format renders is called."""
     if inv.format == "json":
-        return _render_json(payload)
+        return _render_json(payload())
     if inv.format == "csv":
-        return _render_csv(headers, rows)
-    return _render_table(headers, rows)
+        return _render_csv(headers, rows())
+    return _render_table(headers, rows())
 
 
 def _read_label(inv: argparse.Namespace, allowed: Sequence[str]) -> str:
@@ -350,31 +358,38 @@ def _read_label(inv: argparse.Namespace, allowed: Sequence[str]) -> str:
 def _cmd_epr(inv: argparse.Namespace):
     cfg = epr.EprConfig(inv.theta, inv.phi)
     report = epr.info_flow_report(cfg)
-    payload = {
-        "theta": report.theta,
-        "phi": report.phi,
-        "p_check_one": report.p_check_one,
-        "correlation": report.correlation,
-        "dependence": report.dependence,
-        "shots": inv.shots,
-        "seed": inv.seed,
-    }
-    rows: List[Row] = [
-        ("theta", report.theta),
-        ("phi", report.phi),
-        ("p_check_one", report.p_check_one),
-        ("correlation", report.correlation),
-    ]
-    for who, angles in report.dependence.items():
-        for angle, depends in angles.items():
-            rows.append((f"dependence.{who}.{angle}", depends))
-    rows.append(("shots", inv.shots))
-    rows.append(("seed", inv.seed))
-    if inv.shots > 0:
-        counts = sample(report.run, inv.shots, inv.seed)
-        payload["counts"] = counts
-        for key in sorted(counts):
-            rows.append((f"counts[{key}]", counts[key]))
+    counts = sample(report.run, inv.shots, inv.seed) if inv.shots > 0 else None
+
+    def payload():
+        doc = {
+            "theta": report.theta,
+            "phi": report.phi,
+            "p_check_one": report.p_check_one,
+            "correlation": report.correlation,
+            "dependence": report.dependence,
+            "shots": inv.shots,
+            "seed": inv.seed,
+        }
+        if counts is not None:
+            doc["counts"] = counts
+        return doc
+
+    def rows():
+        out: List[Row] = [
+            ("theta", report.theta),
+            ("phi", report.phi),
+            ("p_check_one", report.p_check_one),
+            ("correlation", report.correlation),
+        ]
+        for who, angles in report.dependence.items():
+            for angle, depends in angles.items():
+                out.append((f"dependence.{who}.{angle}", depends))
+        out.append(("shots", inv.shots))
+        out.append(("seed", inv.seed))
+        if counts is not None:
+            out.extend((f"counts[{key}]", counts[key]) for key in sorted(counts))
+        return out
+
     return payload, ("field", "value"), rows, 0
 
 
@@ -382,43 +397,59 @@ def _cmd_epr_sweep(inv: argparse.Namespace):
     thetas = np.linspace(-math.pi, math.pi, inv.theta_steps)
     phis = np.linspace(-math.pi, math.pi, inv.phi_steps)
     points = epr.sweep(thetas, phis)
-    payload = {
-        "rows": [
-            {"theta": pt.theta, "phi": pt.phi, "p_check_one": pt.p_check_one}
-            for pt in points
-        ]
-    }
-    rows = [(pt.theta, pt.phi, pt.p_check_one) for pt in points]
+
+    def payload():
+        return {
+            "rows": [
+                {"theta": pt.theta, "phi": pt.phi, "p_check_one": pt.p_check_one}
+                for pt in points
+            ]
+        }
+
+    def rows():
+        return [(pt.theta, pt.phi, pt.p_check_one) for pt in points]
+
     return payload, ("theta", "phi", "p_check_one"), rows, 0
 
 
 def _cmd_szilard(inv: argparse.Namespace):
     cfg = szilard.SzilardConfig(cycles=inv.cycles, skip_reset=inv.skip_reset)
     records = szilard.run_cycles(cfg, shots=inv.shots, seed=inv.seed)
-    headers = tuple(f.name for f in fields(szilard.CycleRecord))
-    payload = [{name: getattr(rec, name) for name in headers} for rec in records]
-    rows = [tuple(doc.values()) for doc in payload]
-    return payload, headers, rows, 0
+
+    def rows():
+        return list(map(_record_row, records))
+
+    def payload():
+        return [dict(zip(_RECORD_FIELDS, row)) for row in map(_record_row, records)]
+
+    return payload, _RECORD_FIELDS, rows, 0
 
 
 def _ctc_report(problem: ctc.CtcProblem, tol: float = SOLVE_TOL):
     """Solve ``problem``'s loop and read out every system qubit, lowest first."""
     result = ctc.run_ctc_circuit(problem, tol=tol)
     sol = result.solution
-    payload = {
-        "distribution": dict(result.distribution),
-        "fixed_point": matrix_to_entries(sol.rho_loop.mat),
-        "residual": sol.residual,
-        "iterations": sol.iterations,
-    }
-    rows: List[Row] = [
-        (f"p[{key}]", value) for key, value in sorted(result.distribution.items())
-    ]
-    rows.append(("residual", sol.residual))
-    rows.append(("iterations", sol.iterations))
-    dim = sol.rho_loop.mat.shape[0]
-    for (i, j), entry in zip(np.ndindex(dim, dim), payload["fixed_point"]):
-        rows.append((f"fixed_point[{i}][{j}]", tuple(entry)))
+
+    def payload():
+        return {
+            "distribution": dict(result.distribution),
+            "fixed_point": matrix_to_entries(sol.rho_loop.mat),
+            "residual": sol.residual,
+            "iterations": sol.iterations,
+        }
+
+    def rows():
+        out: List[Row] = [
+            (f"p[{key}]", value) for key, value in sorted(result.distribution.items())
+        ]
+        out.append(("residual", sol.residual))
+        out.append(("iterations", sol.iterations))
+        dim = sol.rho_loop.mat.shape[0]
+        entries = matrix_to_entries(sol.rho_loop.mat)
+        for (i, j), entry in zip(np.ndindex(dim, dim), entries):
+            out.append((f"fixed_point[{i}][{j}]", tuple(entry)))
+        return out
+
     return payload, ("field", "value"), rows, 0
 
 
@@ -467,14 +498,20 @@ def _cmd_audit(inv: argparse.Namespace):
         )
     with _input_file("--circuit"):
         report = locality_audit(Circuit.from_dict(doc))
-    steps = [
-        {"instr": s.instr, "max_offsupport_delta": s.max_offsupport_delta, "pass": s.ok}
-        for s in report.steps
-    ]
-    payload = {"steps": steps, "overall": report.overall}
-    rows: List[Row] = [tuple(step.values()) for step in steps]
-    rows.append(("overall", None, report.overall))
     headers = ("instr", "max_offsupport_delta", "pass")
+
+    def rows():
+        out: List[Row] = [(s.instr, s.max_offsupport_delta, s.ok) for s in report.steps]
+        out.append(("overall", None, report.overall))
+        return out
+
+    def payload():
+        steps = [
+            {"instr": s.instr, "max_offsupport_delta": s.max_offsupport_delta, "pass": s.ok}
+            for s in report.steps
+        ]
+        return {"steps": steps, "overall": report.overall}
+
     return payload, headers, rows, 0 if report.overall else 1
 
 

@@ -10,16 +10,23 @@ record guesses the side and averages to zero.  Resetting the memory restores
 the blank state and costs the one bit the record carried, which is the
 erasure charge the ledger tracks.  The two stages, observe and stroke, are
 fixed circuits of X and CX gates, so each is reversible logic: its unitary
-is a permutation P of the 16 basis states.  At import each stage's P is read
-from its circuit's unitary and kept as a row and column gather, and a stage
-maps rho to P rho P^T by indexing alone.  That moves entries without any
-arithmetic, so it is exact for every rho, not only for the diagonal states
-a run visits.  A permutation of a valid state is valid and so is its partial
-trace, so the cycle carries plain arrays and builds a checked state only for
-the memory it hands out.  The ledger reads only the weight and the memory,
-and the next cycle brings a fresh particle, so the spent one is simply
-traced out; a reset leaves |0><0| whatever the memory held, so the next
-cycle is handed a blank record.
+is a permutation P of the 16 basis states.  The weight starts at |00>, so at
+the start only the four rows of memory (x) particle can be nonzero, and P
+takes four live rows to four live rows: a cycle runs on that 4 x 4 block
+alone.  At import each stage's P is read from its circuit's unitary, and the
+live rows after each stage, the stage's 4 x 4 gather and the table of every
+reduced state the ledger reads are derived from it and the qubit constants.
+A gather moves entries without any arithmetic, so it is exact for every
+state, not only for the diagonal states a run visits.  A reduced state sums,
+into zeros, the block entries whose rows agree on the traced bits, as the
+16-state partial trace does.  That sum turns a -0.0 entry into +0.0, and it
+must: the eigensolver reads the sign of a zero, so a raw block would move an
+entropy in its last bits.  A permutation of a valid state is valid and so is
+its partial trace, so the cycle carries plain arrays and builds a checked
+state only for the memory it hands out.  The ledger reads only the weight
+and the memory, and the next cycle brings a fresh particle, so the spent one
+is simply traced out; a reset leaves |0><0| whatever the memory held, so the
+next cycle is handed a blank record.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from .errors import (
     DimensionMismatch,
 )
 from .qmath import (
+    ENTROPY_EIG_FLOOR,
     MAX_SHOTS,
     DensityMatrix,
     _count,
@@ -149,19 +157,70 @@ _STROKE = Circuit(4).cx(PARTICLE, MEMORY).x(MEMORY).cx(MEMORY, W1).x(MEMORY).cx(
 _STROKE.cx(PARTICLE, MEMORY)  # unfold, leaving the record in place
 
 
-def _stage_gather(stage: Circuit) -> tuple:
-    """Read-only ``np.ix_`` pair with ``rho[pair]`` = U rho U^dag for ``stage``'s unitary U.
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.setflags(write=False)
+
+
+def _stage_gather(stage: Circuit, live: np.ndarray) -> tuple:
+    """``(rows, pair)`` for ``stage``'s unitary U acting on a state whose rows
+    ``live`` (ascending) alone can be nonzero.
 
     U must permute the basis states (``basis_permutation`` refuses it
-    otherwise); with its read-only source rows ``src``, (U rho U^dag)[a, b] =
-    rho[src[a], src[b]], and the pair's arrays are read-only views of ``src``.
+    otherwise), with source rows ``src``: (U rho U^dag)[a, b] = rho[src[a],
+    src[b]]. So the state after the stage lives on the ascending ``rows``
+    whose source is live, and with the block B of rho on ``live``, its block
+    on ``rows`` is ``B[pair]``. Both arrays are read-only, and so are the
+    ``np.ix_`` views in ``pair``.
     """
     src = basis_permutation(stage)
-    return np.ix_(src, src)
+    rows = np.flatnonzero(np.isin(src, live))
+    at = np.searchsorted(live, src[rows])
+    _read_only(rows, at)
+    return rows, np.ix_(at, at)
 
 
-_OBSERVE_GATHER = _stage_gather(_OBSERVE)
-_STROKE_GATHER = _stage_gather(_STROKE)
+def _reduction(rows: np.ndarray, keep: Sequence[int]) -> tuple:
+    """``(at, take)`` with which ``np.add.at(out, at, block[take])``, into
+    zeros, is the partial trace keeping the ascending ``keep`` of a 4-qubit
+    state that is ``block`` on ``rows`` and zero elsewhere.
+
+    Entry (i, j) adds to the reduced entry of its rows' kept bits when the
+    rows agree on every traced bit, as ``_partial_trace`` sums them; the
+    other pairs trace to nothing. Every array is read-only. The sum starts
+    from zeros, as ``_partial_trace``'s does, so a -0.0 entry comes out +0.0
+    even where it is the only term.
+    """
+    traced = sum(1 << q for q in range(4) if q not in keep)
+    kept = sum(((rows >> q) & 1) << k for k, q in enumerate(keep))
+    i, j = np.nonzero((rows[:, None] & traced) == (rows[None, :] & traced))
+    at, take = (kept[i], kept[j]), (i, j)
+    _read_only(*at, *take)
+    return at, take
+
+
+# The weight starts at |00>, so the state starts on the rows whose weight
+# bits are clear: memory (x) particle, the two low qubits. Each stage permutes
+# basis states, so it keeps four live rows, and a cycle runs on their 4 x 4
+# block alone.
+_START_ROWS = np.array([r for r in range(16) if not (r >> W1) & 1 and not (r >> W0) & 1])
+_read_only(_START_ROWS)
+_OBSERVED_ROWS, _OBSERVE_GATHER = _stage_gather(_OBSERVE, _START_ROWS)
+_STROKED_ROWS, _STROKE_GATHER = _stage_gather(_STROKE, _OBSERVED_ROWS)
+# The reduced states the ledger reads: particle and memory after observe,
+# the weight and the memory after the stroke.
+_PARTICLE_MEMORY = _reduction(_OBSERVED_ROWS, [PARTICLE, MEMORY])
+_PARTICLE = _reduction(_OBSERVED_ROWS, [PARTICLE])
+_MEMORY_OBSERVED = _reduction(_OBSERVED_ROWS, [MEMORY])
+_MEMORY_STROKED = _reduction(_STROKED_ROWS, [MEMORY])
+_WEIGHT = _reduction(_STROKED_ROWS, [W1, W0])
+
+
+def _reduce(block: np.ndarray, table: tuple, out: np.ndarray) -> np.ndarray:
+    """``out``, zeros, plus the partial trace of ``block`` by a ``_reduction`` table."""
+    at, take = table
+    np.add.at(out, at, block[take])
+    return out
 
 
 @cache
@@ -173,6 +232,22 @@ def _blank() -> DensityMatrix:
     blank = basis_state(1)
     blank.mat.setflags(write=False)
     return blank
+
+
+@cache
+def _blank_entropy() -> float:
+    """The blank record's entropy, -0.0: an empty sum of eigenvalue terms, negated."""
+    return _vn_entropy_bits(_blank().mat)
+
+
+def _entropies_bits(spectra: np.ndarray) -> list:
+    """``_vn_entropy_bits`` of each row of ``spectra``, a stack of two
+    eigenvalues each. A term at or below the floor adds +0.0 in place of
+    being dropped, which leaves every sum of two terms as it was."""
+    live = spectra > ENTROPY_EIG_FLOOR
+    logs = np.log2(spectra, where=live, out=np.zeros_like(spectra))
+    terms = np.multiply(spectra, logs, where=live, out=np.zeros_like(spectra))
+    return (-np.sum(terms, axis=1)).tolist()
 
 
 def run_single_cycle(
@@ -189,25 +264,33 @@ def run_single_cycle(
         raise BadMemoryState("memory must be a single-qubit density matrix")
     _require_config(cfg)
     p = cfg.depolarize_p
-    particle = np.diag([1 - p / 2, p / 2]).astype(complex)
-    # The weight starts at |00>, so only the block of the low two qubits is nonzero.
-    rho = np.zeros((16, 16), dtype=complex)
-    rho[:4, :4] = np.kron(memory_in.mat, particle)
-    rho = rho[_OBSERVE_GATHER]
-    mutual = _mutual_information(_partial_trace(rho, [PARTICLE, MEMORY]), [0], [1])
-    rho = rho[_STROKE_GATHER]
-    expected = _work(_partial_trace(rho, [W1, W0]))
-    memory = _partial_trace(rho, [MEMORY])
-    pre_entropy = _vn_entropy_bits(memory)
-    memory_out = DensityMatrix(memory) if cfg.skip_reset else _blank()
-
+    particle = np.array([[1 - p / 2, 0], [0, p / 2]], dtype=complex)
+    # np.kron's products, memory first, on the start rows.
+    block = (memory_in.mat[:, None, :, None] * particle[None, :, None, :]).reshape(4, 4)
+    observed = block[_OBSERVE_GATHER]
+    stroked = observed[_STROKE_GATHER]
+    marginals = np.zeros((3, 2, 2), dtype=complex)
+    _reduce(observed, _PARTICLE, marginals[0])
+    _reduce(observed, _MEMORY_OBSERVED, marginals[1])
+    _reduce(stroked, _MEMORY_STROKED, marginals[2])
+    # One eigensolve for the three 2 x 2 spectra, each as its own solve gives it.
+    s_particle, s_memory, pre_entropy = _entropies_bits(np.linalg.eigvalsh(marginals))
+    joint = _reduce(observed, _PARTICLE_MEMORY, np.zeros((4, 4), dtype=complex))
+    s_joint = _vn_entropy_bits(joint)
+    expected = _work(_reduce(stroked, _WEIGHT, np.zeros((4, 4), dtype=complex)))
+    if cfg.skip_reset:
+        memory_out = DensityMatrix(marginals[2])
+        post_entropy = pre_entropy
+    else:
+        memory_out = _blank()
+        post_entropy = _blank_entropy()
     record = CycleRecord(
         cycle=1,
         expected_work=expected,
         sampled_work=None,
         memory_entropy_pre_reset=pre_entropy,
-        memory_entropy_post=_vn_entropy_bits(memory_out.mat),
-        mutual_info_particle_memory=mutual,
+        memory_entropy_post=post_entropy,
+        mutual_info_particle_memory=max(0.0, s_particle + s_memory - s_joint),
     )
     return record, memory_out
 

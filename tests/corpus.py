@@ -407,11 +407,13 @@ def verdict(case: Case, code: int, out: str, err: str) -> str:
 
 
 def play(case: Case, work) -> Tuple[Optional[int], float, str]:
-    """Run ``case`` in ``work`` as ``python -W error -m paradoxlab.cli``: its exit
-    code (None on a timeout), wall time and the rule it broke ("" for none).
-    ``-W error`` fails a run that warns, as ``-m`` does when the package's
-    ``__init__`` imports ``cli``. The child imports from this process's path."""
-    argv = [sys.executable, "-W", "error", "-m", "paradoxlab.cli", *case.argv]
+    """Run ``case`` in ``work`` as ``python -X dev -W error -m paradoxlab.cli``:
+    its exit code (None on a timeout), wall time and the rule it broke (""
+    for none). ``-W error`` fails a run that warns, as ``-m`` does when the
+    package's ``__init__`` imports ``cli``; dev mode (``-X dev``) adds the
+    runtime's own checks, such as files left unclosed, as tier-1 runs under.
+    The child imports from this process's path."""
+    argv = [sys.executable, "-X", "dev", "-W", "error", "-m", "paradoxlab.cli", *case.argv]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     start = time.perf_counter()
     try:

@@ -9,7 +9,7 @@ bit of a basis index, so it sits rightmost in a kron chain.
 import csv
 import io
 import math
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -283,3 +283,42 @@ def sweep_walk(thetas, phis):
                 state = _apply_op(instr.gate.matrix, state, instr.targets)
         p_one[cols] = (np.abs(state) ** 2)[fires].sum(axis=0)
     return p_one
+
+
+@cache
+def _szilard_stage_sources():
+    """Source rows of the engine's observe and stroke stages over all 16 states."""
+    from paradoxlab.circuit import basis_permutation
+    from paradoxlab.szilard import _OBSERVE, _STROKE
+
+    return basis_permutation(_OBSERVE), basis_permutation(_STROKE)
+
+
+def szilard_cycle(memory, skip_reset, p):
+    """``szilard.run_single_cycle``'s record fields and output memory by the
+    16-state walk: the full 16 x 16 state, each stage's full basis gather,
+    einsum partial traces and one eigensolve per entropy. Like ``sweep_walk``
+    it runs the package's own kernel, since it pins the cycle's bytes.
+
+    Returns (expected work, entropy before and after the reset, mutual
+    information, memory out).
+    """
+    from paradoxlab.qmath import _partial_trace, _vn_entropy_bits
+
+    observe, stroke = _szilard_stage_sources()
+    energy = np.diag([0.0, 1.0, 1.0, 2.0]).astype(complex)
+    particle = np.diag([1 - p / 2, p / 2]).astype(complex)
+    rho = np.zeros((16, 16), dtype=complex)
+    rho[:4, :4] = np.kron(memory, particle)
+    rho = rho[np.ix_(observe, observe)]
+    joint = _partial_trace(rho, [0, 1])
+    s_a = _vn_entropy_bits(_partial_trace(joint, [0]))
+    s_b = _vn_entropy_bits(_partial_trace(joint, [1]))
+    mutual = max(0.0, s_a + s_b - _vn_entropy_bits(joint))
+    rho = rho[np.ix_(stroke, stroke)]
+    work = float(np.real(np.trace(_partial_trace(rho, [2, 3]) @ energy))) - 1.0
+    memory_out = _partial_trace(rho, [1])
+    pre = _vn_entropy_bits(memory_out)
+    if not skip_reset:
+        memory_out = np.diag([1.0, 0.0]).astype(complex)
+    return work, pre, _vn_entropy_bits(memory_out), mutual, memory_out

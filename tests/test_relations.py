@@ -77,3 +77,34 @@ def test_loop_fixed_point_follows_a_loop_basis_change(n_loop):
         got = ctc.solve_fixed_point(moved).rho_loop.mat
         bound = 2 * 3 * np.sqrt(d) * SOLVE_TOL / traceless_gap(u, sigma, n_loop)
         assert trace_distance(got, v @ base @ v.conj().T) <= bound
+
+
+@pytest.mark.parametrize("n_sys, n_loop", [(1, 1), (1, 2), (1, 3), (2, 2)])
+def test_loop_answer_follows_a_system_basis_change(n_sys, n_loop):
+    """U' = U (W^dag x I) fed the system state W sigma W^dag has U's fixed
+    point and U's readout.
+
+    U' (W sigma W^dag x rho) U'^dag = U (sigma x rho) U^dag for every loop
+    state rho, so both problems have one loop map, hence one gap g, and one
+    evolved joint state per loop state. Bound: as in the loop-basis relation,
+    each solve lies within 3 sqrt(d) SOLVE_TOL / g of the exact fixed point
+    in trace distance, so the two solves within twice that. The readout
+    probabilities are a channel of the loop state, so each moves by at most
+    the loop states' trace distance, plus rounding: five products of
+    dim-sided matrices with entries at most 1 in modulus (U', W sigma W^dag
+    and the evolved joint state), each entry off by at most about dim ulps.
+    """
+    rng = np.random.default_rng([16, n_sys, n_loop])
+    d, dim = 2 ** n_loop, 2 ** (n_sys + n_loop)
+    for _ in range(3):
+        u = oracle.random_unitary(dim, rng)
+        w = oracle.random_unitary(2 ** n_sys, rng)
+        sigma = oracle.random_density(2 ** n_sys, rng)
+        base = ctc.run_ctc_circuit(ctc.CtcProblem(u, DensityMatrix(sigma)))
+        moved = ctc.run_ctc_circuit(ctc.CtcProblem(
+            u @ np.kron(w.conj().T, np.eye(d)), DensityMatrix(w @ sigma @ w.conj().T)))
+        bound = 2 * 3 * np.sqrt(d) * SOLVE_TOL / traceless_gap(u, sigma, n_loop)
+        assert trace_distance(moved.solution.rho_loop, base.solution.rho_loop) <= bound
+        assert moved.distribution.keys() == base.distribution.keys()
+        gaps = [abs(moved.distribution[k] - p) for k, p in base.distribution.items()]
+        assert max(gaps) <= bound + 5 * dim * np.finfo(float).eps

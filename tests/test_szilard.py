@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -32,8 +32,11 @@ from paradoxlab.szilard import (
     SzilardConfig,
     _OBSERVE,
     _OBSERVE_GATHER,
+    _OBSERVED_ROWS,
+    _START_ROWS,
     _STROKE,
     _STROKE_GATHER,
+    _STROKED_ROWS,
     mutual_information,
     run_cycles,
     run_single_cycle,
@@ -259,17 +262,90 @@ class TestCyclesWithoutErasure:
 CYCLE = Circuit(4).cx(0, 1).cx(1, 0)
 
 
+# Each stage with the live rows it reads and the live rows it leaves.
+LIVE_STAGES = (
+    (_OBSERVE, _START_ROWS, _OBSERVED_ROWS, _OBSERVE_GATHER),
+    (_STROKE, _OBSERVED_ROWS, _STROKED_ROWS, _STROKE_GATHER),
+    (CYCLE, _START_ROWS, *szilard._stage_gather(CYCLE, _START_ROWS)),
+)
+
+# Every reduced state a cycle reads, with the live rows of its block.
+REDUCTIONS = {
+    "particle+memory": (_OBSERVED_ROWS, [0, 1], szilard._PARTICLE_MEMORY),
+    "particle": (_OBSERVED_ROWS, [0], szilard._PARTICLE),
+    "memory observed": (_OBSERVED_ROWS, [1], szilard._MEMORY_OBSERVED),
+    "memory stroked": (_STROKED_ROWS, [1], szilard._MEMORY_STROKED),
+    "weight": (_STROKED_ROWS, [W1, W0], szilard._WEIGHT),
+}
+
+
+def on_rows(block, rows):
+    """The 16-state matrix that is ``block`` on ``rows`` and zero elsewhere."""
+    rho = np.zeros((16, 16), dtype=complex)
+    rho[np.ix_(rows, rows)] = block
+    return rho
+
+
+def cycle_memories(count, seed):
+    """``count`` seeded memories: a third blank or I/2, a third random mixed
+    and a third random pure, half of those with real amplitudes, whose
+    imaginary parts are zeros of either sign."""
+    rng = np.random.default_rng(seed)
+    memories = []
+    for k in range(count):
+        if k % 3 == 0:
+            memories.append(ORACLE_MEMORIES["blank" if k % 2 else "mixed"])
+        elif k % 3 == 1:
+            memories.append(oracle.random_density(2, rng))
+        else:
+            ket = rng.normal(size=2) + 1j * rng.normal(size=2) * (k % 2)
+            ket /= np.linalg.norm(ket)
+            memories.append(np.outer(ket, ket.conj()))
+    return memories
+
+
 class TestCycleWork:
-    def test_stage_gathers_match_the_density_runner(self):
-        """Each stage's gather gives the density runner's bytes on random non-diagonal states."""
-        stages = ((_OBSERVE, _OBSERVE_GATHER), (_STROKE, _STROKE_GATHER),
-                  (CYCLE, szilard._stage_gather(CYCLE)))
+    def test_live_gathers_match_the_density_runner(self):
+        """Each stage's 4 x 4 gather gives the density runner's bytes on random
+        non-diagonal states supported on its live rows, and the runner leaves
+        nothing outside the rows the stage says are live."""
         rng = np.random.default_rng(26)
         for _ in range(200):
-            rho = oracle.random_density(16, rng)
-            for stage, gather in stages:
-                want = run_density(stage, DensityMatrix(rho)).final_state.mat
-                assert rho[gather].tobytes() == want.tobytes()
+            block = oracle.random_density(4, rng)
+            for stage, live, rows, gather in LIVE_STAGES:
+                want = run_density(stage, DensityMatrix(on_rows(block, live))).final_state.mat
+                got = block[gather]
+                assert got.tobytes() == want[np.ix_(rows, rows)].tobytes()
+                assert np.array_equal(want, on_rows(got, rows))
+
+    @pytest.mark.parametrize("name", REDUCTIONS)
+    def test_reductions_match_the_partial_trace(self, name):
+        """A table's sum gives ``_partial_trace``'s bytes of the 16-state
+        matrix, -0.0 entries included."""
+        rows, keep, table = REDUCTIONS[name]
+        rng = np.random.default_rng([27, len(keep), int(rows[0])])
+        for _ in range(200):
+            block = oracle.random_density(4, rng)
+            # Signed zeros and real entries in the mix.
+            block[rng.random((4, 4)) < 0.3] = -0.0
+            block.imag[rng.random((4, 4)) < 0.3] = -0.0
+            want = qmath._partial_trace(on_rows(block, rows), keep)
+            got = szilard._reduce(block, table, np.zeros(want.shape, dtype=complex))
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("skip_reset", [False, True])
+    def test_cycle_matches_the_16_state_walk(self, skip_reset):
+        """Record fields and the memory handed out have the 16-state walk's bytes."""
+        rng = np.random.default_rng([28, skip_reset])
+        for memory in cycle_memories(2000, 29):
+            for p in (0.0, 0.37, 1.0, float(rng.uniform())):
+                cfg = SzilardConfig(skip_reset=skip_reset, depolarize_p=p)
+                rec, memory_out = run_single_cycle(DensityMatrix(memory), cfg)
+                work, pre, post, mutual, want_out = oracle.szilard_cycle(memory, skip_reset, p)
+                want = (1, work, None, pre, post, mutual)
+                # repr tells -0.0 from 0.0, which == does not.
+                assert astuple(rec) == want and repr(astuple(rec)) == repr(want)
+                assert memory_out.mat.tobytes() == want_out.tobytes()
 
     @pytest.mark.parametrize("p", [0.0, 0.37, 1.0])
     def test_cycle_runs_unitary_stages_only(self, p, monkeypatch):
@@ -284,6 +360,11 @@ class TestCycleWork:
         for gather in (_OBSERVE_GATHER, _STROKE_GATHER):
             for index in gather:
                 assert not index.flags.writeable
+        for rows in (_START_ROWS, _OBSERVED_ROWS, _STROKED_ROWS):
+            assert not rows.flags.writeable
+        for _, _, (at, take) in REDUCTIONS.values():
+            for index in (*at, *take):
+                assert not index.flags.writeable
 
     @pytest.mark.parametrize(
         "stage",
@@ -295,7 +376,7 @@ class TestCycleWork:
     )
     def test_a_stage_that_does_not_permute_is_refused(self, stage):
         with pytest.raises(NotAPermutation, match="not a permutation of the basis states"):
-            szilard._stage_gather(stage)
+            szilard._stage_gather(stage, _START_ROWS)
 
 
 class SimulationSpy:
