@@ -10,9 +10,9 @@ only the one the format renders is called:
   payload with every float rounded to nine significant digits (the nearest
   float to that decimal, written by ``float.__repr__``; ``NaN``,
   ``Infinity`` and ``-Infinity`` for non-finite ones), written in one pass.
-  ``_json_float`` is its one float rule. A list of plain dicts that share
-  their str keys in one order (the sweep's rows, the engine's ledger, the
-  audit's steps) is written one key's column at a time.
+  ``_json_float`` is its one float rule. ``sweep``, ``szilard`` and
+  ``audit-locality`` hand their table rows to JSON (as ``_Records``), which
+  writes them one column at a time, each row an object keyed by the headers.
 - Any float below 1e-12 in magnitude prints as zero (``0``; ``0.0`` in JSON).
 - A table cell is the six-significant-digit form of its value
   (``f"{v:.6g}"``), a CSV cell the nine-significant-digit form. Both are
@@ -32,10 +32,9 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import fields
-from operator import attrgetter
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,8 +58,7 @@ MAX_AUDIT_INSTRUCTIONS = 1000
 
 Row = Tuple[object, ...]
 # The engine ledger's columns: the record fields, in order.
-_RECORD_FIELDS = tuple(f.name for f in fields(szilard.CycleRecord))
-_record_row = attrgetter(*_RECORD_FIELDS)
+_RECORD_FIELDS = szilard.CycleRecord._fields
 
 
 class _Parser(argparse.ArgumentParser):
@@ -227,18 +225,12 @@ def _json_float(value: float) -> str:
     return _JSON_NON_FINITE.get(text, text)
 
 
-def _record_keys(items) -> Tuple[str, ...]:
-    """The keys that every item of the non-empty ``items`` holds in the same
-    order when each is a plain dict with the same non-empty str keys, else ()."""
-    first = items[0]
-    if type(first) is not dict:
-        return ()
-    keys = tuple(first)  # () for an empty first dict: not records
-    if all(type(k) is str for k in keys) and all(
-        type(item) is dict and tuple(item) == keys for item in items
-    ):
-        return keys
-    return ()
+@dataclass(frozen=True)
+class _Records:
+    """Table rows, which JSON writes as a list of objects keyed by ``keys``."""
+
+    keys: Tuple[str, ...]
+    rows: Sequence[Row]
 
 
 def _json_text(value, newline: str) -> str:
@@ -248,23 +240,25 @@ def _json_text(value, newline: str) -> str:
     return "".join(parts)
 
 
-def _json_records(records, keys: Tuple[str, ...], newline: str) -> Iterator[str]:
-    """Each record's JSON text at ``newline``'s indent, rendered one key's
-    column at a time and joined from fixed text around the values."""
+def _json_records(records: _Records, newline: str) -> str:
+    """``records``' JSON text, its own line broken and indented by ``newline``:
+    rendered one column at a time, each row joined from fixed text around
+    its values."""
+    if not records.rows:
+        return "[]"
     inner = newline + "  "
+    field = inner + "  "
     # A brace in a key is text, not a field of the template.
     entries = [
-        _json_string(key).replace("{", "{{").replace("}", "}}") + ": {}" for key in keys
+        _json_string(key).replace("{", "{{").replace("}", "}}") + ": {}"
+        for key in records.keys
     ]
-    template = "{{" + inner + ("," + inner).join(entries) + newline + "}}"
+    template = "{{" + field + ("," + field).join(entries) + inner + "}}"
     columns = [
-        [
-            _json_float(v) if type(v) is float else _json_text(v, inner)
-            for v in [record[key] for record in records]
-        ]
-        for key in keys
+        [_json_float(v) if type(v) is float else _json_text(v, field) for v in column]
+        for column in zip(*records.rows)
     ]
-    return map(template.format, *columns)
+    return "[" + inner + ("," + inner).join(map(template.format, *columns)) + newline + "]"
 
 
 def _write_json(value, newline: str, parts: List[str]) -> None:
@@ -284,16 +278,13 @@ def _write_json(value, newline: str, parts: List[str]) -> None:
             _write_json(item, inner, parts)
             sep = "," + inner
         parts.append(newline + "}")
+    elif isinstance(value, _Records):
+        parts.append(_json_records(value, newline))
     elif isinstance(value, (list, tuple)):
         if not value:
             parts.append("[]")
             return
         inner = newline + "  "
-        keys = _record_keys(value)
-        if keys:
-            records = _json_records(value, keys, inner)
-            parts.append("[" + inner + ("," + inner).join(records) + newline + "]")
-            return
         sep = "[" + inner
         for item in value:
             parts.append(sep)
@@ -397,32 +388,14 @@ def _cmd_epr_sweep(inv: argparse.Namespace):
     thetas = np.linspace(-math.pi, math.pi, inv.theta_steps)
     phis = np.linspace(-math.pi, math.pi, inv.phi_steps)
     points = epr.sweep(thetas, phis)
-
-    def payload():
-        return {
-            "rows": [
-                {"theta": pt.theta, "phi": pt.phi, "p_check_one": pt.p_check_one}
-                for pt in points
-            ]
-        }
-
-    def rows():
-        return [(pt.theta, pt.phi, pt.p_check_one) for pt in points]
-
-    return payload, ("theta", "phi", "p_check_one"), rows, 0
+    headers = epr.SweepPoint._fields
+    return lambda: {"rows": _Records(headers, points)}, headers, lambda: points, 0
 
 
 def _cmd_szilard(inv: argparse.Namespace):
     cfg = szilard.SzilardConfig(cycles=inv.cycles, skip_reset=inv.skip_reset)
     records = szilard.run_cycles(cfg, shots=inv.shots, seed=inv.seed)
-
-    def rows():
-        return list(map(_record_row, records))
-
-    def payload():
-        return [dict(zip(_RECORD_FIELDS, row)) for row in map(_record_row, records)]
-
-    return payload, _RECORD_FIELDS, rows, 0
+    return lambda: _Records(_RECORD_FIELDS, records), _RECORD_FIELDS, lambda: records, 0
 
 
 def _ctc_report(problem: ctc.CtcProblem, tol: float = SOLVE_TOL):
@@ -499,18 +472,13 @@ def _cmd_audit(inv: argparse.Namespace):
     with _input_file("--circuit"):
         report = locality_audit(Circuit.from_dict(doc))
     headers = ("instr", "max_offsupport_delta", "pass")
-
-    def rows():
-        out: List[Row] = [(s.instr, s.max_offsupport_delta, s.ok) for s in report.steps]
-        out.append(("overall", None, report.overall))
-        return out
+    steps: List[Row] = [(s.instr, s.max_offsupport_delta, s.ok) for s in report.steps]
 
     def payload():
-        steps = [
-            {"instr": s.instr, "max_offsupport_delta": s.max_offsupport_delta, "pass": s.ok}
-            for s in report.steps
-        ]
-        return {"steps": steps, "overall": report.overall}
+        return {"steps": _Records(headers, steps), "overall": report.overall}
+
+    def rows():
+        return steps + [("overall", None, report.overall)]
 
     return payload, headers, rows, 0 if report.overall else 1
 

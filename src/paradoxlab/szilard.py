@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -98,14 +98,9 @@ def mutual_information(
         raise BadPartition(
             f"parts {a} and {b} do not split a {joint.n}-qubit state"
         )
-    return _mutual_information(joint.mat, sorted(a), sorted(b))
-
-
-def _mutual_information(joint: np.ndarray, part_a: list, part_b: list) -> float:
-    """``mutual_information`` of an array; the parts are ascending and split its qubits."""
-    s_a = _vn_entropy_bits(_partial_trace(joint, part_a))
-    s_b = _vn_entropy_bits(_partial_trace(joint, part_b))
-    return max(0.0, s_a + s_b - _vn_entropy_bits(joint))
+    s_a = _vn_entropy_bits(_partial_trace(joint.mat, sorted(a)))
+    s_b = _vn_entropy_bits(_partial_trace(joint.mat, sorted(b)))
+    return max(0.0, s_a + s_b - _vn_entropy_bits(joint.mat))
 
 
 @dataclass(frozen=True)
@@ -115,7 +110,8 @@ class SzilardConfig:
     ``depolarize_p`` sets the fresh particle's populations, (1 - p/2, p/2):
     the depolarizing channel of strength p applied to |0>.  1.0 is the standard
     engine, whose particle is maximally mixed; 0.0 starts every particle at |0>
-    (useful for tracing the logic).
+    (useful for tracing the logic).  Any real type is accepted and stored as
+    a float, so that the particle is built in double precision.
     """
 
     cycles: int = 1
@@ -126,8 +122,10 @@ class SzilardConfig:
         _count(self.cycles, "cycles", floor=1)
         if not isinstance(self.skip_reset, bool):
             raise BadParams(f"skip_reset must be a bool, got {self.skip_reset!r}")
-        if not 0.0 <= _real(self.depolarize_p) <= 1.0:
+        p = _real(self.depolarize_p)
+        if not 0.0 <= p <= 1.0:
             raise BadProbability(f"depolarize_p must lie in [0, 1], got {self.depolarize_p!r}")
+        object.__setattr__(self, "depolarize_p", p)
 
 
 def _require_config(cfg) -> None:
@@ -135,9 +133,9 @@ def _require_config(cfg) -> None:
         raise BadParams(f"cfg must be a SzilardConfig, got {cfg!r}")
 
 
-@dataclass(frozen=True)
-class CycleRecord:
-    """Bookkeeping for one engine cycle."""
+class CycleRecord(NamedTuple):
+    """Bookkeeping for one engine cycle: a row of the ledger, whose columns
+    are the fields."""
 
     cycle: int
     expected_work: float
@@ -344,8 +342,8 @@ def run_cycles(cfg: SzilardConfig, shots: int = 0, seed: int = 0) -> Tuple[Cycle
         if incoming != simulated_from:
             rec, memory = run_single_cycle(memory, cfg)
             simulated_from = incoming
-        # Positional, in field order: under half the cost of dataclasses.replace
-        # per record, which a long run with a repeated memory pays once a cycle.
+        # Positional, in field order: cheaper than ``_replace`` per record,
+        # which a long run with a repeated memory pays once a cycle.
         records.append(
             CycleRecord(
                 k,

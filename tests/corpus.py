@@ -309,6 +309,12 @@ def audit_passes(out: str, err: str) -> str:
     return "" if report["overall"] is True and drifts == {0} else f"{report['overall']}, {drifts}"
 
 
+def audit_empty(out: str, err: str) -> str:
+    """The empty circuit's audit: no step, and an overall pass."""
+    report = json.loads(out)
+    return "" if report == {"steps": [], "overall": True} else f"report {report}"
+
+
 def epr_dependence(out: str, err: str) -> str:
     found = json.loads(out)["dependence"]
     return "" if found == DEPENDENCE else f"dependence {found}"
@@ -354,6 +360,12 @@ def process_cases() -> List[Case]:
     row("audit6-table", "audit-locality --circuit audit6.json", "the largest audit accepted")
     row("audit6-json", "audit-locality --circuit audit6.json --format json",
         "the largest audit accepted passes every step", check=audit_passes)
+    # The one output whose record list is empty.
+    row("audit-empty-table", "audit-locality --circuit empty.json", "an empty circuit passes")
+    row("audit-empty-json", "audit-locality --circuit empty.json --format json",
+        "an empty circuit has no step and passes", check=audit_empty)
+    row("audit-empty-csv", "audit-locality --circuit empty.json --format csv",
+        "an empty circuit passes")
     return cases
 
 
@@ -378,6 +390,7 @@ def write_process_inputs(work: Path) -> None:
     docs = {
         "c": _circuit_doc(),
         "audit6": audit6.to_dict(),
+        "empty": {"n_qubits": 2, "instructions": []},
         "long": {"n_qubits": 2, "instructions": [cx] * (MAX_AUDIT_INSTRUCTIONS + 1)},
         "negclbits": {"n_qubits": 1, "n_clbits": -1, "instructions": [h]},
         "twice": {"n_qubits": 1, "n_clbits": 1, "instructions": [measure, measure]},

@@ -9,11 +9,19 @@ import pytest
 
 import oracle
 from paradoxlab import ctc, epr, szilard
+from paradoxlab.circuit import Circuit
+from paradoxlab.descriptor import locality_audit
 from paradoxlab.qmath import SOLVE_TOL, DensityMatrix, trace_distance
+from util import random_unitary_circuit
 
 # Related sweep points differ by the rounding of a few gate applications on
 # 32-entry state vectors, a few ulps of 1; this bound is far above that.
 SWEEP_ATOL = 1e-12
+# The CLI's print floor. An audit of a unitary circuit changes nothing off a
+# step's support in exact arithmetic, so each delta is the rounding of a few
+# products of matrices of side at most 64 with entries at most 1 in modulus:
+# tens of ulps of 1, far below this bound.
+AUDIT_PRINT_FLOOR = 1e-12
 
 
 def sweep_grid(thetas, phis) -> np.ndarray:
@@ -108,3 +116,28 @@ def test_loop_answer_follows_a_system_basis_change(n_sys, n_loop):
         assert moved.distribution.keys() == base.distribution.keys()
         gaps = [abs(moved.distribution[k] - p) for k, p in base.distribution.items()]
         assert max(gaps) <= bound + 5 * dim * np.finfo(float).eps
+
+
+def relabeled(c: Circuit, perm) -> Circuit:
+    """``c`` with every gate target q moved to ``perm[q]``."""
+    doc = c.to_dict()
+    for instr in doc["instructions"]:
+        instr["targets"] = [int(perm[q]) for q in instr["targets"]]
+    return Circuit.from_dict(doc)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_locality_audit_ignores_qubit_labels(n):
+    """Renaming the qubits of a unitary circuit moves no step's verdict.
+
+    Each step's off-support drift is a rounding residue, so both audits pass
+    every step with every delta below the print floor, whatever the labels.
+    """
+    rng = np.random.default_rng([15, n])
+    for _ in range(12):
+        c = random_unitary_circuit(n, int(rng.integers(5, 31)), rng)
+        base, moved = locality_audit(c), locality_audit(relabeled(c, rng.permutation(n)))
+        assert [s.ok for s in moved.steps] == [s.ok for s in base.steps]
+        assert moved.overall == base.overall
+        deltas = [s.max_offsupport_delta for s in base.steps + moved.steps]
+        assert max(deltas) <= AUDIT_PRINT_FLOOR, max(deltas)

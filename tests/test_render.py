@@ -1,8 +1,9 @@
 """The CLI's one-pass writers give the same text as the two-step reference:
 round the payload (``oracle.json_ready``), then ``json.dumps(..., indent=2)``;
 round a cell's float, then format it. The column-wise table and CSV give the
-same text as the row-wise ones of ``oracle``, and a list of same-key records
-gives the same JSON on its column path as any other payload on the generic one."""
+same text as the row-wise ones of ``oracle``, and the table rows a command
+hands to JSON (``_Records``), written one column at a time, give the same
+JSON as the list of one dict per row that they stand for."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import pytest
 
 import oracle
 from paradoxlab import cli
-from paradoxlab.cli import _cell, _render_csv, _render_json, _render_table
+from paradoxlab.cli import _cell, _Records, _render_csv, _render_json, _render_table
 
 FLOOR = 1e-12
 EDGE_FLOATS = [
@@ -166,8 +167,14 @@ def random_record_value(rng):
 
 
 def random_records(rng):
-    keys = [str(k) for k in rng.choice(KEYS, size=rng.integers(1, 5), replace=False)]
-    return [{key: random_record_value(rng) for key in keys} for _ in range(rng.integers(1, 41))]
+    """Distinct keys and zero or more rows of one value per key."""
+    keys = tuple(str(k) for k in rng.choice(KEYS, size=rng.integers(1, 5), replace=False))
+    rows = [tuple(random_record_value(rng) for _ in keys) for _ in range(rng.integers(0, 41))]
+    return keys, rows
+
+
+def reference_records(keys, rows):
+    return [dict(zip(keys, row)) for row in rows]
 
 
 @pytest.fixture
@@ -176,9 +183,9 @@ def records_calls(monkeypatch):
     calls = []
     real = cli._json_records
 
-    def spy(records, keys, newline):
-        calls.append(keys)
-        return real(records, keys, newline)
+    def spy(records, newline):
+        calls.append(records.keys)
+        return real(records, newline)
 
     monkeypatch.setattr(cli, "_json_records", spy)
     return calls
@@ -186,47 +193,27 @@ def records_calls(monkeypatch):
 
 def test_json_random_records_match_the_stdlib(records_calls):
     rng = np.random.default_rng(4141)
+    sizes = set()
     for _ in range(400):
-        records = random_records(rng)
-        for payload in (records, tuple(records), {"rows": records}):
+        keys, rows = random_records(rng)
+        sizes.add(min(len(rows), 2))
+        want = reference_records(keys, rows)
+        for payload, reference in (
+            (_Records(keys, rows), want),
+            ({"rows": _Records(keys, rows)}, {"rows": want}),
+        ):
             records_calls.clear()
-            assert _render_json(payload) == reference_json(payload), payload
-            assert records_calls[0] == tuple(records[0])
+            assert _render_json(payload) == reference_json(reference), (keys, rows)
+            assert records_calls == [keys]
+    # Zero rows, one row and several rows were all drawn.
+    assert sizes == {0, 1, 2}
 
 
 @pytest.mark.parametrize("value", UNSERIALIZABLE, ids=repr)
 def test_json_records_refuse_what_the_stdlib_refuses(value, records_calls):
-    records = [{"a": 1.5, "b": None}, {"a": 2.5, "b": [value]}]
+    keys, rows = ("a", "b"), [(1.5, None), (2.5, [value])]
     with pytest.raises(TypeError):
-        reference_json(records)
+        reference_json(reference_records(keys, rows))
     with pytest.raises(TypeError):
-        _render_json(records)
-    assert records_calls == [("a", "b")]
-
-
-class Record(dict):
-    pass
-
-
-NEAR_MISSES = {
-    "one record in another key order": lambda r: r[:1] + [dict(reversed(r[1].items()))] + r[2:],
-    "an int key in the first record": lambda r: [{**r[0], 7: 1.5}] + r[1:],
-    "an int key in a later record": lambda r: r[:-1] + [{7 if k == "a" else k: v for k, v in r[-1].items()}],
-    "a dict subclass": lambda r: r[:1] + [Record(r[1])] + r[2:],
-    "a dict subclass first": lambda r: [Record(r[0])] + r[1:],
-    "an empty dict": lambda r: r + [{}],
-    "an empty dict first": lambda r: [{}] + r,
-}
-
-
-@pytest.mark.parametrize("name", NEAR_MISSES)
-def test_json_near_miss_records_take_the_generic_path(name, records_calls):
-    rng = np.random.default_rng(sum(map(ord, name)))
-    for _ in range(50):
-        records = [
-            {"a": random_float(rng), "b": random_scalar(rng), "c": random_float(rng)}
-            for _ in range(rng.integers(2, 8))
-        ]
-        payload = NEAR_MISSES[name](records)
-        assert _render_json(payload) == reference_json(payload), payload
-    assert records_calls == []
+        _render_json(_Records(keys, rows))
+    assert records_calls == [keys]

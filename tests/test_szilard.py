@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
-from dataclasses import astuple, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -344,7 +344,7 @@ class TestCycleWork:
                 work, pre, post, mutual, want_out = oracle.szilard_cycle(memory, skip_reset, p)
                 want = (1, work, None, pre, post, mutual)
                 # repr tells -0.0 from 0.0, which == does not.
-                assert astuple(rec) == want and repr(astuple(rec)) == repr(want)
+                assert tuple(rec) == want and repr(tuple(rec)) == repr(want)
                 assert memory_out.mat.tobytes() == want_out.tobytes()
 
     @pytest.mark.parametrize("p", [0.0, 0.37, 1.0])
@@ -402,7 +402,7 @@ class TestRecordReuse:
         want = []
         for k in range(1, 13):
             rec, memory = run_single_cycle(memory, cfg)
-            want.append(replace(rec, cycle=k))
+            want.append(rec._replace(cycle=k))
         spy = SimulationSpy(monkeypatch)
         records = run_cycles(cfg)
         assert list(records) == want
@@ -574,6 +574,26 @@ class TestConfig:
         for p in (1.5, -0.1, float("nan"), True, False, "0.5", None, 0.5j):
             with pytest.raises(BadProbability, match="depolarize_p must lie in"):
                 SzilardConfig(cycles=1, depolarize_p=p)
+
+    @pytest.mark.parametrize("skip_reset", [False, True])
+    @pytest.mark.parametrize(
+        "p", [np.float16(0.3), np.float32(0.3), Fraction(3, 10), np.int64(1)], ids=repr
+    )
+    def test_any_real_strength_runs_as_its_float(self, p, skip_reset):
+        """A strength is kept as the float it reads as, so a low-precision
+        one builds the particle in double precision: a float16 0.3 kept as
+        given built a particle of trace 1.0001220703125."""
+        cfg, at_float = (
+            SzilardConfig(cycles=3, skip_reset=skip_reset, depolarize_p=q) for q in (p, float(p))
+        )
+        assert type(cfg.depolarize_p) is float and cfg == at_float
+        for memory in (basis_dm(1, 0), basis_dm(1, 1), maximally_mixed(1)):
+            rec, memory_out = run_single_cycle(memory, cfg)
+            want, want_out = run_single_cycle(memory, at_float)
+            # repr tells -0.0 from 0.0, which == does not.
+            assert repr(rec) == repr(want)
+            assert memory_out.mat.tobytes() == want_out.mat.tobytes()
+        assert repr(run_cycles(cfg, shots=50, seed=3)) == repr(run_cycles(at_float, shots=50, seed=3))
 
     def test_partial_noise_still_wins_first_cycle(self):
         """Extracted work depends on the memory being blank, not on the particle."""
