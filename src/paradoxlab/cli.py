@@ -2,22 +2,32 @@
 
 Every subcommand computes its result once and renders it as an aligned
 table, CSV, or indented JSON, so that repeated invocations with the same
-arguments produce byte-identical text. A handler hands back two zero-argument
-builders, one of the JSON-ready payload and one of the table/CSV rows, and
-only the one the format renders is called:
+arguments produce byte-identical text. A handler hands back two builders,
+``payload()`` of the JSON-ready payload and ``rows(sig)`` of the table/CSV
+rows, and only the one the format renders is called:
 
 - JSON is ``json.dumps(payload, indent=2)``, plus a final newline, of the
   payload with every float rounded to nine significant digits (the nearest
   float to that decimal, written by ``float.__repr__``; ``NaN``,
   ``Infinity`` and ``-Infinity`` for non-finite ones), written in one pass.
-  ``_json_float`` is its one float rule. ``sweep``, ``szilard`` and
-  ``audit-locality`` hand their table rows to JSON (as ``_Records``), which
-  writes them one column at a time, each row an object keyed by the headers.
+  ``_json_float`` is its one float rule. It builds that text from
+  ``f"{v:.9g}"`` alone, with no ``float`` and no ``repr``. This is exact:
+  two decimals of at most 15 significant digits never round to the same
+  normal float, so the shortest repr of the float nearest a nine-digit
+  decimal has that decimal's digits; subnormals lie below the display
+  floor and never reach the rule. Only the notation differs: repr writes
+  a decimal exponent from 9 to 15 as positional digits, and ends an
+  integral text in ``.0``.
+- ``sweep``, ``szilard`` and ``audit-locality`` hand their table rows to
+  JSON (as ``_Records``), which writes them one column at a time, each row
+  an object keyed by the headers. The ``ctc`` commands hand over their
+  fixed point's [re, im] pairs (as ``_Pairs``), written from one template.
 - Any float below 1e-12 in magnitude prints as zero (``0``; ``0.0`` in JSON).
 - A table cell is the six-significant-digit form of its value
   (``f"{v:.6g}"``), a CSV cell the nine-significant-digit form. Both are
   rendered a column at a time by ``_column``, which holds their one float
-  rule and leaves every value that is not a plain float to ``_cell``.
+  rule, passes a str as itself and leaves every other value to ``_cell``.
+  The ``ctc`` rows format their fixed point's parts as one float column.
 
 Exit codes: 0 on success, 1 when a numerical procedure fails to converge
 or an audit reports a violation, 2 for usage errors.
@@ -33,6 +43,7 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -183,14 +194,15 @@ def parse(argv: Sequence[str]) -> argparse.Namespace:
 
 def _column(values, sig: int) -> List[str]:
     """The table (``sig`` 6) or CSV (``sig`` 9) cells of ``values``. A plain
-    float, the common cell, is formatted here without a type dispatch, and
-    every other value by ``_cell``."""
+    float, the common cell, is formatted here and a str passes as itself,
+    both without a type dispatch; every other value goes to ``_cell``."""
     # One format, no round trip: a decimal of at most 15 significant digits
     # reads back as a float that formats to the same digits.
     floor = _DISPLAY_FLOOR
     fmt = f"{{:.{sig}g}}".format
     return [
-        ("0" if -floor < v < floor else fmt(v)) if type(v) is float else _cell(v, sig)
+        ("0" if -floor < v < floor else fmt(v)) if type(v) is float
+        else v if type(v) is str else _cell(v, sig)
         for v in values
     ]
 
@@ -205,24 +217,36 @@ def _cell(value, sig: int) -> str:
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, tuple):
-        return " ".join(_column(value, sig))
     return str(value)
 
 
 # json's spelling of the three floats that have no JSON literal.
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# The exponents that repr writes positionally and the nine-digit format does not.
+_POSITIONAL_EXPONENTS = frozenset(f"e+{e:02d}" for e in range(_JSON_SIG, 16))
 _json_string = json.encoder.encode_basestring_ascii
 
 
 def _json_float(value: float) -> str:
     """JSON text of the Python float ``value`` rounded to nine significant
-    digits: zero below the display floor, json's spelling when non-finite."""
+    digits, as ``repr`` writes that float: zero below the display floor,
+    json's spelling when non-finite."""
     if -_DISPLAY_FLOOR < value < _DISPLAY_FLOOR:
         return "0.0"
-    # A non-finite value formats, reads back and prints as itself.
-    text = repr(float(f"{value:.{_JSON_SIG}g}"))
-    return _JSON_NON_FINITE.get(text, text)
+    text = f"{value:.{_JSON_SIG}g}"
+    if "e" in text:
+        return _positional(text) if text[-4:] in _POSITIONAL_EXPONENTS else text
+    if "." in text:
+        return text
+    return _JSON_NON_FINITE.get(text, text + ".0")
+
+
+def _positional(text: str) -> str:
+    """Positional digits and ``.0`` of a nine-digit exponent form from 1e9
+    to below 1e16, whose value is a whole number."""
+    mantissa, exponent = text.split("e")
+    digits = mantissa.replace(".", "")
+    return digits.ljust(int(exponent) + 1 + (digits[0] == "-"), "0") + ".0"
 
 
 @dataclass(frozen=True)
@@ -231,6 +255,13 @@ class _Records:
 
     keys: Tuple[str, ...]
     rows: Sequence[Row]
+
+
+@dataclass(frozen=True)
+class _Pairs:
+    """[re, im] pairs of plain floats, which JSON writes from one template."""
+
+    entries: Sequence[Sequence[float]]
 
 
 def _json_text(value, newline: str) -> str:
@@ -261,6 +292,19 @@ def _json_records(records: _Records, newline: str) -> str:
     return "[" + inner + ("," + inner).join(map(template.format, *columns)) + newline + "]"
 
 
+def _json_pairs(pairs: _Pairs, newline: str) -> str:
+    """``pairs``' JSON text, its own line broken and indented by ``newline``:
+    every part rendered in one pass, each pair joined from fixed text."""
+    if not pairs.entries:
+        return "[]"
+    inner = newline + "  "
+    field = inner + "  "
+    template = "[" + field + "{}," + field + "{}" + inner + "]"
+    parts = list(map(_json_float, chain.from_iterable(pairs.entries)))
+    lines = map(template.format, parts[::2], parts[1::2])
+    return "[" + inner + ("," + inner).join(lines) + newline + "]"
+
+
 def _write_json(value, newline: str, parts: List[str]) -> None:
     """Append ``value``'s JSON text to ``parts``, rounding each float as it
     goes; ``newline`` is the line break and indent of ``value``'s own line."""
@@ -280,6 +324,8 @@ def _write_json(value, newline: str, parts: List[str]) -> None:
         parts.append(newline + "}")
     elif isinstance(value, _Records):
         parts.append(_json_records(value, newline))
+    elif isinstance(value, _Pairs):
+        parts.append(_json_pairs(value, newline))
     elif isinstance(value, (list, tuple)):
         if not value:
             parts.append("[]")
@@ -326,13 +372,13 @@ def _render_csv(headers: Sequence[str], rows: Sequence[Row]) -> str:
 
 
 def _render(inv: argparse.Namespace, payload, headers, rows) -> str:
-    """``inv.format``'s text; ``payload`` and ``rows`` are zero-argument
-    builders, and only the one that format renders is called."""
+    """``inv.format``'s text; ``payload()`` and ``rows(sig)`` are builders,
+    and only the one that format renders is called."""
     if inv.format == "json":
         return _render_json(payload())
     if inv.format == "csv":
-        return _render_csv(headers, rows())
-    return _render_table(headers, rows())
+        return _render_csv(headers, rows(_JSON_SIG))
+    return _render_table(headers, rows(_TABLE_SIG))
 
 
 def _read_label(inv: argparse.Namespace, allowed: Sequence[str]) -> str:
@@ -365,7 +411,7 @@ def _cmd_epr(inv: argparse.Namespace):
             doc["counts"] = counts
         return doc
 
-    def rows():
+    def rows(sig):
         out: List[Row] = [
             ("theta", report.theta),
             ("phi", report.phi),
@@ -389,38 +435,40 @@ def _cmd_epr_sweep(inv: argparse.Namespace):
     phis = np.linspace(-math.pi, math.pi, inv.phi_steps)
     points = epr.sweep(thetas, phis)
     headers = epr.SweepPoint._fields
-    return lambda: {"rows": _Records(headers, points)}, headers, lambda: points, 0
+    return lambda: {"rows": _Records(headers, points)}, headers, lambda sig: points, 0
 
 
 def _cmd_szilard(inv: argparse.Namespace):
     cfg = szilard.SzilardConfig(cycles=inv.cycles, skip_reset=inv.skip_reset)
     records = szilard.run_cycles(cfg, shots=inv.shots, seed=inv.seed)
-    return lambda: _Records(_RECORD_FIELDS, records), _RECORD_FIELDS, lambda: records, 0
+    return lambda: _Records(_RECORD_FIELDS, records), _RECORD_FIELDS, lambda sig: records, 0
 
 
 def _ctc_report(problem: ctc.CtcProblem, tol: float = SOLVE_TOL):
     """Solve ``problem``'s loop and read out every system qubit, lowest first."""
     result = ctc.run_ctc_circuit(problem, tol=tol)
     sol = result.solution
+    entries = matrix_to_entries(sol.rho_loop.mat)
 
     def payload():
         return {
             "distribution": dict(result.distribution),
-            "fixed_point": matrix_to_entries(sol.rho_loop.mat),
+            "fixed_point": _Pairs(entries),
             "residual": sol.residual,
             "iterations": sol.iterations,
         }
 
-    def rows():
+    def rows(sig):
         out: List[Row] = [
             (f"p[{key}]", value) for key, value in sorted(result.distribution.items())
         ]
         out.append(("residual", sol.residual))
         out.append(("iterations", sol.iterations))
-        dim = sol.rho_loop.mat.shape[0]
-        entries = matrix_to_entries(sol.rho_loop.mat)
-        for (i, j), entry in zip(np.ndindex(dim, dim), entries):
-            out.append((f"fixed_point[{i}][{j}]", tuple(entry)))
+        # Each entry's cell is its two parts' cells, from one column of parts.
+        parts = _column(chain.from_iterable(entries), sig)
+        dim = len(sol.rho_loop.mat)
+        names = [f"fixed_point[{i}][{j}]" for i in range(dim) for j in range(dim)]
+        out.extend(zip(names, map("{} {}".format, parts[::2], parts[1::2])))
         return out
 
     return payload, ("field", "value"), rows, 0
@@ -477,7 +525,7 @@ def _cmd_audit(inv: argparse.Namespace):
     def payload():
         return {"steps": _Records(headers, steps), "overall": report.overall}
 
-    def rows():
+    def rows(sig):
         return steps + [("overall", None, report.overall)]
 
     return payload, headers, rows, 0 if report.overall else 1

@@ -13,6 +13,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -360,22 +361,41 @@ def _real(value) -> float:
 
 
 def matrix_to_entries(m: np.ndarray) -> list:
-    """Row-major [[re, im], ...] listing of a square complex matrix."""
-    m = np.asarray(m, dtype=complex)
-    return [[float(v.real), float(v.imag)] for v in m.reshape(-1)]
+    """Row-major [[re, im], ...] listing of a square complex matrix, read
+    through one float view: the same floats as each entry's parts."""
+    return np.ascontiguousarray(m, dtype=complex).view(float).reshape(-1, 2).tolist()
+
+
+def _part(value, what: str) -> float:
+    if math.isfinite(real := _real(value)):
+        return real
+    raise BadParams(f"entry {what} part {value!r} is not a finite number")
+
+
+def _entry(index: int, entry) -> complex:
+    """Entry ``index`` of a matrix file, refused unless it is a pair of finite reals."""
+    if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+        raise BadParams(f"entry {index} is not a [re, im] pair")
+    re, im = entry
+    return complex(_part(re, "real"), _part(im, "imaginary"))
 
 
 def entries_to_matrix(dim: int, entries: Sequence[Sequence[float]]) -> np.ndarray:
+    """The ``dim`` x ``dim`` matrix of a row-major list of [re, im] pairs of
+    finite reals, refusing the first entry that is not one."""
+    if not isinstance(entries, (list, tuple)):
+        raise BadParams("entries must be a list of [re, im] pairs")
     if len(entries) != dim * dim:
         raise DimensionMismatch(f"expected {dim * dim} entries, got {len(entries)}")
-
-    def part(value, what: str) -> float:
-        if math.isfinite(real := _real(value)):
-            return real
-        raise BadParams(f"entry {what} part {value!r} is not a finite number")
-
-    flat = [complex(part(re, "real"), part(im, "imaginary")) for re, im in entries]
-    return np.array(flat).reshape(dim, dim)
+    # A saved file's entries, lists of two plain finite floats, are read in
+    # bulk: their parts, in order, are the float view of the complex matrix.
+    if set(map(type, entries)) == {list} and set(map(len, entries)) == {2}:
+        parts = list(chain.from_iterable(entries))
+        if set(map(type, parts)) == {float}:
+            flat = np.fromiter(parts, float, len(parts))
+            if np.isfinite(flat).all():
+                return flat.view(complex).reshape(dim, dim)
+    return np.array([_entry(i, entry) for i, entry in enumerate(entries)]).reshape(dim, dim)
 
 
 def save_unitary(path: str, m: np.ndarray) -> None:

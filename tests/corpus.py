@@ -275,6 +275,8 @@ REFUSALS = (
     ("deep-unitary", "ctc solve --unitary deep.json",
      "usage error: --unitary: file nests too deeply to parse"),
     ("huge-entry", "ctc solve --unitary huge.json", None),  # U'U would overflow
+    ("not-a-pair", "ctc solve --unitary triple.json",
+     "usage error: --unitary: entry 3 is not a [re, im] pair"),
     # A tolerance every state meets.
     ("tol", "ctc solve --unitary u.json --system-state + --tol 1e30",
      "error: tol must be a positive real below 1, got 1e+30"),
@@ -320,6 +322,14 @@ def epr_dependence(out: str, err: str) -> str:
     return "" if found == DEPENDENCE else f"dependence {found}"
 
 
+def haar6_fixed_point(out: str, err: str) -> str:
+    """The fixed point on five loop qubits: 1,024 [re, im] pairs, trace 1 within 1e-8."""
+    pairs = json.loads(out)["fixed_point"]
+    trace = sum(pairs[33 * k][0] for k in range(32)) if len(pairs) == 1024 else math.nan
+    shaped = all(len(pair) == 2 for pair in pairs)
+    return "" if shaped and abs(trace - 1) <= 1e-8 else f"{len(pairs)} pairs, trace {trace}"
+
+
 def says(line: str) -> Callable[[str, str], str]:
     """The check that stdout is empty and stderr is exactly ``line``."""
     return lambda out, err: "" if (out, err) == ("", line + "\n") else f"{out[:200]!r}, {err!r}"
@@ -349,6 +359,11 @@ def process_cases() -> List[Case]:
     row("loop-weak6", "ctc solve --unitary weak6.json --system-state +",
         "solves the worst loop accepted: exp(-i 0.001 H) on 5 loop qubits, whose Krylov"
         " space nears its bound of 1,025 vectors")
+    # The largest fixed point a loop writes, 32 x 32, in every format.
+    for fmt, check in (("table", None), ("json", haar6_fixed_point), ("csv", None)):
+        row(f"loop-haar6-{fmt}", f"ctc solve --unitary haar6.json --system-state + --format {fmt}",
+            "solves a seeded 6-qubit Haar interaction and writes its 1,024 fixed-point entries",
+            check=check)
     row("sweep-largest", "epr sweep --theta-steps 256 --phi-steps 256 --format json",
         "the largest sweep accepted", check=parses)
     # Without the reset each cycle makes two binomial draws of the set-bit
@@ -381,7 +396,8 @@ def write_process_inputs(work: Path) -> None:
     """Every input file ``process_cases`` names, written into ``work``."""
     for name, m in (("u", np.eye(4)[:, [0, 2, 1, 3]]), ("u1", np.eye(2)),
                     ("weak3", oracle.partial_swap(2, 1e-6)),
-                    ("pswap5", oracle.partial_swap(5, 0.03)), ("weak6", _weak_loop())):
+                    ("pswap5", oracle.partial_swap(5, 0.03)), ("weak6", _weak_loop()),
+                    ("haar6", oracle.random_unitary(64, np.random.default_rng(6)))):
         save_unitary(str(work / f"{name}.json"), m)
     audit6 = random_unitary_circuit(6, MAX_AUDIT_INSTRUCTIONS, np.random.default_rng(1))
     cx = {"op": "unitary", "kind": "CNOT", "targets": [0, 1]}
@@ -399,6 +415,7 @@ def write_process_inputs(work: Path) -> None:
         "channel": {"n_qubits": 1, "instructions": [{"op": "channel", "target": 0}]},
         "wide": {"n_qubits": 7, "n_clbits": 0, "instructions": []},
         "huge": {"dim": 2, "entries": [[1e200, 0], [0, 0], [0, 0], [1, 0]]},
+        "triple": {"dim": 2, "entries": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0, 0.0]]},
         "u7": {"dim": 128, "entries": matrix_to_entries(np.eye(128))},
     }
     for name, doc in docs.items():

@@ -8,7 +8,9 @@ bit of a basis index, so it sits rightmost in a kron chain.
 
 import csv
 import io
+import json
 import math
+import numbers
 from functools import cache, reduce
 
 import numpy as np
@@ -199,6 +201,12 @@ def round_float(value, sig=9):
     return float(f"{value:.{sig}g}")
 
 
+def json_float(value):
+    """The CLI's JSON text of one float: ``round_float``'s float, written by
+    ``json.dumps`` (``float.__repr__``; NaN and Infinity spelled as json does)."""
+    return json.dumps(round_float(value))
+
+
 def json_ready(value):
     """A CLI payload as plain JSON types, every float rounded: the reference
     for ``json.dumps(json_ready(payload), indent=2) + "\\n"``."""
@@ -322,3 +330,41 @@ def szilard_cycle(memory, skip_reset, p):
     if not skip_reset:
         memory_out = np.diag([1.0, 0.0]).astype(complex)
     return work, pre, _vn_entropy_bits(memory_out), mutual, memory_out
+
+
+def matrix_entries(m):
+    """Row-major [[re, im], ...] of a matrix, read one complex scalar at a time."""
+    return [[float(v.real), float(v.imag)] for v in np.asarray(m, dtype=complex).reshape(-1)]
+
+
+def _finite_real(value):
+    """``value`` as a finite float, or None: a real but a bool, within float range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return None
+    try:
+        real = float(value)
+    except OverflowError:
+        return None
+    return real if math.isfinite(real) else None
+
+
+def matrix_from_entries(dim, entries):
+    """The dim x dim matrix of a matrix file's row-major [re, im] pairs, read
+    one value at a time; or, at the first value that is refused, the name of
+    the error and its message."""
+    if not isinstance(entries, (list, tuple)):
+        return "BadParams", "entries must be a list of [re, im] pairs"
+    if len(entries) != dim * dim:
+        return "DimensionMismatch", f"expected {dim * dim} entries, got {len(entries)}"
+    flat = []
+    for index, entry in enumerate(entries):
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+            return "BadParams", f"entry {index} is not a [re, im] pair"
+        parts = []
+        for value, what in zip(entry, ("real", "imaginary")):
+            real = _finite_real(value)
+            if real is None:
+                return "BadParams", f"entry {what} part {value!r} is not a finite number"
+            parts.append(real)
+        flat.append(complex(*parts))
+    return np.array(flat).reshape(dim, dim)

@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import struct
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import oracle
-from paradoxlab import qmath
+from paradoxlab import errors, qmath
 from paradoxlab.circuit import Gate
 from paradoxlab.ctc import CtcProblem
 from paradoxlab.errors import (
@@ -511,3 +514,150 @@ class TestMatrixFile:
         path.write_text('{"dim": 2, "entries": [[1.0, 0.0]]}')
         with pytest.raises(DimensionMismatch):
             qmath.load_unitary(str(path))
+
+
+# Parts whose bits a listing must keep: signed zeros, NaNs, infinities,
+# subnormals and the smallest normal.
+EDGE_PARTS = [-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+              2.2250738585072014e-308, 1e-310, 1.0, -1.0]
+
+
+def parts_bytes(entries) -> bytes:
+    return b"".join(struct.pack("<dd", re, im) for re, im in entries)
+
+
+def edge_complex(rng, shape) -> np.ndarray:
+    """Random complex entries, a third of the parts edge values, some NaNs
+    with random payloads."""
+    parts = rng.normal(size=shape + (2,))
+    edges = rng.random(parts.shape) < 1 / 3
+    parts[edges] = rng.choice(EDGE_PARTS, size=int(edges.sum()))
+    payloads = rng.random(parts.shape) < 0.05
+    nans = rng.integers(0, 2 ** 52, size=int(payloads.sum()), dtype=np.uint64) | np.uint64(0x7FF8 << 48)
+    parts[payloads] = nans.view(np.float64)
+    return parts.view(complex)[..., 0]
+
+
+class TestMatrixListing:
+    """``matrix_to_entries`` reads one float view; ``oracle.matrix_entries``
+    reads one complex scalar at a time. Their floats have the same bits."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 32, 64])
+    @pytest.mark.parametrize("layout", ["complex", "real", "int", "fortran", "strided", "complex64"])
+    def test_listing_has_each_scalar_s_bits(self, d, layout):
+        rng = np.random.default_rng(d)
+        m = edge_complex(rng, (3 * d, 2 * d))
+        m = {
+            "complex": m[:d, :d].copy(),
+            "real": m[:d, :d].real.copy(),
+            "int": rng.integers(-2 ** 62, 2 ** 62, size=(d, d)),
+            "fortran": np.asfortranarray(m[:d, :d]),
+            "strided": m[::3, ::2],
+            "complex64": m[:d, :d].astype(np.complex64),
+        }[layout]
+        got = qmath.matrix_to_entries(m)
+        assert parts_bytes(got) == parts_bytes(oracle.matrix_entries(m))
+        assert {type(part) for entry in got for part in entry} == {float}
+        assert {type(entry) for entry in got} == {list}
+
+    def test_listing_of_nested_lists(self):
+        m = [[1, 2.5], [-0.0, 3j]]
+        assert parts_bytes(qmath.matrix_to_entries(m)) == parts_bytes(oracle.matrix_entries(m))
+
+
+# Values a matrix file's entry may hold that are refused, and ones that are read.
+REFUSED_PARTS = [True, False, "x", "1.5", None, math.nan, math.inf, -math.inf,
+                 10 ** 400, -(10 ** 400), [], {}, 1j]
+READ_PARTS = [0, -3, 2 ** 60, Fraction(1, 3), np.float64(0.25), np.int64(7), np.float32(0.5)]
+NOT_PAIRS = ["ab", {"a": 1.0, "b": 2.0}, [1.0], [1.0, 2.0, 3.0], [], 1.0, 3, None, "x"]
+NOT_LISTS = [{"a": 1}, "abcd", 4, None, 2.5, True]
+
+
+def random_file_entries(rng, dim):
+    """A seeded mix of a matrix file's entries: plain floats (edge parts
+    among them) and ints, sometimes another read value, and at times a
+    refused value, a non-pair or a wrong count."""
+    def part():
+        roll = rng.random()
+        if roll < 0.6:
+            return float(rng.normal())
+        if roll < 0.75:
+            return float(rng.choice(EDGE_PARTS[:2] + EDGE_PARTS[6:]))
+        if roll < 0.9:
+            return int(rng.integers(-5, 5))
+        return READ_PARTS[rng.integers(len(READ_PARTS))]
+
+    plain = rng.random() < 0.3  # every part a plain float: the bulk path
+    entries = [[float(rng.normal()), float(rng.normal())] if plain else [part(), part()]
+               for _ in range(dim * dim)]
+    for _ in range(rng.integers(0, 3)):
+        k = int(rng.integers(dim * dim))
+        roll = rng.random()
+        if roll < 0.5 and isinstance(entries[k], list) and len(entries[k]) == 2:
+            entries[k][int(rng.integers(2))] = REFUSED_PARTS[rng.integers(len(REFUSED_PARTS))]
+        elif roll < 0.8:
+            entries[k] = NOT_PAIRS[rng.integers(len(NOT_PAIRS))]
+        elif isinstance(entries[k], list):
+            entries[k] = tuple(entries[k])
+    roll = rng.random()
+    if roll < 0.05:
+        return NOT_LISTS[rng.integers(len(NOT_LISTS))]
+    if roll < 0.1:
+        return entries[:-1]
+    if roll < 0.15:
+        return tuple(entries)
+    return entries
+
+
+class TestMatrixIntake:
+    """``entries_to_matrix`` reads a saved file's plain floats in bulk and
+    anything else one value at a time: it gives ``oracle.matrix_from_entries``'
+    matrix bit for bit, or its first refusal, of the same type and words."""
+
+    def check(self, dim, entries):
+        want = oracle.matrix_from_entries(dim, entries)
+        if isinstance(want, tuple):
+            name, message = want
+            with pytest.raises(getattr(errors, name)) as caught:
+                qmath.entries_to_matrix(dim, entries)
+            assert (type(caught.value).__name__, str(caught.value)) == want
+        else:
+            got = qmath.entries_to_matrix(dim, entries)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_seeded_mixes(self):
+        rng = np.random.default_rng(4444)
+        for _ in range(3000):
+            dim = int(rng.choice([1, 2, 4, 8]))
+            self.check(dim, random_file_entries(rng, dim))
+
+    @pytest.mark.parametrize("bad", REFUSED_PARTS, ids=repr)
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1), (5, 0), (15, 1)])
+    def test_refused_part(self, bad, where):
+        entries = [[float(i), -0.0] for i in range(16)]
+        entries[where[0]][where[1]] = bad
+        entries[10] = "ab"  # refused too, but after the first
+        self.check(4, entries)
+
+    @pytest.mark.parametrize("bad", NOT_PAIRS, ids=repr)
+    def test_entry_that_is_not_a_pair(self, bad):
+        entries = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], bad]
+        with pytest.raises(BadParams, match=r"^entry 3 is not a \[re, im\] pair$"):
+            qmath.entries_to_matrix(2, entries)
+        self.check(2, entries)
+
+    @pytest.mark.parametrize("bad", NOT_LISTS, ids=repr)
+    def test_entries_that_are_not_a_list(self, bad):
+        with pytest.raises(BadParams, match=r"^entries must be a list of \[re, im\] pairs$"):
+            qmath.entries_to_matrix(2, bad)
+        self.check(2, bad)
+
+    def test_saved_file_reads_back_bit_for_bit(self, tmp_path):
+        m = edge_complex(np.random.default_rng(9), (64, 64))
+        m[~np.isfinite(m)] = 0.5
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"dim": 64, "entries": qmath.matrix_to_entries(m)}))
+        doc = json.loads(path.read_text())
+        got = qmath.entries_to_matrix(64, doc["entries"])
+        assert got.tobytes() == m.tobytes()
